@@ -28,7 +28,7 @@ from .model import (
     placement_is_consistent,
     validate_instance,
 )
-from .scenario import ScenarioConfig, default_config, generate_instance
+from .scenario import ScenarioConfig, generate_instance
 from .security import boundary_distances, rate_fog_node, rate_infrastructure
 from .experiment import SweepGrid, check_trends, preset_grid, run_sweep, to_csv
 from .solver import (
@@ -46,7 +46,7 @@ __all__ = [
     "ResourceNode", "ScenarioConfig", "SecurityLevel", "SolveOptions",
     "SolveReport", "SolveStatus", "SweepGrid", "Tier", "Violation",
     "boundary_distances", "build_model", "check_feasibility", "check_trends",
-    "count_deployed", "default_config", "eval_cost", "eval_delay", "export_lp",
+    "count_deployed", "eval_cost", "eval_delay", "export_lp",
     "generate_instance", "load_instance", "metrics_for",
     "placement_from_assignment", "placement_is_consistent", "preset_grid",
     "rate_fog_node", "rate_infrastructure", "resource_cost", "run_sweep",

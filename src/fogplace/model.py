@@ -87,12 +87,6 @@ class LinkTable:
     delay: dict[tuple[str, str], float]
     bw_cost: dict[tuple[str, str], float]
 
-    def delay_between(self, u: str, v: str) -> float:
-        return self.delay[(u, v)]
-
-    def bw_cost_between(self, u: str, v: str) -> float:
-        return self.bw_cost[(u, v)]
-
 
 @dataclass(frozen=True)
 class AppModule:

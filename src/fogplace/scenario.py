@@ -279,8 +279,3 @@ def config_from_dict(d: Mapping[str, Any]) -> ScenarioConfig:
     cfg = ScenarioConfig(**kwargs)
     validate_config(cfg)
     return cfg
-
-
-def default_config() -> ScenarioConfig:
-    """The shipped desk-scale replication setup."""
-    return ScenarioConfig()

@@ -20,6 +20,11 @@ for each untouched app its cheapest standalone full-chain cost including
 link costs (capacity ignored).  Both parts only discard constraints, so the
 bound never overestimates.
 
+Preprocessing enumerates each app's standalone-feasible chains once, sorted
+by cost: the first gives the app's standalone minimum for the bound, and the
+greedy incumbent takes each app's first chain that still fits, so greedy and
+exact share one pass.  ``time_limit`` bounds preprocessing and search alike.
+
 ``solve_bruteforce`` enumerates every complete assignment and filters with
 the declarative feasibility checker - the verification oracle for the
 branch-and-bound.  ``solve_greedy`` places one app at a time against the
@@ -52,16 +57,10 @@ class SolveStatus(Enum):
 @dataclass(frozen=True)
 class SolveOptions:
     time_limit: float | None = None  # seconds; None = run to completion
-    node_order: str = "input-order"  # or "cheapest-first"
-    tolerance: float = 0.0  # relative gap accepted when pruning
 
     def __post_init__(self) -> None:
         if self.time_limit is not None and self.time_limit <= 0:
             raise ValueError("time_limit must be positive")
-        if self.node_order not in ("input-order", "cheapest-first"):
-            raise ValueError(f"unknown node_order {self.node_order!r}")
-        if self.tolerance < 0:
-            raise ValueError("tolerance must be nonnegative")
 
 
 @dataclass
@@ -115,11 +114,17 @@ class _Position:
 
 
 class _Problem:
-    """Dense arrays and bounds shared by the solvers."""
+    """Dense arrays, per-app chain lists and bounds shared by the solvers.
 
-    def __init__(self, inst: Instance, relax: Relaxations, node_order: str = "input-order"):
+    Raises ``TimeoutError`` when ``deadline`` (a ``time.monotonic()`` value)
+    passes during the per-app enumeration.
+    """
+
+    def __init__(self, inst: Instance, relax: Relaxations, deadline: float | None = None):
         self.inst = inst
         self.relax = relax
+        self.deadline = deadline
+        self.combos_seen = 0
         nodes = inst.nodes
         self.n_nodes = len(nodes)
         self.node_ids = [n.id for n in nodes]
@@ -160,8 +165,6 @@ class _Problem:
                         if mod.proc_req <= self.proc_cap[k] + FEAS_TOL
                         and mod.mem_req <= self.mem_cap[k] + FEAS_TOL
                         and mod.stor_req <= self.stor_cap[k] + FEAS_TOL]
-                if node_order == "cheapest-first":
-                    fits.sort(key=lambda k: (static[k], k))
                 self.positions.append(_Position(
                     app_idx=i, mod_idx=j, is_first=(j == 0), is_last=(j == last),
                     proc=mod.proc_req, mem=mod.mem_req, stor=mod.stor_req,
@@ -170,11 +173,16 @@ class _Problem:
                 ))
         self.n_positions = len(self.positions)
 
-        # Standalone minima per app (capacity between apps ignored) feed the
-        # cross-app part of the completion bound; ``None`` marks an app that
-        # cannot be placed even alone, which proves the instance infeasible.
+        # app_combos[i]: app i's standalone-feasible (cost, combo) pairs,
+        # cheapest first, ties in lexicographic node order.  Their minima
+        # (capacity between apps ignored) feed the cross-app part of the
+        # completion bound; ``None`` marks an app that cannot be placed even
+        # alone, which proves the instance infeasible.
+        self.app_combos: list[list[tuple[float, tuple[int, ...]]]] = [
+            sorted(self.iter_app_assignments(i)) for i in range(len(inst.apps))
+        ]
         self.app_min: list[float | None] = [
-            self._standalone_min(i) for i in range(len(inst.apps))
+            combos[0][0] if combos else None for combos in self.app_combos
         ]
 
         # tail_bound[m]: lower bound on the cost of placing positions m.. end,
@@ -197,41 +205,28 @@ class _Problem:
                     # (link costs included) is valid and at least as tight.
                     self.tail_bound[m] = max(self.tail_bound[m], app_tail[pos.app_idx])
 
-    def _standalone_min(self, app_idx: int) -> float | None:
-        best = None
-        for cost, _delay, _combo in self.iter_app_assignments(app_idx):
-            if best is None or cost < best:
-                best = cost
-        return best
-
     def iter_app_assignments(self, app_idx: int):
-        """Yield (cost, delay, node tuple) for every standalone-feasible full
+        """Yield (cost, node tuple) for every standalone-feasible full
         assignment of one app, in lexicographic node order.
 
         Capacity is checked per node against the app's own demands only;
-        security and QoS follow the active relaxations.
+        security and QoS follow the active relaxations.  With a deadline set,
+        the clock is read every 4096 combos.
         """
-        app = self.inst.apps[app_idx]
-        base = self.app_first_pos[app_idx]
-        n = app.n_modules
-        positions = [self.positions[base + j] for j in range(n)]
+        positions = self.app_positions(app_idx)
         check_qos = not self.relax.drop_qos
+        deadline = self.deadline
+        idle = ([0.0] * self.n_nodes,) * 3
+        # Only modules sharing a node can overload it past the candidate
+        # filter, so if the whole chain fits on each candidate, all combos do.
+        check_cap = not all(self.fits(positions, (k,) * len(positions), idle)
+                            for k in set().union(*(pos.candidates for pos in positions)))
         for combo in itertools.product(*(pos.candidates for pos in positions)):
-            proc_use: dict[int, float] = {}
-            mem_use: dict[int, float] = {}
-            stor_use: dict[int, float] = {}
-            ok = True
-            for pos, k in zip(positions, combo):
-                proc_use[k] = proc_use.get(k, 0.0) + pos.proc
-                mem_use[k] = mem_use.get(k, 0.0) + pos.mem
-                stor_use[k] = stor_use.get(k, 0.0) + pos.stor
-            for k in proc_use:
-                if (proc_use[k] > self.proc_cap[k] + FEAS_TOL
-                        or mem_use[k] > self.mem_cap[k] + FEAS_TOL
-                        or stor_use[k] > self.stor_cap[k] + FEAS_TOL):
-                    ok = False
-                    break
-            if not ok:
+            if deadline is not None:
+                self.combos_seen += 1
+                if self.combos_seen % 4096 == 0 and time.monotonic() > deadline:
+                    raise TimeoutError
+            if check_cap and not self.fits(positions, combo, idle):
                 continue
             cost = 0.0
             delay = self.exec_total[app_idx] + self.sensor_delay[combo[0]] + self.user_delay[combo[-1]]
@@ -244,7 +239,27 @@ class _Problem:
                 prev = k
             if check_qos and delay > self.qos[app_idx] + FEAS_TOL:
                 continue
-            yield cost, delay, combo
+            yield cost, combo
+
+    def fits(self, positions: list[_Position], combo: tuple[int, ...],
+             used: tuple[list[float], list[float], list[float]]) -> bool:
+        """Whether modules ``positions`` placed on ``combo`` fit on top of the
+        per-node (proc, mem, stor) loads ``used``."""
+        load: dict[int, list[float]] = {}
+        for pos, k in zip(positions, combo):
+            acc = load.setdefault(k, [0.0, 0.0, 0.0])
+            acc[0] += pos.proc
+            acc[1] += pos.mem
+            acc[2] += pos.stor
+        used_proc, used_mem, used_stor = used
+        return not any(used_proc[k] + proc > self.proc_cap[k] + FEAS_TOL
+                       or used_mem[k] + mem > self.mem_cap[k] + FEAS_TOL
+                       or used_stor[k] + stor > self.stor_cap[k] + FEAS_TOL
+                       for k, (proc, mem, stor) in load.items())
+
+    def app_positions(self, app_idx: int) -> list[_Position]:
+        base = self.app_first_pos[app_idx]
+        return self.positions[base:base + self.inst.apps[app_idx].n_modules]
 
     def placement_of(self, assignment: list[int]) -> Placement:
         assign = {}
@@ -263,32 +278,51 @@ def _finish_report(inst: Instance, relax: Relaxations, status: SolveStatus,
                        cost=cost, per_app_delay=delays, search_stats=stats)
 
 
+def _greedy(prob: _Problem, stats: SearchStats) -> list[int] | None:
+    """Give each app in turn the cheapest of its standalone-feasible chains
+    that fits the capacity earlier apps left; None when some app gets none.
+
+    Adds every chain of each app tried to ``stats.nodes_explored``.
+    """
+    used = used_proc, used_mem, used_stor = tuple([0.0] * prob.n_nodes for _ in range(3))
+    assignment: list[int] = []
+    for i, combos in enumerate(prob.app_combos):
+        stats.nodes_explored += len(combos)
+        positions = prob.app_positions(i)
+        chosen = next((combo for _cost, combo in combos if prob.fits(positions, combo, used)), None)
+        if chosen is None:
+            return None
+        for pos, k in zip(positions, chosen):
+            used_proc[k] += pos.proc
+            used_mem[k] += pos.mem
+            used_stor[k] += pos.stor
+        assignment.extend(chosen)
+    return assignment
+
+
 def solve_exact(inst: Instance, relax: Relaxations = Relaxations(),
                 opts: SolveOptions = SolveOptions()) -> SolveReport:
     """Minimum-cost feasible placement via branch-and-bound, or Infeasible.
 
     Deterministic: modules are branched in (app, chain) order and nodes tried
-    in the order given by ``opts.node_order``, so identical inputs produce
-    identical reports.  Hitting the time limit returns the best incumbent
-    found (if any) with status TIME_LIMIT.
+    in input order, so identical inputs produce identical reports.  The time
+    limit covers preprocessing and search; hitting it returns the best
+    incumbent found (if any) with status TIME_LIMIT.
     """
-    prob = _Problem(inst, relax, opts.node_order)
+    deadline = None if opts.time_limit is None else time.monotonic() + opts.time_limit
     stats = SearchStats()
+    try:
+        prob = _Problem(inst, relax, deadline)
+    except TimeoutError:
+        return _finish_report(inst, relax, SolveStatus.TIME_LIMIT, None, stats)
 
-    if any(not pos.candidates for pos in prob.positions) or any(v is None for v in prob.app_min):
+    if any(v is None for v in prob.app_min):
         return _finish_report(inst, relax, SolveStatus.INFEASIBLE, None, stats)
-    if prob.n_positions == 0:
-        return _finish_report(inst, relax, SolveStatus.OPTIMAL,
-                              placement_from_assignment({}), stats)
 
     best_cost = float("inf")
-    best_assignment: list[int] | None = None
-    greedy = solve_greedy(inst, relax)
-    if greedy.status is SolveStatus.FEASIBLE:
-        best_cost = greedy.cost.total
-        node_pos = {nid: k for k, nid in enumerate(prob.node_ids)}
-        best_assignment = [node_pos[greedy.placement.assign[(inst.apps[p.app_idx].id, p.mod_idx)]]
-                           for p in prob.positions]
+    best_assignment = _greedy(prob, SearchStats())
+    if best_assignment is not None:
+        best_cost = eval_cost(inst, prob.placement_of(best_assignment)).total
 
     positions = prob.positions
     tail_bound = prob.tail_bound
@@ -305,9 +339,7 @@ def solve_exact(inst: Instance, relax: Relaxations = Relaxations(),
     current = [0] * n_pos
     app_delay = [0.0] * len(inst.apps)
 
-    deadline = None if opts.time_limit is None else time.monotonic() + opts.time_limit
     timed_out = False
-    tol = opts.tolerance
 
     def dfs(m: int, prefix_cost: float) -> None:
         nonlocal best_cost, best_assignment, timed_out
@@ -344,8 +376,7 @@ def solve_exact(inst: Instance, relax: Relaxations = Relaxations(),
                 stats.pruned_qos += 1
                 continue
             child_cost = prefix_cost + step_cost
-            # tol = 0 keeps the search exact; tol > 0 accepts a relative gap.
-            if child_cost + tail_bound[m + 1] >= best_cost - tol * max(1.0, abs(best_cost)):
+            if child_cost + tail_bound[m + 1] >= best_cost:
                 stats.pruned_bound += 1
                 continue
             stats.nodes_explored += 1
@@ -415,40 +446,7 @@ def solve_greedy(inst: Instance, relax: Relaxations = Relaxations()) -> SolveRep
     """
     prob = _Problem(inst, relax)
     stats = SearchStats()
-    used_proc = [0.0] * prob.n_nodes
-    used_mem = [0.0] * prob.n_nodes
-    used_stor = [0.0] * prob.n_nodes
-    assignment: list[int] = []
-    for i, app in enumerate(inst.apps):
-        base = prob.app_first_pos[i]
-        pos_list = [prob.positions[base + j] for j in range(app.n_modules)]
-        best: tuple[float, tuple[int, ...]] | None = None
-        for cost, _delay, combo in prob.iter_app_assignments(i):
-            stats.nodes_explored += 1
-            fits = True
-            add_proc: dict[int, float] = {}
-            add_mem: dict[int, float] = {}
-            add_stor: dict[int, float] = {}
-            for pos, k in zip(pos_list, combo):
-                add_proc[k] = add_proc.get(k, 0.0) + pos.proc
-                add_mem[k] = add_mem.get(k, 0.0) + pos.mem
-                add_stor[k] = add_stor.get(k, 0.0) + pos.stor
-            for k in add_proc:
-                if (used_proc[k] + add_proc[k] > prob.proc_cap[k] + FEAS_TOL
-                        or used_mem[k] + add_mem[k] > prob.mem_cap[k] + FEAS_TOL
-                        or used_stor[k] + add_stor[k] > prob.stor_cap[k] + FEAS_TOL):
-                    fits = False
-                    break
-            if not fits:
-                continue
-            if best is None or cost < best[0]:
-                best = (cost, combo)
-        if best is None:
-            return SolveReport(status=SolveStatus.HEURISTIC_FAILED, relax=relax,
-                               search_stats=stats)
-        for pos, k in zip(pos_list, best[1]):
-            used_proc[k] += pos.proc
-            used_mem[k] += pos.mem
-            used_stor[k] += pos.stor
-        assignment.extend(best[1])
+    assignment = _greedy(prob, stats)
+    if assignment is None:
+        return SolveReport(status=SolveStatus.HEURISTIC_FAILED, relax=relax, search_stats=stats)
     return _finish_report(inst, relax, SolveStatus.FEASIBLE, prob.placement_of(assignment), stats)

@@ -23,15 +23,7 @@ from .metrics import GB_TO_MB, metrics_for
 from .model import Instance, Tier, validate_instance
 from .scenario import ScenarioConfig, config_from_dict, generate_instance
 from .security import boundary_distances, rate_infrastructure
-from .experiment import (
-    DEFAULT_SEEDS,
-    Cell,
-    SweepGrid,
-    check_trends,
-    preset_grid,
-    run_sweep,
-    to_csv,
-)
+from .experiment import PRESETS, check_trends, grid_from_dict, run_sweep, to_csv
 from .solver import SolveOptions, SolveStatus, solve_bruteforce, solve_exact, solve_greedy
 
 EXIT_OK = 0
@@ -40,8 +32,6 @@ EXIT_INPUT = 2
 EXIT_INFEASIBLE = 3
 EXIT_TIME_LIMIT = 4
 EXIT_HEURISTIC_FAILED = 5
-
-_PRESETS = ("fig4", "fig5", "fig6", "fig7")
 
 
 class InputError(Exception):
@@ -54,18 +44,18 @@ def _load_json(path: str) -> dict:
         raise InputError(f"file not found: {path}")
     try:
         return json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
         raise InputError(f"{path}: not valid JSON ({exc})") from exc
 
 
 def _load_rated_instance(path: str) -> Instance:
     try:
-        inst = load_instance(path)
+        # A stored rating is replaced, never checked: geometry decides it.
+        inst = rate_infrastructure(load_instance(path))
     except FileNotFoundError:
         raise InputError(f"file not found: {path}") from None
-    except (ValueError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # includes JSONDecodeError
         raise InputError(f"{path}: {exc}") from exc
-    inst = rate_infrastructure(inst)
     violations = validate_instance(inst)
     if violations:
         raise InputError(f"{path}: invalid instance:\n  " + "\n  ".join(violations))
@@ -113,6 +103,10 @@ def _cmd_rate(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    try:
+        opts = SolveOptions(time_limit=args.time_limit)
+    except ValueError as exc:
+        raise InputError(f"--time-limit: {exc}") from exc
     inst = _load_rated_instance(args.instance)
     relax = Relaxations(drop_qos=args.no_qos, drop_security=args.no_security)
 
@@ -121,7 +115,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         Path(args.export_lp).write_text(export_lp(model), encoding="utf-8")
         print(f"wrote LP model to {args.export_lp}")
 
-    opts = SolveOptions(time_limit=args.time_limit)
     if args.solver == "exact":
         report = solve_exact(inst, relax, opts)
     elif args.solver == "greedy":
@@ -134,13 +127,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
     print(f"status: {report.status.value}")
     if report.placement is not None:
-        cost = report.cost
-        print(f"cost total: {cost.total:.6f}")
-        print(f"  processing:  {cost.processing:.6f}")
-        print(f"  storage:     {cost.storage:.6f}")
-        print(f"  sensor_comm: {cost.sensor_comm:.6f}")
-        print(f"  inter_comm:  {cost.inter_comm:.6f}")
-        print(f"  user_comm:   {cost.user_comm:.6f}")
+        cost = report.cost.to_dict()
+        print(f"cost total: {cost.pop('total'):.6f}")
+        for name, value in cost.items():
+            print(f"  {name + ':':<12} {value:.6f}")
         m = metrics_for(inst, report)
         print(f"modules on cloud/fog: {m.modules_on_cloud}/{m.modules_on_fog}")
         print(f"unprotected data: {m.unprotected_data:.6f} Gb "
@@ -161,43 +151,12 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     }[report.status]
 
 
-def _grid_from_config(doc: dict) -> tuple[SweepGrid, list[int], ScenarioConfig]:
-    unknown = sorted(set(doc) - {"preset", "name", "cells", "seeds", "base_config"})
-    if unknown:
-        raise InputError(f"grid config: unknown fields {unknown}")
-    if "preset" in doc:
-        grid = preset_grid(doc["preset"])
-    elif "cells" in doc:
-        cells = []
-        for i, c in enumerate(doc["cells"]):
-            extra = sorted(set(c) - {"n_apps", "max_qos", "alpha", "drop_qos", "drop_security"})
-            if extra:
-                raise InputError(f"grid config: cells[{i}] unknown fields {extra}")
-            cells.append(Cell(
-                n_apps=int(c["n_apps"]),
-                max_qos=float(c["max_qos"]),
-                alpha=None if c.get("alpha") is None else float(c["alpha"]),
-                relax=Relaxations(drop_qos=bool(c.get("drop_qos", False)),
-                                  drop_security=bool(c.get("drop_security", False))),
-            ))
-        grid = SweepGrid(name=str(doc.get("name", "custom")), cells=tuple(cells))
-    else:
-        raise InputError("grid config needs either 'preset' or 'cells'")
-    seeds = [int(s) for s in doc.get("seeds", DEFAULT_SEEDS)]
-    try:
-        base_cfg = config_from_dict(doc.get("base_config", {}))
-    except ValueError as exc:
-        raise InputError(f"grid config: {exc}") from exc
-    return grid, seeds, base_cfg
-
-
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    if args.grid in _PRESETS:
-        grid = preset_grid(args.grid)
-        seeds = list(DEFAULT_SEEDS)
-        base_cfg = ScenarioConfig()
-    else:
-        grid, seeds, base_cfg = _grid_from_config(_load_json(args.grid))
+    doc = {"preset": args.grid} if args.grid in PRESETS else _load_json(args.grid)
+    try:
+        grid, seeds, base_cfg = grid_from_dict(doc)
+    except ValueError as exc:
+        raise InputError(f"{args.grid}: {exc}") from exc
     rows = run_sweep(grid, seeds, base_cfg, dump_dir=args.dump_placements)
     Path(args.out).write_text(to_csv(rows), encoding="utf-8")
     n_cells = len(grid.cells)
@@ -235,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("experiment", help="run a sweep grid and check trends")
-    p.add_argument("grid", help=f"grid config JSON or preset name ({', '.join(_PRESETS)})")
+    p.add_argument("grid", help=f"grid config JSON or preset name ({', '.join(PRESETS)})")
     p.add_argument("--out", required=True, help="CSV file to write")
     p.add_argument("--dump-placements", metavar="DIR",
                    help="also write every solve report into this directory")

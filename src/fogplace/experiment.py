@@ -15,14 +15,16 @@ from __future__ import annotations
 import csv
 import io
 import time
-from dataclasses import dataclass, field, replace
+from collections.abc import Iterable
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import Any
 
 from .ilp import Relaxations
-from .instance_io import save_report
+from .instance_io import require_keys, save_report
 from .metrics import count_deployed, unprotected_data
-from .scenario import ScenarioConfig, generate_instance
-from .solver import SolveOptions, SolveStatus, solve_exact
+from .scenario import ScenarioConfig, config_from_dict, generate_instance
+from .solver import SolveStatus, solve_exact
 
 _REL_TOL = 1e-9
 
@@ -50,38 +52,69 @@ def grid_from_lists(name: str, n_apps: list[int], max_qos: list[float],
     return SweepGrid(name=name, cells=cells)
 
 
+_FIG4 = grid_from_lists("fig4", list(range(1, 8)), [1.5, 3.0], [None], [Relaxations()]).cells
+_FIG5 = grid_from_lists("fig5", [7], [1.5, 3.0], [0.0, 0.25, 0.5, 0.75, 1.0], [Relaxations()]).cells
+_NOSEC = Relaxations(drop_security=True)
+_FIG7 = tuple(Cell(n, q, 0.25, relax) for n in range(1, 8) for q, relax in (
+    (1.5, Relaxations(drop_qos=True, drop_security=True)), (1.5, _NOSEC), (3.0, _NOSEC)))
+PRESETS: dict[str, tuple[Cell, ...]] = {"fig4": _FIG4, "fig5": _FIG5, "fig6": _FIG4, "fig7": _FIG7}
+
+
 def preset_grid(name: str) -> SweepGrid:
-    """Named replication grids.
+    """Named replication grids, the keys of ``PRESETS``.
 
     fig4/fig6: cost and tier counts vs number of apps, two QoS scenarios.
     fig5: cost vs high-security fraction at 7 apps, two QoS scenarios.
     fig7: unprotected data vs number of apps with security relaxed, at
     alpha 0.25, against the fully relaxed baseline.
     """
-    full = Relaxations()
-    if name in ("fig4", "fig6"):
-        return grid_from_lists(name, list(range(1, 8)), [1.5, 3.0], [None], [full])
-    if name == "fig5":
-        return grid_from_lists(name, [7], [1.5, 3.0], [0.0, 0.25, 0.5, 0.75, 1.0], [full])
-    if name == "fig7":
-        cells = []
-        for n in range(1, 8):
-            cells.append(Cell(n, 1.5, 0.25, Relaxations(drop_qos=True, drop_security=True)))
-            cells.append(Cell(n, 1.5, 0.25, Relaxations(drop_security=True)))
-            cells.append(Cell(n, 3.0, 0.25, Relaxations(drop_security=True)))
-        return SweepGrid(name=name, cells=tuple(cells))
-    raise ValueError(f"unknown preset grid {name!r}")
+    if name not in PRESETS:
+        raise ValueError(f"unknown preset grid {name!r}")
+    return SweepGrid(name=name, cells=PRESETS[name])
 
 
 DEFAULT_SEEDS: tuple[int, ...] = tuple(range(20))
 
-CSV_COLUMNS = [
-    "n_apps", "max_qos", "alpha", "drop_qos", "drop_security", "seed", "status",
-    "cost_processing", "cost_storage", "cost_sensor_comm", "cost_inter_comm",
-    "cost_user_comm", "cost_total", "modules_on_cloud", "modules_on_fog",
-    "unprotected_gb", "nodes_explored", "pruned_bound", "pruned_capacity",
-    "pruned_qos", "pruned_security",
-]
+_CELL_FIELDS = ("n_apps", "max_qos", "alpha", "drop_qos", "drop_security")
+
+
+def _cell_from_dict(c: Any, where: str) -> Cell:
+    require_keys(c, {"n_apps", "max_qos"}, {"alpha", "drop_qos", "drop_security"}, where)
+    try:
+        return Cell(
+            n_apps=int(c["n_apps"]),
+            max_qos=float(c["max_qos"]),
+            alpha=None if c.get("alpha") is None else float(c["alpha"]),
+            relax=Relaxations(drop_qos=bool(c.get("drop_qos", False)),
+                              drop_security=bool(c.get("drop_security", False))),
+        )
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
+def grid_from_dict(doc: Any) -> tuple[SweepGrid, list[int], ScenarioConfig]:
+    """Read a grid document (format in the README): a preset or a list of
+    cells, plus optional seeds and base scenario config.  Raises ValueError
+    on any malformed document."""
+    require_keys(doc, set(), {"preset", "name", "cells", "seeds", "base_config"}, "grid config")
+    if "preset" in doc:
+        grid = preset_grid(str(doc["preset"]))
+    elif "cells" in doc:
+        if not isinstance(doc["cells"], Iterable):
+            raise ValueError(f"grid config: cells must be a list of objects, got {doc['cells']!r}")
+        cells = tuple(_cell_from_dict(c, f"grid config: cells[{i}]") for i, c in enumerate(doc["cells"]))
+        grid = SweepGrid(name=str(doc.get("name", "custom")), cells=cells)
+    else:
+        raise ValueError("grid config needs either 'preset' or 'cells'")
+    try:
+        seeds = [int(s) for s in doc.get("seeds", DEFAULT_SEEDS)]
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"grid config: seeds must be a list of integers, got {doc['seeds']!r}") from None
+    try:
+        base_cfg = config_from_dict(doc.get("base_config", {}))
+    except ValueError as exc:
+        raise ValueError(f"grid config: base_config: {exc}") from None
+    return grid, seeds, base_cfg
 
 
 @dataclass
@@ -114,15 +147,13 @@ class SweepRow:
         return self.seed == "mean"
 
     def cell_key(self) -> tuple:
-        return (self.n_apps, self.max_qos, self.alpha, self.drop_qos, self.drop_security)
+        return tuple(getattr(self, name) for name in _CELL_FIELDS)
 
 
-_MEAN_FIELDS = [
-    "cost_processing", "cost_storage", "cost_sensor_comm", "cost_inter_comm",
-    "cost_user_comm", "cost_total", "modules_on_cloud", "modules_on_fog",
-    "unprotected_gb", "nodes_explored", "pruned_bound", "pruned_capacity",
-    "pruned_qos", "pruned_security",
-]
+# The CSV holds every row field but the run-dependent timing; mean rows
+# average the measured columns, which start at cost_processing.
+CSV_COLUMNS = [f.name for f in fields(SweepRow) if f.name != "solve_ms"]
+_MEAN_FIELDS = CSV_COLUMNS[CSV_COLUMNS.index("cost_processing"):]
 
 
 def cell_label(cell: Cell, seed: int | str) -> str:
@@ -132,7 +163,6 @@ def cell_label(cell: Cell, seed: int | str) -> str:
 
 def run_sweep(grid: SweepGrid, seeds: list[int] | tuple[int, ...],
               base_cfg: ScenarioConfig | None = None,
-              opts: SolveOptions = SolveOptions(),
               dump_dir: str | Path | None = None) -> list[SweepRow]:
     """Solve every (cell, seed) pair; returns seed rows then one mean row per cell.
 
@@ -160,26 +190,13 @@ def run_sweep(grid: SweepGrid, seeds: list[int] | tuple[int, ...],
                               alpha=cell.alpha, seed=seed)
                 inst = generate_instance(cfg)
                 start = time.perf_counter()
-                report = solve_exact(inst, cell.relax, opts)
+                report = solve_exact(inst, cell.relax)
                 row.solve_ms = (time.perf_counter() - start) * 1000.0
                 row.status = report.status.value
-                stats = report.search_stats
-                row.nodes_explored = stats.nodes_explored
-                row.pruned_bound = stats.pruned_bound
-                row.pruned_capacity = stats.pruned_capacity
-                row.pruned_qos = stats.pruned_qos
-                row.pruned_security = stats.pruned_security
+                vars(row).update(report.search_stats.to_dict())
                 if report.placement is not None:
-                    cost = report.cost
-                    row.cost_processing = cost.processing
-                    row.cost_storage = cost.storage
-                    row.cost_sensor_comm = cost.sensor_comm
-                    row.cost_inter_comm = cost.inter_comm
-                    row.cost_user_comm = cost.user_comm
-                    row.cost_total = cost.total
-                    cloud, fog = count_deployed(inst, report.placement)
-                    row.modules_on_cloud = cloud
-                    row.modules_on_fog = fog
+                    vars(row).update({f"cost_{k}": v for k, v in report.cost.to_dict().items()})
+                    row.modules_on_cloud, row.modules_on_fog = count_deployed(inst, report.placement)
                     row.unprotected_gb = unprotected_data(inst, report.placement)
                     if dump_dir is not None:
                         save_report(inst, report, dump_dir / f"{cell_label(cell, seed)}.json")
@@ -192,23 +209,18 @@ def run_sweep(grid: SweepGrid, seeds: list[int] | tuple[int, ...],
 
 def aggregate_rows(rows: list[SweepRow]) -> list[SweepRow]:
     """One mean row per cell, averaging the optimal seed rows of that cell."""
-    out: list[SweepRow] = []
-    seen: list[tuple] = []
+    optimal: dict[tuple, list[SweepRow]] = {}
     for row in rows:
-        if row.is_aggregate or row.cell_key() in seen:
-            continue
-        seen.append(row.cell_key())
-        group = [r for r in rows if not r.is_aggregate and r.cell_key() == row.cell_key()]
-        optimal = [r for r in group if r.status == SolveStatus.OPTIMAL.value]
-        agg = SweepRow(
-            n_apps=row.n_apps, max_qos=row.max_qos, alpha=row.alpha,
-            drop_qos=row.drop_qos, drop_security=row.drop_security,
-            seed="mean", status=f"mean_of_{len(optimal)}",
-        )
-        if optimal:
+        if not row.is_aggregate:
+            group = optimal.setdefault(row.cell_key(), [])
+            if row.status == SolveStatus.OPTIMAL.value:
+                group.append(row)
+    out: list[SweepRow] = []
+    for key, group in optimal.items():
+        agg = SweepRow(*key, seed="mean", status=f"mean_of_{len(group)}")
+        if group:
             for name in _MEAN_FIELDS:
-                values = [getattr(r, name) for r in optimal]
-                setattr(agg, name, sum(values) / len(values))
+                setattr(agg, name, sum(getattr(r, name) for r in group) / len(group))
         out.append(agg)
     return out
 
@@ -223,15 +235,13 @@ def _render(value) -> str:
     return str(value)
 
 
-def to_csv(rows: list[SweepRow], include_timing: bool = False) -> str:
-    """Render rows in the fixed column order; byte-stable across runs unless
-    timing is explicitly included."""
-    columns = CSV_COLUMNS + (["solve_ms"] if include_timing else [])
+def to_csv(rows: list[SweepRow]) -> str:
+    """Render rows in the fixed column order; byte-stable across runs."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
+    writer.writerow(CSV_COLUMNS)
     for row in rows:
-        writer.writerow([_render(getattr(row, c)) for c in columns])
+        writer.writerow([_render(getattr(row, c)) for c in CSV_COLUMNS])
     return buf.getvalue()
 
 
@@ -263,8 +273,37 @@ def _optimal(rows: list[SweepRow]) -> list[SweepRow]:
     return [r for r in rows if not r.is_aggregate and r.status == SolveStatus.OPTIMAL.value]
 
 
-def _seed_rows(rows: list[SweepRow]) -> list[SweepRow]:
-    return [r for r in rows if not r.is_aggregate]
+def _cheaper(row: SweepRow, than: SweepRow) -> bool:
+    """``row`` costs less than ``than`` beyond the relative tolerance."""
+    return row.cost_total < than.cost_total - _REL_TOL * max(1.0, than.cost_total)
+
+
+def _per_seed_groups(rows: list[SweepRow], axis: str) -> list[list[SweepRow]]:
+    """Rows that differ only in ``axis`` (same seed and other cell fields),
+    each group sorted along ``axis``."""
+    groups: dict[tuple, list[SweepRow]] = {}
+    for r in rows:
+        key = tuple(getattr(r, name) for name in _CELL_FIELDS if name != axis) + (r.seed,)
+        groups.setdefault(key, []).append(r)
+    return [sorted(g, key=lambda r: getattr(r, axis)) for g in groups.values()]
+
+
+def _per_seed_monotone(rows: list[SweepRow], axis: str, rising: bool) -> tuple[int, int]:
+    """(comparisons, violations) of cost rising (or falling) along ``axis``
+    between neighbouring optimal rows of one seed."""
+    comparisons = violations = 0
+    for group in _per_seed_groups(rows, axis):
+        for a, b in zip(group, group[1:]):
+            if getattr(b, axis) > getattr(a, axis):
+                comparisons += 1
+                violations += _cheaper(b, a) if rising else _cheaper(a, b)
+    return comparisons, violations
+
+
+def _per_seed_check(name: str, counts: tuple[int, int]) -> TrendCheck:
+    comparisons, violations = counts
+    return TrendCheck(name=name, passed=(violations == 0), applicable=(comparisons > 0),
+                      details=f"{comparisons} per-seed comparisons, {violations} violations")
 
 
 def check_trends(rows: list[SweepRow]) -> TrendReport:
@@ -280,74 +319,28 @@ def check_trends(rows: list[SweepRow]) -> TrendReport:
     security-relaxed scenarios.
     """
     report = TrendReport()
-    seed_rows = _seed_rows(rows)
     optimal = _optimal(rows)
+    report.checks.append(_per_seed_check(
+        "cost_nondecreasing_in_n_apps", _per_seed_monotone(optimal, "n_apps", rising=True)))
+    report.checks.append(_per_seed_check(
+        "cost_tighter_qos_not_cheaper", _per_seed_monotone(optimal, "max_qos", rising=False)))
 
-    # (a) per seed: cost nondecreasing in n_apps.
-    groups: dict[tuple, list[SweepRow]] = {}
-    for r in optimal:
-        groups.setdefault((r.max_qos, r.alpha, r.drop_qos, r.drop_security, r.seed), []).append(r)
+    # Per seed: cost nondecreasing in alpha; infeasibility persists.
     comparisons = violations = 0
-    for group in groups.values():
-        group.sort(key=lambda r: r.n_apps)
-        for a, b in zip(group, group[1:]):
-            if b.n_apps > a.n_apps:
-                comparisons += 1
-                if b.cost_total < a.cost_total - _REL_TOL * max(1.0, a.cost_total):
-                    violations += 1
-    report.checks.append(TrendCheck(
-        name="cost_nondecreasing_in_n_apps", passed=(violations == 0),
-        applicable=(comparisons > 0),
-        details=f"{comparisons} per-seed comparisons, {violations} violations",
-    ))
-
-    # (b) per seed: tighter max_qos never costs less.
-    groups = {}
-    for r in optimal:
-        groups.setdefault((r.n_apps, r.alpha, r.drop_qos, r.drop_security, r.seed), []).append(r)
-    comparisons = violations = 0
-    for group in groups.values():
-        group.sort(key=lambda r: r.max_qos)
-        for a, b in zip(group, group[1:]):
-            if b.max_qos > a.max_qos:
-                comparisons += 1
-                if a.cost_total < b.cost_total - _REL_TOL * max(1.0, b.cost_total):
-                    violations += 1
-    report.checks.append(TrendCheck(
-        name="cost_tighter_qos_not_cheaper", passed=(violations == 0),
-        applicable=(comparisons > 0),
-        details=f"{comparisons} per-seed comparisons, {violations} violations",
-    ))
-
-    # (c) per seed: cost nondecreasing in alpha; infeasibility persists.
-    groups = {}
-    for r in seed_rows:
-        if r.alpha is not None:
-            groups.setdefault((r.n_apps, r.max_qos, r.drop_qos, r.drop_security, r.seed), []).append(r)
-    comparisons = violations = 0
-    for group in groups.values():
-        group.sort(key=lambda r: r.alpha)
-        prev: SweepRow | None = None
+    for group in _per_seed_groups([r for r in rows if not r.is_aggregate and r.alpha is not None], "alpha"):
         dead = False
-        for r in group:
-            if prev is not None and r.alpha > prev.alpha:
+        for prev, r in zip(group, group[1:]):
+            dead = dead or prev.status == SolveStatus.INFEASIBLE.value
+            if r.alpha > prev.alpha:
                 comparisons += 1
                 is_opt = r.status == SolveStatus.OPTIMAL.value
                 if dead and is_opt:
                     violations += 1  # came back from infeasible
-                elif is_opt and prev.status == SolveStatus.OPTIMAL.value:
-                    if r.cost_total < prev.cost_total - _REL_TOL * max(1.0, prev.cost_total):
-                        violations += 1
-            if r.status == SolveStatus.INFEASIBLE.value:
-                dead = True
-            prev = r
-    report.checks.append(TrendCheck(
-        name="cost_nondecreasing_in_alpha", passed=(violations == 0),
-        applicable=(comparisons > 0),
-        details=f"{comparisons} per-seed comparisons, {violations} violations",
-    ))
+                elif is_opt and prev.status == SolveStatus.OPTIMAL.value and _cheaper(r, prev):
+                    violations += 1
+    report.checks.append(_per_seed_check("cost_nondecreasing_in_alpha", (comparisons, violations)))
 
-    # (d) seed means: tighter QoS pushes at least as many modules onto fog.
+    # Seed means: tighter QoS pushes at least as many modules onto fog.
     full_rows = [r for r in optimal if not r.drop_qos and not r.drop_security]
     by_qos: dict[float, list[float]] = {}
     for r in full_rows:
@@ -365,7 +358,7 @@ def check_trends(rows: list[SweepRow]) -> TrendReport:
         applicable=(comparisons > 0), details=detail or "no applicable cells",
     ))
 
-    # (e) seed means: fully relaxed baseline leaks no more than the
+    # Seed means: fully relaxed baseline leaks no more than the
     # QoS-constrained security-relaxed scenarios.
     relaxed = [r for r in optimal if r.drop_security]
     noqos = [r.unprotected_gb for r in relaxed if r.drop_qos]

@@ -64,14 +64,8 @@ class CostBreakdown:
         return self.processing + self.storage + self.sensor_comm + self.inter_comm + self.user_comm
 
     def to_dict(self) -> dict[str, float]:
-        return {
-            "processing": self.processing,
-            "storage": self.storage,
-            "sensor_comm": self.sensor_comm,
-            "inter_comm": self.inter_comm,
-            "user_comm": self.user_comm,
-            "total": self.total,
-        }
+        """The five components in field order, then ``total``."""
+        return {**vars(self), "total": self.total}
 
 
 @dataclass(frozen=True)

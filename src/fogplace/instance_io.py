@@ -9,6 +9,7 @@ instance reads back equal (floats survive via shortest-repr JSON encoding).
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -18,6 +19,8 @@ from .model import (
     FarmGeometry,
     Instance,
     LinkTable,
+    MODULE_FIELDS,
+    NODE_QUANTITIES,
     Placement,
     ResourceNode,
     SecurityLevel,
@@ -25,7 +28,9 @@ from .model import (
 )
 
 
-def _require_keys(obj: Mapping[str, Any], required: set[str], optional: set[str], where: str) -> None:
+def require_keys(obj: Mapping[str, Any], required: set[str], optional: set[str], where: str) -> None:
+    """Raise ValueError unless ``obj`` is a mapping whose keys are all of
+    ``required`` and any of ``optional``."""
     if not isinstance(obj, Mapping):
         raise ValueError(f"{where}: expected an object, got {type(obj).__name__}")
     unknown = sorted(set(obj) - required - optional)
@@ -44,19 +49,8 @@ def _num(obj: Mapping[str, Any], key: str, where: str) -> float:
 
 
 def _node_to_dict(n: ResourceNode) -> dict[str, Any]:
-    d: dict[str, Any] = {
-        "id": n.id,
-        "tier": n.tier.value,
-        "proc_capacity": n.proc_capacity,
-        "mem_capacity": n.mem_capacity,
-        "stor_capacity": n.stor_capacity,
-        "proc_cost": n.proc_cost,
-        "stor_cost": n.stor_cost,
-        "sensor_bw_cost": n.sensor_bw_cost,
-        "user_bw_cost": n.user_bw_cost,
-        "sensor_delay": n.sensor_delay,
-        "user_delay": n.user_delay,
-    }
+    d: dict[str, Any] = {"id": n.id, "tier": n.tier.value,
+                         **{name: getattr(n, name) for name in NODE_QUANTITIES}}
     if n.position is not None:
         d["position"] = [n.position[0], n.position[1]]
     if n.tx_range is not None:
@@ -66,16 +60,8 @@ def _node_to_dict(n: ResourceNode) -> dict[str, Any]:
     return d
 
 
-_NODE_REQUIRED = {
-    "id", "tier", "proc_capacity", "mem_capacity", "stor_capacity",
-    "proc_cost", "stor_cost", "sensor_bw_cost", "user_bw_cost",
-    "sensor_delay", "user_delay",
-}
-_NODE_OPTIONAL = {"position", "tx_range", "security_rating"}
-
-
 def _node_from_dict(d: Mapping[str, Any], where: str) -> ResourceNode:
-    _require_keys(d, _NODE_REQUIRED, _NODE_OPTIONAL, where)
+    require_keys(d, {"id", "tier", *NODE_QUANTITIES}, {"position", "tx_range", "security_rating"}, where)
     try:
         tier = Tier(d["tier"])
     except ValueError:
@@ -92,15 +78,7 @@ def _node_from_dict(d: Mapping[str, Any], where: str) -> ResourceNode:
     return ResourceNode(
         id=str(d["id"]),
         tier=tier,
-        proc_capacity=_num(d, "proc_capacity", where),
-        mem_capacity=_num(d, "mem_capacity", where),
-        stor_capacity=_num(d, "stor_capacity", where),
-        proc_cost=_num(d, "proc_cost", where),
-        stor_cost=_num(d, "stor_cost", where),
-        sensor_bw_cost=_num(d, "sensor_bw_cost", where),
-        user_bw_cost=_num(d, "user_bw_cost", where),
-        sensor_delay=_num(d, "sensor_delay", where),
-        user_delay=_num(d, "user_delay", where),
+        **{name: _num(d, name, where) for name in NODE_QUANTITIES},
         position=position,
         tx_range=_num(d, "tx_range", where) if "tx_range" in d else None,
         security_rating=rating,
@@ -110,11 +88,7 @@ def _node_from_dict(d: Mapping[str, Any], where: str) -> ResourceNode:
 def _app_to_dict(a: Application) -> dict[str, Any]:
     return {
         "id": a.id,
-        "modules": [
-            {"proc_req": m.proc_req, "mem_req": m.mem_req,
-             "stor_req": m.stor_req, "exec_delay": m.exec_delay}
-            for m in a.modules
-        ],
+        "modules": [{name: getattr(m, name) for name in MODULE_FIELDS} for m in a.modules],
         "input_traffic": a.input_traffic,
         "inter_traffic": list(a.inter_traffic),
         "output_traffic": a.output_traffic,
@@ -123,27 +97,17 @@ def _app_to_dict(a: Application) -> dict[str, Any]:
     }
 
 
+def _module_from_dict(d: Mapping[str, Any], where: str) -> AppModule:
+    require_keys(d, set(MODULE_FIELDS), set(), where)
+    return AppModule(**{name: _num(d, name, where) for name in MODULE_FIELDS})
+
+
 def _app_from_dict(d: Mapping[str, Any], where: str) -> Application:
-    _require_keys(
-        d,
-        {"id", "modules", "input_traffic", "inter_traffic", "output_traffic",
-         "qos_threshold", "security_req"},
-        set(),
-        where,
-    )
-    modules = []
-    for j, md in enumerate(d["modules"]):
-        mwhere = f"{where}.modules[{j}]"
-        _require_keys(md, {"proc_req", "mem_req", "stor_req", "exec_delay"}, set(), mwhere)
-        modules.append(AppModule(
-            proc_req=_num(md, "proc_req", mwhere),
-            mem_req=_num(md, "mem_req", mwhere),
-            stor_req=_num(md, "stor_req", mwhere),
-            exec_delay=_num(md, "exec_delay", mwhere),
-        ))
+    require_keys(d, {f.name for f in fields(Application)}, set(), where)
     return Application(
         id=str(d["id"]),
-        modules=tuple(modules),
+        modules=tuple(_module_from_dict(md, f"{where}.modules[{j}]")
+                      for j, md in enumerate(d["modules"])),
         input_traffic=_num(d, "input_traffic", where),
         inter_traffic=tuple(float(x) for x in d["inter_traffic"]),
         output_traffic=_num(d, "output_traffic", where),
@@ -166,11 +130,11 @@ def instance_to_dict(inst: Instance) -> dict[str, Any]:
 
 
 def instance_from_dict(d: Mapping[str, Any]) -> Instance:
-    _require_keys(d, {"nodes", "links", "apps", "farm"}, set(), "instance")
+    require_keys(d, {"nodes", "links", "apps", "farm"}, set(), "instance")
     nodes = tuple(_node_from_dict(nd, f"nodes[{i}]") for i, nd in enumerate(d["nodes"]))
     ids = [n.id for n in nodes]
 
-    _require_keys(d["links"], {"delay", "bw_cost"}, set(), "links")
+    require_keys(d["links"], {"delay", "bw_cost"}, set(), "links")
     delay: dict[tuple[str, str], float] = {}
     bw: dict[tuple[str, str], float] = {}
     for label, matrix, table in (("delay", d["links"]["delay"], delay),
@@ -184,7 +148,7 @@ def instance_from_dict(d: Mapping[str, Any]) -> Instance:
                 table[(ids[i], ids[j])] = float(val)
 
     apps = tuple(_app_from_dict(ad, f"apps[{i}]") for i, ad in enumerate(d["apps"]))
-    _require_keys(d["farm"], {"width", "height"}, set(), "farm")
+    require_keys(d["farm"], {"width", "height"}, set(), "farm")
     farm = FarmGeometry(width=_num(d["farm"], "width", "farm"),
                         height=_num(d["farm"], "height", "farm"))
     return Instance(nodes=nodes, links=LinkTable(delay=delay, bw_cost=bw), apps=apps, farm=farm)
@@ -205,7 +169,7 @@ def placement_to_dict(inst: Instance, p: Placement) -> dict[str, Any]:
 
 
 def placement_from_dict(d: Mapping[str, Any]) -> Placement:
-    _require_keys(d, {"assign", "edge_map"}, set(), "placement")
+    require_keys(d, {"assign", "edge_map"}, set(), "placement")
     assign = {
         (app_id, j): node_id
         for app_id, node_ids in d["assign"].items()

@@ -6,7 +6,7 @@ All types are immutable after construction; every operation here is pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum, IntEnum
 from functools import cached_property
 
@@ -96,6 +96,13 @@ class AppModule:
     mem_req: float  # Gb
     stor_req: float  # Gb
     exec_delay: float  # seconds, node-independent
+
+
+# The numeric fields every node and module carries, in declaration order: the
+# instance file format and ``validate_instance`` both read these.  A node's
+# quantities are exactly its fields annotated plain ``float``.
+NODE_QUANTITIES = tuple(f.name for f in fields(ResourceNode) if f.type == "float")
+MODULE_FIELDS = tuple(f.name for f in fields(AppModule))
 
 
 @dataclass(frozen=True)
@@ -199,9 +206,7 @@ def validate_instance(inst: Instance) -> list[str]:
         if n.id in seen_nodes:
             out.append(f"duplicate node id {n.id!r}")
         seen_nodes.add(n.id)
-        for name in ("proc_capacity", "mem_capacity", "stor_capacity",
-                     "proc_cost", "stor_cost", "sensor_bw_cost", "user_bw_cost",
-                     "sensor_delay", "user_delay"):
+        for name in NODE_QUANTITIES:
             v = getattr(n, name)
             if not _finite(v) or v < 0:
                 out.append(f"node {n.id}: {name} must be finite and nonnegative, got {v!r}")
@@ -246,7 +251,7 @@ def validate_instance(inst: Instance) -> list[str]:
         if len(a.inter_traffic) != max(n - 1, 0):
             out.append(f"app {a.id}: edge count must be n-1 = {n - 1}, got {len(a.inter_traffic)}")
         for j, m in enumerate(a.modules):
-            for name in ("proc_req", "mem_req", "stor_req", "exec_delay"):
+            for name in MODULE_FIELDS:
                 v = getattr(m, name)
                 if not _finite(v) or v < 0:
                     out.append(f"app {a.id} module {j}: {name} must be finite and nonnegative, got {v!r}")

@@ -28,6 +28,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
+from .instance_io import require_keys
 from .model import (
     Application,
     AppModule,
@@ -256,26 +257,31 @@ def config_to_dict(cfg: ScenarioConfig) -> dict[str, Any]:
 
 
 def config_from_dict(d: Mapping[str, Any]) -> ScenarioConfig:
-    """Build a config from a (possibly partial) mapping; unknown keys fail."""
-    unknown = sorted(set(d) - _CONFIG_FIELDS)
-    if unknown:
-        raise ValueError(f"scenario config: unknown fields {unknown}")
+    """Build a config from a (possibly partial) mapping.
+
+    Raises ValueError, naming the field, on an unknown key or a value of
+    the wrong shape or type.
+    """
+    require_keys(d, set(), _CONFIG_FIELDS, "scenario config")
     kwargs: dict[str, Any] = {}
     for name, value in d.items():
-        if name in _RANGE_FIELDS:
-            kwargs[name] = (float(value[0]), float(value[1]))
-        elif name == "fog_positions":
-            kwargs[name] = None if value is None else tuple((float(p[0]), float(p[1])) for p in value)
-        elif name == "tx_ranges":
-            kwargs[name] = None if value is None else tuple(float(x) for x in value)
-        elif name == "exec_delay_overrides":
-            kwargs[name] = tuple((int(o[0]), int(o[1]), float(o[2])) for o in value)
-        elif name == "alpha":
-            kwargs[name] = None if value is None else float(value)
-        elif name in ("n_fog", "n_apps", "modules_per_app", "seed"):
-            kwargs[name] = int(value)
-        else:
-            kwargs[name] = float(value)
+        try:
+            if name in _RANGE_FIELDS:
+                kwargs[name] = (float(value[0]), float(value[1]))
+            elif name == "fog_positions":
+                kwargs[name] = None if value is None else tuple((float(p[0]), float(p[1])) for p in value)
+            elif name == "tx_ranges":
+                kwargs[name] = None if value is None else tuple(float(x) for x in value)
+            elif name == "exec_delay_overrides":
+                kwargs[name] = tuple((int(o[0]), int(o[1]), float(o[2])) for o in value)
+            elif name == "alpha":
+                kwargs[name] = None if value is None else float(value)
+            elif name in ("n_fog", "n_apps", "modules_per_app", "seed"):
+                kwargs[name] = int(value)
+            else:
+                kwargs[name] = float(value)
+        except (TypeError, ValueError, IndexError, OverflowError) as exc:
+            raise ValueError(f"scenario config: bad {name} {value!r} ({exc})") from None
     cfg = ScenarioConfig(**kwargs)
     validate_config(cfg)
     return cfg

@@ -5,9 +5,10 @@ assignments in (app, chain-position) order.  The edge variables of the full
 binary program are implied by consecutive assignments, so the search only
 branches on module hosts and derives link cost and delay incrementally.
 
-Pruning at a partial assignment:
+Security needs no prune: each module's candidate hosts are filtered by
+rating before the search, so ``pruned_security`` is always 0 and stays
+only as a fixed report and CSV column.  Pruning at a partial assignment:
   * capacity  - the chosen node cannot absorb the module's demands,
-  * security  - the node's rating is below the app's requirement,
   * qos       - delay already accumulated (plus all execution delays, which
                 are placement-independent) exceeds the app's threshold; an
                 admissible test since future link delays are nonnegative,
@@ -59,12 +60,19 @@ class SolveOptions:
     time_limit: float | None = None  # seconds; None = run to completion
 
     def __post_init__(self) -> None:
-        if self.time_limit is not None and self.time_limit <= 0:
-            raise ValueError("time_limit must be positive")
+        if self.time_limit is not None and not self.time_limit > 0:  # rejects nan too
+            raise ValueError(f"time_limit must be positive, got {self.time_limit!r}")
 
 
 @dataclass
 class SearchStats:
+    """Search counters, reported by every solver and written to sweep CSVs.
+
+    ``pruned_security`` is always 0: candidate filtering drops nodes rated
+    below an app's requirement before the search, so no branch is ever cut
+    for security.  It stays as a fixed report and CSV column.
+    """
+
     nodes_explored: int = 0
     pruned_bound: int = 0
     pruned_capacity: int = 0
@@ -72,13 +80,7 @@ class SearchStats:
     pruned_security: int = 0
 
     def to_dict(self) -> dict[str, int]:
-        return {
-            "nodes_explored": self.nodes_explored,
-            "pruned_bound": self.pruned_bound,
-            "pruned_capacity": self.pruned_capacity,
-            "pruned_qos": self.pruned_qos,
-            "pruned_security": self.pruned_security,
-        }
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,8 @@ from fogplace.cli import (
     EXIT_OK,
     main,
 )
-from fogplace.instance_io import save_instance
+from fogplace.instance_io import instance_to_dict, save_instance
+from fogplace.scenario import ScenarioConfig, generate_instance
 
 from conftest import make_app, make_cloud, make_fog, make_instance
 
@@ -28,6 +29,25 @@ def instance_file(tmp_path, two_app_instance):
 
 def sha(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def write_json(path, doc):
+    path.write_text(json.dumps(doc))
+    return path
+
+
+# The instance written by `generate --seed 0` and the report `solve --out`
+# writes for it: these pin both file formats byte for byte.
+GENERATE_SEED0_SHA256 = "b94a2527e5fdf0588521789d1b63455775d1e2c8b799043829614e009fea5d51"
+SOLVE_SEED0_REPORT_SHA256 = "d9e897ca50a983e6a67e3dbf611200a1f1fe466b389085d7dcf0eb04b0b35a6a"
+
+
+def test_instance_and_report_bytes_pinned(tmp_path):
+    inst, report = tmp_path / "inst.json", tmp_path / "report.json"
+    assert main(["generate", "--seed", "0", "--out", str(inst)]) == EXIT_OK
+    assert main(["solve", str(inst), "--out", str(report)]) == EXIT_OK
+    assert sha(inst) == GENERATE_SEED0_SHA256
+    assert sha(report) == SOLVE_SEED0_REPORT_SHA256
 
 
 class TestGenerate:
@@ -54,6 +74,22 @@ class TestGenerate:
         cfg.write_text(json.dumps({"alpha": 2.0}))
         assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "x.json")]) == EXIT_INPUT
 
+    @pytest.mark.parametrize("doc", [
+        {"proc_req_range": 5},
+        {"proc_req_range": [0.1]},
+        {"fog_positions": [[1.0], [2.0]]},
+        {"n_fog": None},
+        {"seed": "x"},
+        [1, 2],
+    ])
+    def test_malformed_config_is_input_error(self, tmp_path, capsys, doc):
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        out = tmp_path / "x.json"
+        assert main(["generate", "--config", str(cfg), "--out", str(out)]) == EXIT_INPUT
+        assert not out.exists()
+        if isinstance(doc, dict):
+            assert next(iter(doc)) in capsys.readouterr().err
+
 
 class TestRate:
     def test_fig_style_layout(self, tmp_path, capsys):
@@ -74,6 +110,32 @@ class TestRate:
         assert main(["rate", str(path)]) == EXIT_OK
         out = capsys.readouterr().out
         assert "medium" in out and "fog" not in out.splitlines()[1]
+
+
+@pytest.mark.parametrize("command", ["solve", "rate"])
+class TestFogGeometry:
+    @pytest.fixture
+    def doc(self):
+        return instance_to_dict(generate_instance(ScenarioConfig(n_apps=2)))
+
+    @pytest.mark.parametrize("position", [[5000.0, 1.0], None])
+    def test_bad_fog_position_is_input_error(self, tmp_path, doc, command, position):
+        if position is None:
+            del doc["nodes"][1]["position"]
+        else:
+            doc["nodes"][1]["position"] = position
+        path = write_json(tmp_path / "inst.json", doc)
+        assert main([command, str(path)]) == EXIT_INPUT
+
+    def test_stored_ratings_are_rerated(self, tmp_path, capsys, doc, command):
+        for node in doc["nodes"]:
+            node["security_rating"] = "high"
+        path = write_json(tmp_path / "inst.json", doc)
+        assert main([command, str(path)]) == EXIT_OK
+        if command == "rate":
+            lines = capsys.readouterr().out.splitlines()
+            table = {line.split()[0]: line.split()[-1] for line in lines[1:]}
+            assert table == {"cloud": "medium", "fog1": "low", "fog2": "high"}
 
 
 class TestSolve:
@@ -119,6 +181,13 @@ class TestSolve:
     def test_missing_instance_is_input_error(self, tmp_path):
         assert main(["solve", str(tmp_path / "ghost.json")]) == EXIT_INPUT
 
+    @pytest.mark.parametrize("limit", ["0", "-1", "nan"])
+    def test_bad_time_limit_is_input_error(self, instance_file, tmp_path, limit):
+        lp = tmp_path / "model.lp"
+        code = main(["solve", str(instance_file), "--time-limit", limit, "--export-lp", str(lp)])
+        assert code == EXIT_INPUT
+        assert not lp.exists()
+
     def test_inputs_never_mutated(self, instance_file):
         before = sha(instance_file)
         main(["solve", str(instance_file)])
@@ -155,6 +224,33 @@ class TestExperiment:
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps({"cells": [], "seed": [0]}))
         assert main(["experiment", str(grid), "--out", str(tmp_path / "x.csv")]) == EXIT_INPUT
+
+    @pytest.mark.parametrize("doc", [
+        {"preset": "fig9"},
+        {"cells": [{"max_qos": 1.5}]},
+        {"cells": [{"n_apps": None, "max_qos": 1.5}]},
+        {"cells": [3]},
+        {"cells": 5},
+        {"preset": "fig5", "seeds": ["x"]},
+        {"preset": "fig5", "seeds": 5},
+        {"preset": "fig5", "base_config": {"n_fog": None}},
+        {"preset": "fig5", "base_config": [1]},
+        [1, 2],
+    ])
+    def test_malformed_grid_is_input_error(self, tmp_path, doc):
+        grid = write_json(tmp_path / "grid.json", doc)
+        out = tmp_path / "x.csv"
+        assert main(["experiment", str(grid), "--out", str(out)]) == EXIT_INPUT
+        assert not out.exists()
+
+    def test_preset_name_is_the_preset_document(self, tmp_path, capsys):
+        grid = write_json(tmp_path / "grid.json", {"preset": "fig5"})
+        by_name, by_doc = tmp_path / "name.csv", tmp_path / "doc.csv"
+        assert main(["experiment", "fig5", "--out", str(by_name)]) == EXIT_OK
+        name_stdout = capsys.readouterr().out
+        assert main(["experiment", str(grid), "--out", str(by_doc)]) == EXIT_OK
+        assert by_name.read_bytes() == by_doc.read_bytes()
+        assert capsys.readouterr().out == name_stdout.replace("-> " + str(by_name), "-> " + str(by_doc))
 
 
 def test_console_entry_point_help():

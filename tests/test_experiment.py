@@ -108,11 +108,6 @@ class TestRunSweep:
                           "unprotected_gb,nodes_explored,pruned_bound,pruned_capacity,"
                           "pruned_qos,pruned_security")
 
-    def test_timing_column_is_opt_in(self):
-        rows = run_sweep(TINY_GRID, [0])
-        assert "solve_ms" not in to_csv(rows)
-        assert "solve_ms" in to_csv(rows, include_timing=True)
-
     def test_failing_cell_recorded_without_aborting(self):
         grid = SweepGrid("mixed", (
             Cell(1, 1.5, 2.0, Relaxations()),  # alpha out of range: generation fails
@@ -140,6 +135,31 @@ class TestCheckTrends:
         assert by_name["cost_tighter_qos_not_cheaper"].applicable
         assert by_name["cost_tighter_qos_not_cheaper"].passed
         assert not by_name["cost_nondecreasing_in_alpha"].applicable
+
+    # A cube of cells, every one optimal on seed 0, so each cell has a
+    # neighbour along n_apps, max_qos and alpha.
+    CUBE = grid_from_lists("cube", [1, 2], [1.5, 3.0], [0.0, 1.0], [Relaxations()])
+
+    @pytest.mark.parametrize("cell, change, check", [
+        # Each change sits at a corner where it can break only its own check.
+        ((2, 3.0, 0.0), {"cost_total": 0.0}, "cost_nondecreasing_in_n_apps"),
+        ((1, 1.5, 0.0), {"cost_total": 0.0}, "cost_tighter_qos_not_cheaper"),
+        ((1, 3.0, 1.0), {"cost_total": 0.0}, "cost_nondecreasing_in_alpha"),
+        ((2, 1.5, 0.0), {"status": "infeasible", "cost_total": None}, "cost_nondecreasing_in_alpha"),
+    ])
+    def test_one_violation_fails_its_check(self, cell, change, check):
+        rows = run_sweep(self.CUBE, [0])
+        seed_rows = [r for r in rows if not r.is_aggregate]
+        assert all(r.status == "optimal" for r in seed_rows)
+        assert check_trends(rows).all_passed
+        target, = [r for r in seed_rows if (r.n_apps, r.max_qos, r.alpha) == cell]
+        for name, value in change.items():
+            setattr(target, name, value)
+        by_name = {c.name: c for c in check_trends(rows).checks}
+        assert not by_name[check].passed
+        assert by_name[check].details.endswith(", 1 violations")
+        others = [c for c in by_name.values() if c.name != check and c.applicable]
+        assert all(c.passed for c in others)
 
     def test_format_mentions_every_check(self):
         report = check_trends(run_sweep(TINY_GRID, [0]))

@@ -147,8 +147,9 @@ class TestSolveExact:
         assert report.placement.assign == {} and report.cost.total == 0.0
 
     def test_invalid_options_rejected(self):
-        with pytest.raises(ValueError):
-            SolveOptions(time_limit=0.0)
+        for limit in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError):
+                SolveOptions(time_limit=limit)
 
     def test_time_limit_covers_preprocessing(self):
         # Two 6-module chains on 8 nodes: 8**6 chains per app to enumerate,

@@ -24,7 +24,6 @@ from .model import (
     ResourceNode,
     SecurityLevel,
     Tier,
-    placement_from_assignment,
     placement_is_consistent,
     validate_instance,
 )
@@ -48,8 +47,8 @@ __all__ = [
     "boundary_distances", "build_model", "check_feasibility", "check_trends",
     "count_deployed", "eval_cost", "eval_delay", "export_lp",
     "generate_instance", "load_instance", "metrics_for",
-    "placement_from_assignment", "placement_is_consistent", "preset_grid",
-    "rate_fog_node", "rate_infrastructure", "resource_cost", "run_sweep",
+    "placement_is_consistent", "preset_grid", "rate_fog_node",
+    "rate_infrastructure", "resource_cost", "run_sweep",
     "save_instance", "save_report", "solve_bruteforce", "solve_exact",
     "solve_greedy", "to_csv", "unprotected_data", "validate_instance",
 ]

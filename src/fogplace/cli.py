@@ -5,8 +5,9 @@ security ratings), ``solve`` (optimize a placement), ``experiment`` (run a
 sweep grid and print the trend report).
 
 Exit codes (stable): 0 success / solved; 1 internal error; 2 input error
-(bad flags, unreadable or invalid files); 3 proven infeasible; 4 time limit
-hit; 5 heuristic found no placement (not an infeasibility proof).
+(bad flags, unreadable or unwritable paths, invalid files); 3 proven
+infeasible; 4 time limit hit; 5 heuristic found no placement (not an
+infeasibility proof).
 """
 
 from __future__ import annotations
@@ -39,11 +40,8 @@ class InputError(Exception):
 
 
 def _load_json(path: str) -> dict:
-    p = Path(path)
-    if not p.is_file():
-        raise InputError(f"file not found: {path}")
     try:
-        return json.loads(p.read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
         raise InputError(f"{path}: not valid JSON ({exc})") from exc
 
@@ -52,8 +50,6 @@ def _load_rated_instance(path: str) -> Instance:
     try:
         # A stored rating is replaced, never checked: geometry decides it.
         inst = rate_infrastructure(load_instance(path))
-    except FileNotFoundError:
-        raise InputError(f"file not found: {path}") from None
     except ValueError as exc:  # includes JSONDecodeError
         raise InputError(f"{path}: {exc}") from exc
     violations = validate_instance(inst)
@@ -208,7 +204,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, OSError) as exc:  # every path opened comes from the arguments
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:  # pragma: no cover - defensive

@@ -4,8 +4,10 @@ Decision variables are x (module on node) and z (internal chain edge on an
 ordered physical node pair).  The quadratic coupling z = x_pred * x_succ is
 linearized into three inequalities that are exact at binary points.
 
-Constraint rows carry stable family tags used in row names, solver logs and
-feasibility reports:
+Constraint rows carry stable family tags, which name the LP rows.
+Feasibility reports (``check_feasibility``) carry eq2-eq4, eq7, eq8 and eq9;
+a placement stores only module hosts, so eq11-eq14 hold for it by
+construction and name LP rows only:
 
     eq2/eq3/eq4   per-node processing / memory / storage capacity
     eq7           per-application end-to-end delay bound
@@ -253,11 +255,11 @@ def placement_to_vector(inst: Instance, p: Placement) -> dict[str, float]:
     node_pos = {n.id: k for k, n in enumerate(inst.nodes)}
     vec: dict[str, float] = {}
     for i, app in enumerate(inst.apps):
-        for j in range(app.n_modules):
-            vec[x_name(i, j, node_pos[p.assign[(app.id, j)]])] = 1.0
-        for j in range(app.n_modules - 1):
-            u, v = p.edge_map[(app.id, j)]
-            vec[z_name(i, j, node_pos[u], node_pos[v])] = 1.0
+        hosts = [node_pos[h] for h in p.hosts(app)]
+        for j, k in enumerate(hosts):
+            vec[x_name(i, j, k)] = 1.0
+        for j, (u, v) in enumerate(zip(hosts, hosts[1:])):
+            vec[z_name(i, j, u, v)] = 1.0
     return vec
 
 
@@ -267,53 +269,39 @@ def objective_value(model: IlpModel, vec: dict[str, float]) -> float:
 
 def eval_cost(inst: Instance, p: Placement) -> CostBreakdown:
     """Cost of a consistent placement, split into the five objective terms."""
-    if not _assign_complete(inst, p):
+    if not placement_is_consistent(inst, p):
         raise ValueError("placement is not consistent with the instance")
     processing = storage = sensor = inter = user = 0.0
     for app in inst.apps:
-        first_node = inst.node_by_id[p.assign[(app.id, 0)]]
-        last_node = inst.node_by_id[p.assign[(app.id, app.n_modules - 1)]]
-        sensor += app.input_traffic * first_node.sensor_bw_cost
-        user += app.output_traffic * last_node.user_bw_cost
-        for j, mod in enumerate(app.modules):
-            node = inst.node_by_id[p.assign[(app.id, j)]]
+        hosts = [inst.node_by_id[h] for h in p.hosts(app)]
+        sensor += app.input_traffic * hosts[0].sensor_bw_cost
+        user += app.output_traffic * hosts[-1].user_bw_cost
+        for mod, node in zip(app.modules, hosts):
             processing += mod.exec_delay * node.proc_cost
             storage += mod.stor_req * node.stor_cost
-        for j in range(app.n_modules - 1):
-            u, v = p.edge_map[(app.id, j)]
-            inter += app.inter_traffic[j] * inst.links.bw_cost[(u, v)]
+        for traffic, u, v in zip(app.inter_traffic, hosts, hosts[1:]):
+            inter += traffic * inst.links.bw_cost[(u.id, v.id)]
     return CostBreakdown(processing=processing, storage=storage,
                          sensor_comm=sensor, inter_comm=inter, user_comm=user)
 
 
 def eval_delay(inst: Instance, p: Placement, app: Application) -> tuple[float, float]:
-    """(communication delay, execution delay) of one application under p."""
-    for j in range(app.n_modules):
-        if (app.id, j) not in p.assign:
-            raise ValueError(f"app {app.id} module {j} is not placed")
-    first_node = inst.node_by_id[p.assign[(app.id, 0)]]
-    last_node = inst.node_by_id[p.assign[(app.id, app.n_modules - 1)]]
-    comm = first_node.sensor_delay + last_node.user_delay
-    for j in range(app.n_modules - 1):
-        u, v = p.edge_map[(app.id, j)]
+    """(communication delay, execution delay) of one application under p.
+
+    Raises ValueError when some module of the app is not placed.
+    """
+    hosts = p.hosts(app)
+    comm = inst.node_by_id[hosts[0]].sensor_delay + inst.node_by_id[hosts[-1]].user_delay
+    for u, v in zip(hosts, hosts[1:]):
         comm += inst.links.delay[(u, v)]
-    exec_delay = sum(m.exec_delay for m in app.modules)
-    return comm, exec_delay
-
-
-def _assign_complete(inst: Instance, p: Placement) -> bool:
-    try:
-        return placement_is_consistent(inst, p)
-    except ValueError:
-        return False
+    return comm, app.exec_total
 
 
 def check_feasibility(inst: Instance, p: Placement, relax: Relaxations = Relaxations()) -> list[Violation]:
     """Every active-constraint violation of a placement (empty = feasible).
 
-    Works on incomplete or inconsistent placements too: missing assignments
-    show up as eq9 rows, missing edges as eq14 rows, and edges whose
-    endpoints disagree with the assignment as eq11/eq12 rows.
+    Works on incomplete placements too: missing assignments show up as eq9
+    rows, and an app with a missing module gets no eq7 check.
     """
     out: list[Violation] = []
     nodes = inst.node_by_id
@@ -343,41 +331,14 @@ def check_feasibility(inst: Instance, p: Placement, relax: Relaxations = Relaxat
                     tag="eq9", indices=(a.id, j), slack=1.0,
                     detail=f"app {a.id} module {j} is unplaced",
                 ))
-        for j in range(a.n_modules - 1):
-            pair = p.edge_map.get((a.id, j))
-            if pair is None:
-                out.append(Violation(
-                    tag="eq14", indices=(a.id, j), slack=1.0,
-                    detail=f"app {a.id} edge {j} is unmapped",
-                ))
-                continue
-            u, v = pair
-            host_u = p.assign.get((a.id, j))
-            host_v = p.assign.get((a.id, j + 1))
-            if host_u is not None and u != host_u:
-                out.append(Violation(
-                    tag="eq11", indices=(a.id, j, u, v), slack=1.0,
-                    detail=f"app {a.id} edge {j}: mapped source {u} but module {j} sits on {host_u}",
-                ))
-            if host_v is not None and v != host_v:
-                out.append(Violation(
-                    tag="eq12", indices=(a.id, j, u, v), slack=1.0,
-                    detail=f"app {a.id} edge {j}: mapped target {v} but module {j + 1} sits on {host_v}",
-                ))
 
     if not relax.drop_qos:
         for a in inst.apps:
-            if any((a.id, j) not in p.assign for j in range(a.n_modules)):
-                continue
-            first = nodes[p.assign[(a.id, 0)]]
-            last = nodes[p.assign[(a.id, a.n_modules - 1)]]
-            comm = first.sensor_delay + last.user_delay
-            for j in range(a.n_modules - 1):
-                pair = p.edge_map.get((a.id, j))
-                if pair is None:
-                    pair = (p.assign[(a.id, j)], p.assign[(a.id, j + 1)])
-                comm += inst.links.delay[pair]
-            total = comm + a.exec_total
+            try:
+                comm, exe = eval_delay(inst, p, a)
+            except ValueError:
+                continue  # reported as eq9 above
+            total = comm + exe
             over = total - a.qos_threshold
             if over > FEAS_TOL:
                 out.append(Violation(

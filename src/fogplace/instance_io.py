@@ -41,11 +41,25 @@ def require_keys(obj: Mapping[str, Any], required: set[str], optional: set[str],
         raise ValueError(f"{where}: missing fields {missing}")
 
 
+def _float(v: Any, where: str) -> float:
+    """``float(v)``, or a ValueError naming the entry ``where``."""
+    try:
+        return float(v)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{where}: expected a number, got {v!r}") from None
+
+
 def _num(obj: Mapping[str, Any], key: str, where: str) -> float:
     v = obj[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ValueError(f"{where}.{key}: expected a number, got {v!r}")
-    return float(v)
+    return _float(v, f"{where}.{key}")
+
+
+def _list(v: Any, where: str) -> list:
+    if not isinstance(v, list):
+        raise ValueError(f"{where}: expected a list, got {v!r}")
+    return v
 
 
 def _node_to_dict(n: ResourceNode) -> dict[str, Any]:
@@ -71,7 +85,7 @@ def _node_from_dict(d: Mapping[str, Any], where: str) -> ResourceNode:
         raw = d["position"]
         if not isinstance(raw, list) or len(raw) != 2:
             raise ValueError(f"{where}.position: expected [x, y]")
-        position = (float(raw[0]), float(raw[1]))
+        position = (_float(raw[0], f"{where}.position[0]"), _float(raw[1], f"{where}.position[1]"))
     rating = None
     if "security_rating" in d:
         rating = SecurityLevel.from_name(str(d["security_rating"]))
@@ -107,9 +121,10 @@ def _app_from_dict(d: Mapping[str, Any], where: str) -> Application:
     return Application(
         id=str(d["id"]),
         modules=tuple(_module_from_dict(md, f"{where}.modules[{j}]")
-                      for j, md in enumerate(d["modules"])),
+                      for j, md in enumerate(_list(d["modules"], f"{where}.modules"))),
         input_traffic=_num(d, "input_traffic", where),
-        inter_traffic=tuple(float(x) for x in d["inter_traffic"]),
+        inter_traffic=tuple(_float(x, f"{where}.inter_traffic[{j}]")
+                            for j, x in enumerate(_list(d["inter_traffic"], f"{where}.inter_traffic"))),
         output_traffic=_num(d, "output_traffic", where),
         qos_threshold=_num(d, "qos_threshold", where),
         security_req=SecurityLevel.from_name(str(d["security_req"])),
@@ -131,7 +146,7 @@ def instance_to_dict(inst: Instance) -> dict[str, Any]:
 
 def instance_from_dict(d: Mapping[str, Any]) -> Instance:
     require_keys(d, {"nodes", "links", "apps", "farm"}, set(), "instance")
-    nodes = tuple(_node_from_dict(nd, f"nodes[{i}]") for i, nd in enumerate(d["nodes"]))
+    nodes = tuple(_node_from_dict(nd, f"nodes[{i}]") for i, nd in enumerate(_list(d["nodes"], "nodes")))
     ids = [n.id for n in nodes]
 
     require_keys(d["links"], {"delay", "bw_cost"}, set(), "links")
@@ -145,9 +160,9 @@ def instance_from_dict(d: Mapping[str, Any]) -> Instance:
             if not isinstance(row, list) or len(row) != len(ids):
                 raise ValueError(f"links.{label}[{i}]: expected {len(ids)} entries")
             for j, val in enumerate(row):
-                table[(ids[i], ids[j])] = float(val)
+                table[(ids[i], ids[j])] = _float(val, f"links.{label}[{i}][{j}]")
 
-    apps = tuple(_app_from_dict(ad, f"apps[{i}]") for i, ad in enumerate(d["apps"]))
+    apps = tuple(_app_from_dict(ad, f"apps[{i}]") for i, ad in enumerate(_list(d["apps"], "apps")))
     require_keys(d["farm"], {"width", "height"}, set(), "farm")
     farm = FarmGeometry(width=_num(d["farm"], "width", "farm"),
                         height=_num(d["farm"], "height", "farm"))
@@ -162,25 +177,24 @@ def load_instance(path: str | Path) -> Instance:
     return instance_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
+def _edge_map(assign: Mapping[str, list[str]]) -> dict[str, list[list[str]]]:
+    """Each app's internal edges as the [source, target] hosts of its chain."""
+    return {app_id: [[u, v] for u, v in zip(hosts, hosts[1:])] for app_id, hosts in assign.items()}
+
+
 def placement_to_dict(inst: Instance, p: Placement) -> dict[str, Any]:
-    assign = {a.id: [p.assign[(a.id, j)] for j in range(a.n_modules)] for a in inst.apps}
-    edges = {a.id: [list(p.edge_map[(a.id, j)]) for j in range(a.n_modules - 1)] for a in inst.apps}
-    return {"assign": assign, "edge_map": edges}
+    assign = {a.id: p.hosts(a) for a in inst.apps}
+    return {"assign": assign, "edge_map": _edge_map(assign)}
 
 
 def placement_from_dict(d: Mapping[str, Any]) -> Placement:
+    """Read a placement; its ``edge_map`` must be the one its ``assign`` implies."""
     require_keys(d, {"assign", "edge_map"}, set(), "placement")
-    assign = {
-        (app_id, j): node_id
-        for app_id, node_ids in d["assign"].items()
-        for j, node_id in enumerate(node_ids)
-    }
-    edge_map = {
-        (app_id, j): (pair[0], pair[1])
-        for app_id, pairs in d["edge_map"].items()
-        for j, pair in enumerate(pairs)
-    }
-    return Placement(assign=assign, edge_map=edge_map)
+    if d["edge_map"] != _edge_map(d["assign"]):
+        raise ValueError("placement.edge_map: differs from the edges its assign implies")
+    return Placement({(app_id, j): node_id
+                      for app_id, node_ids in d["assign"].items()
+                      for j, node_id in enumerate(node_ids)})
 
 
 def report_to_dict(inst: Instance, report) -> dict[str, Any]:

@@ -6,7 +6,7 @@ All types are immutable after construction; every operation here is pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum, IntEnum
 from functools import cached_property
 
@@ -159,30 +159,23 @@ class Instance:
 
 @dataclass(frozen=True)
 class Placement:
-    """A full assignment of modules to nodes plus the induced edge mapping.
+    """A full assignment of modules to nodes.
 
     ``assign[(app_id, j)]`` is the node hosting module j (0-based) of the
-    app; ``edge_map[(app_id, j)]`` is the ordered physical node pair carrying
-    the internal edge from module j to j+1.  A consistent placement maps
-    every module exactly once and every edge to the pair of its endpoint
-    hosts (including the self-pair (u, u) for co-located neighbours).
+    app.  The internal edge from module j to j+1 runs on the ordered node
+    pair ``(assign[(app_id, j)], assign[(app_id, j + 1)])`` (the self-pair
+    (u, u) for co-located neighbours); edges are derived from ``assign``
+    wherever they are read, never stored.
     """
 
     assign: dict[tuple[str, int], str]
-    edge_map: dict[tuple[str, int], tuple[str, str]] = field(default_factory=dict)
 
-
-def placement_from_assignment(assign: dict[tuple[str, int], str]) -> Placement:
-    """Build a Placement whose edge_map mirrors consecutive assignments."""
-    edge_map: dict[tuple[str, int], tuple[str, str]] = {}
-    by_app: dict[str, list[int]] = {}
-    for (app_id, j) in assign:
-        by_app.setdefault(app_id, []).append(j)
-    for app_id, idxs in by_app.items():
-        for j in sorted(idxs):
-            if (app_id, j + 1) in assign:
-                edge_map[(app_id, j)] = (assign[(app_id, j)], assign[(app_id, j + 1)])
-    return Placement(assign=dict(assign), edge_map=edge_map)
+    def hosts(self, app: Application) -> list[str]:
+        """The nodes hosting app's modules, in chain order."""
+        try:
+            return [self.assign[(app.id, j)] for j in range(app.n_modules)]
+        except KeyError as exc:
+            raise ValueError(f"app {app.id} module {exc.args[0][1]} is not placed") from None
 
 
 def _finite(x: float) -> bool:
@@ -268,37 +261,16 @@ def validate_instance(inst: Instance) -> list[str]:
 
 
 def placement_is_consistent(inst: Instance, p: Placement) -> bool:
-    """True iff p assigns every module exactly once and maps every internal
-    edge to the pair of its endpoint hosts.
+    """True iff p assigns every module of inst exactly once and nothing else.
 
     Raises ValueError when p refers to app or node ids absent from inst.
     """
-    for (app_id, j), node_id in p.assign.items():
+    for (app_id, _), node_id in p.assign.items():
         if app_id not in inst.app_by_id:
             raise ValueError(f"placement refers to unknown app {app_id!r}")
         if node_id not in inst.node_by_id:
             raise ValueError(f"placement refers to unknown node {node_id!r}")
-    for (app_id, _), (u, v) in p.edge_map.items():
-        if app_id not in inst.app_by_id:
-            raise ValueError(f"edge map refers to unknown app {app_id!r}")
-        if u not in inst.node_by_id or v not in inst.node_by_id:
-            raise ValueError(f"edge map refers to unknown node pair ({u!r}, {v!r})")
 
-    for a in inst.apps:
-        for j in range(a.n_modules):
-            if (a.id, j) not in p.assign:
-                return False
-        for j in range(a.n_modules - 1):
-            if (a.id, j) not in p.edge_map:
-                return False
-            if p.edge_map[(a.id, j)] != (p.assign[(a.id, j)], p.assign[(a.id, j + 1)]):
-                return False
-
-    expected_assign = sum(a.n_modules for a in inst.apps)
-    expected_edges = sum(a.n_modules - 1 for a in inst.apps)
-    if len(p.assign) != expected_assign or len(p.edge_map) != expected_edges:
-        return False  # stray keys beyond the instance's modules/edges
-    for (app_id, j) in p.assign:
-        if j < 0 or j >= inst.app_by_id[app_id].n_modules:
-            return False
-    return True
+    # Every module present and no more keys than modules: nothing stray.
+    return (len(p.assign) == inst.total_modules
+            and all((a.id, j) in p.assign for a in inst.apps for j in range(a.n_modules)))

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .ilp import FEAS_TOL, CostBreakdown, Relaxations, check_feasibility, eval_cost, eval_delay
-from .model import Instance, Placement, placement_from_assignment
+from .model import Instance, Placement
 
 BRUTEFORCE_MAX_MODULES = 12
 BRUTEFORCE_MAX_NODES = 4
@@ -264,10 +264,8 @@ class _Problem:
         return self.positions[base:base + self.inst.apps[app_idx].n_modules]
 
     def placement_of(self, assignment: list[int]) -> Placement:
-        assign = {}
-        for pos, k in zip(self.positions, assignment):
-            assign[(self.inst.apps[pos.app_idx].id, pos.mod_idx)] = self.node_ids[k]
-        return placement_from_assignment(assign)
+        return Placement({(self.inst.apps[pos.app_idx].id, pos.mod_idx): self.node_ids[k]
+                          for pos, k in zip(self.positions, assignment)})
 
 
 def _finish_report(inst: Instance, relax: Relaxations, status: SolveStatus,
@@ -341,21 +339,16 @@ def solve_exact(inst: Instance, relax: Relaxations = Relaxations(),
     current = [0] * n_pos
     app_delay = [0.0] * len(inst.apps)
 
-    timed_out = False
-
     def dfs(m: int, prefix_cost: float) -> None:
-        nonlocal best_cost, best_assignment, timed_out
-        if timed_out:
-            return
+        nonlocal best_cost, best_assignment
         if m == n_pos:
             if prefix_cost < best_cost:
                 best_cost = prefix_cost
                 best_assignment = current.copy()
             return
-        if deadline is not None and stats.nodes_explored % 4096 == 0:
-            if time.monotonic() > deadline:
-                timed_out = True
-                return
+        if (deadline is not None and stats.nodes_explored % 4096 == 0
+                and time.monotonic() > deadline):
+            raise TimeoutError
         pos = positions[m]
         a = pos.app_idx
         prev = current[m - 1] if not pos.is_first else -1
@@ -391,13 +384,11 @@ def solve_exact(inst: Instance, relax: Relaxations = Relaxations(),
             used_proc[k] -= pos.proc
             used_mem[k] -= pos.mem
             used_stor[k] -= pos.stor
-            if timed_out:
-                break
         app_delay[a] = saved_delay
 
-    dfs(0, 0.0)
-
-    if timed_out:
+    try:
+        dfs(0, 0.0)
+    except TimeoutError:
         placement = prob.placement_of(best_assignment) if best_assignment is not None else None
         return _finish_report(inst, relax, SolveStatus.TIME_LIMIT, placement, stats)
     if best_assignment is None:
@@ -426,7 +417,7 @@ def solve_bruteforce(inst: Instance, relax: Relaxations = Relaxations()) -> Solv
     best_placement: Placement | None = None
     for combo in itertools.product(node_ids, repeat=total_modules):
         stats.nodes_explored += 1
-        placement = placement_from_assignment(dict(zip(keys, combo)))
+        placement = Placement(dict(zip(keys, combo)))
         if check_feasibility(inst, placement, relax):
             continue
         cost = eval_cost(inst, placement).total

@@ -17,7 +17,7 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 from fogplace.cli import main
 from fogplace.ilp import Relaxations, build_model, eval_cost, export_lp, objective_value, placement_to_vector
 from fogplace.experiment import DEFAULT_SEEDS, Cell, SweepGrid, check_trends, preset_grid, run_sweep
-from fogplace.model import placement_from_assignment
+from fogplace.model import Placement
 from fogplace.scenario import ScenarioConfig, generate_instance
 from fogplace.solver import SolveOptions, SolveStatus, solve_bruteforce, solve_exact
 
@@ -117,7 +117,7 @@ def test_linearization_identity():
     ids = [n.id for n in inst.nodes]
     count = 0
     for combo in itertools.product(range(3), repeat=3):
-        placement = placement_from_assignment({("a1", j): ids[combo[j]] for j in range(3)})
+        placement = Placement({("a1", j): ids[combo[j]] for j in range(3)})
         vec = placement_to_vector(inst, placement)
         for j in range(2):
             for u in range(3):

@@ -138,6 +138,56 @@ class TestFogGeometry:
             assert table == {"cloud": "medium", "fog1": "low", "fog2": "high"}
 
 
+@pytest.mark.parametrize("command", ["solve", "rate"])
+class TestMalformedInstance:
+    @pytest.fixture
+    def doc(self):
+        return instance_to_dict(generate_instance(ScenarioConfig(seed=0)))
+
+    @pytest.mark.parametrize("keys, value, named", [
+        (("apps", 0, "inter_traffic"), [None, 0.5], "apps[0].inter_traffic[0]"),
+        (("nodes",), 5, "nodes"),
+        (("apps",), 5, "apps"),
+        (("apps", 0, "modules"), 5, "apps[0].modules"),
+        (("apps", 0, "inter_traffic"), 5, "apps[0].inter_traffic"),
+        (("nodes", 1, "position"), [None, 1], "nodes[1].position[0]"),
+        (("links", "delay", 0, 1), None, "links.delay[0][1]"),
+        (("apps", 0, "inter_traffic"), "12", "apps[0].inter_traffic"),
+        (("apps", 0, "input_traffic"), 10 ** 400, "apps[0].input_traffic"),
+    ])
+    def test_malformed_field_is_input_error(self, tmp_path, capsys, doc, command, keys, value, named):
+        parent = doc
+        for key in keys[:-1]:
+            parent = parent[key]
+        parent[keys[-1]] = value
+        path = write_json(tmp_path / "inst.json", doc)
+        assert main([command, str(path)]) == EXIT_INPUT
+        assert named in capsys.readouterr().err
+
+    def test_numeric_strings_in_lists_still_parse(self, tmp_path, doc, command):
+        doc["apps"][0]["inter_traffic"] = [str(x) for x in doc["apps"][0]["inter_traffic"]]
+        doc["nodes"][1]["position"] = [str(x) for x in doc["nodes"][1]["position"]]
+        doc["links"]["delay"][0][1] = str(doc["links"]["delay"][0][1])
+        path = write_json(tmp_path / "inst.json", doc)
+        assert main([command, str(path)]) == EXIT_OK
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "{dir}"],
+    ["rate", "{dir}"],
+    ["solve", "{inst}", "--out", "{dir}"],
+    ["solve", "{inst}", "--export-lp", "{dir}"],
+    ["generate", "--out", "{dir}"],
+    ["experiment", "fig5", "--out", "{dir}"],
+    ["solve", "{inst}", "--out", "{dir}/missing/r.json"],
+])
+def test_os_error_on_a_path_is_input_error(tmp_path, capsys, instance_file, argv):
+    argv = [arg.format(dir=tmp_path, inst=instance_file) for arg in argv]
+    assert main(argv) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and argv[-1] in err
+
+
 class TestSolve:
     def test_relaxed_run_is_no_dearer(self, instance_file, tmp_path, capsys):
         out_full = tmp_path / "full.json"

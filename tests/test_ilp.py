@@ -13,7 +13,7 @@ from fogplace.ilp import (
     objective_value,
     placement_to_vector,
 )
-from fogplace.model import SecurityLevel, placement_from_assignment
+from fogplace.model import Placement, SecurityLevel
 
 from conftest import make_app, make_instance
 
@@ -24,7 +24,7 @@ def all_placements(inst):
     ids = [n.id for n in inst.nodes]
     keys = [(a.id, j) for a in inst.apps for j in range(a.n_modules)]
     for combo in itertools.product(ids, repeat=len(keys)):
-        yield placement_from_assignment(dict(zip(keys, combo)))
+        yield Placement(dict(zip(keys, combo)))
 
 
 def row_value(row, vec):
@@ -74,7 +74,7 @@ class TestBuildModel:
 
 class TestEvalCost:
     def test_hand_computed_cloud_chain(self, tiny_instance):
-        p = placement_from_assignment({("a1", j): "cloud" for j in range(3)})
+        p = Placement({("a1", j): "cloud" for j in range(3)})
         cost = eval_cost(tiny_instance, p)
         assert cost.processing == pytest.approx(0.009, abs=1e-12)
         assert cost.storage == pytest.approx(0.0015, abs=1e-12)
@@ -120,20 +120,20 @@ class TestEvalCost:
             assert eval_cost(two_app_instance, p).total > 0.0
 
     def test_inconsistent_placement_rejected(self, tiny_instance):
-        p = placement_from_assignment({("a1", 0): "cloud", ("a1", 1): "cloud"})
+        p = Placement({("a1", 0): "cloud", ("a1", 1): "cloud"})
         with pytest.raises(ValueError):
             eval_cost(tiny_instance, p)
 
 
 class TestEvalDelay:
     def test_co_located_on_fog(self, tiny_instance):
-        p = placement_from_assignment({("a1", j): "fog_hi" for j in range(3)})
+        p = Placement({("a1", j): "fog_hi" for j in range(3)})
         comm, exe = eval_delay(tiny_instance, p, tiny_instance.apps[0])
         assert comm == pytest.approx(0.01 + 0.01)
         assert exe == pytest.approx(0.3)
 
     def test_fog_cloud_fog_round_trip(self, tiny_instance):
-        p = placement_from_assignment({("a1", 0): "fog_hi", ("a1", 1): "cloud", ("a1", 2): "fog_hi"})
+        p = Placement({("a1", 0): "fog_hi", ("a1", 1): "cloud", ("a1", 2): "fog_hi"})
         comm, _ = eval_delay(tiny_instance, p, tiny_instance.apps[0])
         # two cloud hops at 0.5 s each, plus the fog attach delays
         assert comm == pytest.approx(0.01 + 0.5 + 0.5 + 0.01)
@@ -144,7 +144,7 @@ class TestEvalDelay:
             assert eval_delay(tiny_instance, p, app)[1] == pytest.approx(0.3)
 
     def test_unplaced_app_rejected(self, tiny_instance):
-        p = placement_from_assignment({("a1", 0): "cloud"})
+        p = Placement({("a1", 0): "cloud"})
         with pytest.raises(ValueError):
             eval_delay(tiny_instance, p, tiny_instance.apps[0])
 
@@ -153,7 +153,7 @@ class TestCheckFeasibility:
     def test_capacity_overload_reported(self):
         apps = [make_app(f"a{i}", proc=3.0, qos=50.0) for i in range(7)]
         inst = make_instance(apps)
-        p = placement_from_assignment(
+        p = Placement(
             {(a.id, j): "fog_hi" for a in inst.apps for j in range(3)})
         violations = check_feasibility(inst, p, RELAX_ALL)
         eq2 = [v for v in violations if v.tag == "eq2"]
@@ -162,7 +162,7 @@ class TestCheckFeasibility:
 
     def test_security_violation_unless_relaxed(self):
         inst = make_instance([make_app(security=SecurityLevel.HIGH, qos=50.0)])
-        p = placement_from_assignment({("a1", j): "cloud" for j in range(3)})
+        p = Placement({("a1", j): "cloud" for j in range(3)})
         tags = {v.tag for v in check_feasibility(inst, p)}
         assert "eq8" in tags
         assert check_feasibility(inst, p, Relaxations(drop_security=True)) == []
@@ -170,7 +170,7 @@ class TestCheckFeasibility:
     def test_delay_violation_slack(self):
         app = make_app(n=1, exec_delay=0.68, qos=0.5)
         inst = make_instance([app])
-        p = placement_from_assignment({("a1", 0): "fog_hi"})
+        p = Placement({("a1", 0): "fog_hi"})
         violations = check_feasibility(inst, p)
         eq7 = [v for v in violations if v.tag == "eq7"]
         assert len(eq7) == 1
@@ -184,15 +184,9 @@ class TestCheckFeasibility:
                     assert check_feasibility(two_app_instance, p, r) == []
 
     def test_incomplete_placement_reports_eq9_and_eq14(self, tiny_instance):
-        p = placement_from_assignment({("a1", 0): "cloud", ("a1", 1): "cloud"})
+        p = Placement({("a1", 0): "cloud", ("a1", 1): "cloud"})
         tags = {v.tag for v in check_feasibility(tiny_instance, p, RELAX_ALL)}
-        assert "eq9" in tags and "eq14" in tags
-
-    def test_mismatched_edge_reports_coupling_rows(self, tiny_instance):
-        p = placement_from_assignment({("a1", j): "cloud" for j in range(3)})
-        p.edge_map[("a1", 1)] = ("fog_lo", "cloud")
-        tags = {v.tag for v in check_feasibility(tiny_instance, p, RELAX_ALL)}
-        assert "eq11" in tags
+        assert "eq9" in tags
 
 
 class TestLinearization:

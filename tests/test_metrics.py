@@ -4,7 +4,7 @@ import itertools
 import pytest
 
 from fogplace.metrics import count_deployed, metrics_for, resource_cost, unprotected_data
-from fogplace.model import SecurityLevel, placement_from_assignment
+from fogplace.model import Placement, SecurityLevel
 from fogplace.scenario import ScenarioConfig, generate_instance
 from fogplace.solver import SolveStatus, solve_exact
 
@@ -18,7 +18,7 @@ class TestResourceCost:
 
     def test_hand_computed_case(self, tiny_instance):
         # Force the all-cloud chain by relaxing nothing; it is also optimal here.
-        p = placement_from_assignment({("a1", j): "cloud" for j in range(3)})
+        p = Placement({("a1", j): "cloud" for j in range(3)})
         from fogplace.ilp import eval_cost
         assert eval_cost(tiny_instance, p).total == pytest.approx(0.0195, abs=1e-12)
 
@@ -34,7 +34,7 @@ class TestCountDeployed:
     def test_all_on_fog(self):
         apps = [make_app(f"a{i}", proc=0.1) for i in range(7)]
         inst = make_instance(apps)
-        p = placement_from_assignment(
+        p = Placement(
             {(a.id, j): "fog_hi" for a in inst.apps for j in range(3)})
         assert count_deployed(inst, p) == (0, 21)
 
@@ -42,7 +42,7 @@ class TestCountDeployed:
         ids = [n.id for n in two_app_instance.nodes]
         keys = [(a.id, j) for a in two_app_instance.apps for j in range(a.n_modules)]
         for combo in itertools.islice(itertools.product(ids, repeat=len(keys)), 0, 729, 7):
-            p = placement_from_assignment(dict(zip(keys, combo)))
+            p = Placement(dict(zip(keys, combo)))
             cloud, fog = count_deployed(two_app_instance, p)
             assert cloud + fog == two_app_instance.total_modules
 
@@ -53,7 +53,7 @@ class TestUnprotectedData:
         # the sensor stream and the first internal edge leak, nothing else.
         app = make_app(security=SecurityLevel.HIGH, input_traffic=0.002, inter=(0.3, 0.2))
         inst = make_instance([app])
-        p = placement_from_assignment(
+        p = Placement(
             {("a1", 0): "cloud", ("a1", 1): "cloud", ("a1", 2): "fog_hi"})
         assert unprotected_data(inst, p) == pytest.approx(0.302, abs=1e-12)
 
@@ -65,7 +65,7 @@ class TestUnprotectedData:
         inst = make_instance([make_app(security=SecurityLevel.LOW)])
         ids = [n.id for n in inst.nodes]
         for combo in itertools.product(ids, repeat=3):
-            p = placement_from_assignment({("a1", j): combo[j] for j in range(3)})
+            p = Placement({("a1", j): combo[j] for j in range(3)})
             assert unprotected_data(inst, p) == 0.0
 
     def test_monotone_in_requirement(self, two_app_instance):
@@ -73,7 +73,7 @@ class TestUnprotectedData:
         keys = [(a.id, j) for a in two_app_instance.apps for j in range(a.n_modules)]
         levels = [SecurityLevel.LOW, SecurityLevel.MEDIUM, SecurityLevel.HIGH]
         for combo in itertools.islice(itertools.product(ids, repeat=len(keys)), 0, 729, 11):
-            p = placement_from_assignment(dict(zip(keys, combo)))
+            p = Placement(dict(zip(keys, combo)))
             previous = None
             for level in levels:
                 apps = tuple(dataclasses.replace(a, security_req=level)
@@ -86,7 +86,7 @@ class TestUnprotectedData:
 
     def test_unrated_nodes_rejected(self):
         inst = make_instance([make_app()], rated=False)
-        p = placement_from_assignment({("a1", j): "cloud" for j in range(3)})
+        p = Placement({("a1", j): "cloud" for j in range(3)})
         with pytest.raises(ValueError, match="rating"):
             unprotected_data(inst, p)
 

@@ -1,17 +1,18 @@
 import dataclasses
+import json
 
 import pytest
-from hypothesis import given, strategies as st
 
 from fogplace.model import (
     FarmGeometry,
     Placement,
     SecurityLevel,
-    placement_from_assignment,
     placement_is_consistent,
     validate_instance,
 )
 from fogplace import instance_io
+from fogplace.ilp import Relaxations
+from fogplace.solver import solve_exact
 
 from conftest import make_app, make_cloud, make_fog, make_instance
 
@@ -67,19 +68,19 @@ class TestValidateInstance:
 
 class TestPlacementConsistency:
     def test_identity_edge_map_is_consistent(self, tiny_instance):
-        p = placement_from_assignment(full_assignment(tiny_instance))
+        p = Placement(full_assignment(tiny_instance))
         assert placement_is_consistent(tiny_instance, p)
-
-    def test_mismatched_edge_is_inconsistent(self, tiny_instance):
-        p = placement_from_assignment(full_assignment(tiny_instance))
-        p.edge_map[("a1", 0)] = ("cloud", "fog_hi")  # module 1 actually sits on cloud
-        assert not placement_is_consistent(tiny_instance, p)
 
     def test_missing_module_is_inconsistent(self, tiny_instance):
         assign = full_assignment(tiny_instance)
         del assign[("a1", 2)]
-        p = placement_from_assignment(assign)
+        p = Placement(assign)
         assert not placement_is_consistent(tiny_instance, p)
+
+    def test_stray_module_is_inconsistent(self, tiny_instance):
+        assign = full_assignment(tiny_instance)
+        assign[("a1", 3)] = "cloud"  # the chain has modules 0..2 only
+        assert not placement_is_consistent(tiny_instance, Placement(assign))
 
     def test_unknown_app_id_raises(self, tiny_instance):
         p = Placement(assign={("ghost", 0): "cloud"})
@@ -90,20 +91,6 @@ class TestPlacementConsistency:
         p = Placement(assign={("a1", 0): "nowhere"})
         with pytest.raises(ValueError):
             placement_is_consistent(tiny_instance, p)
-
-    @given(choice=st.lists(st.integers(min_value=0, max_value=2), min_size=3, max_size=3),
-           edge=st.integers(min_value=0, max_value=1),
-           wrong=st.integers(min_value=0, max_value=2))
-    def test_perturbing_one_edge_flips_consistency(self, choice, edge, wrong):
-        inst = make_instance([make_app()])
-        ids = [n.id for n in inst.nodes]
-        assign = {("a1", j): ids[choice[j]] for j in range(3)}
-        p = placement_from_assignment(assign)
-        assert placement_is_consistent(inst, p)
-        u, v = p.edge_map[("a1", edge)]
-        if ids[wrong] != v:
-            p.edge_map[("a1", edge)] = (u, ids[wrong])
-            assert not placement_is_consistent(inst, p)
 
 
 class TestInstanceFiles:
@@ -132,6 +119,24 @@ class TestInstanceFiles:
         doc["links"]["delay"] = doc["links"]["delay"][:2]
         with pytest.raises(ValueError, match="matrix"):
             instance_io.instance_from_dict(doc)
+
+    @pytest.mark.parametrize("edit", ["source", "target", "drop"])
+    def test_report_edge_map_must_match_its_assign(self, two_app_instance, tmp_path, edit):
+        path = tmp_path / "report.json"
+        report = solve_exact(two_app_instance, Relaxations(drop_qos=True, drop_security=True))
+        instance_io.save_report(two_app_instance, report, path)
+        doc = json.loads(path.read_text())["placement"]
+        assert instance_io.placement_from_dict(doc) == report.placement
+        pairs = doc["edge_map"]["a1"]
+        others = [n.id for n in two_app_instance.nodes if n.id not in pairs[0]]
+        if edit == "source":
+            pairs[0][0] = others[0]
+        elif edit == "target":
+            pairs[0][1] = others[0]
+        else:
+            del pairs[-1]
+        with pytest.raises(ValueError, match="edge_map"):
+            instance_io.placement_from_dict(doc)
 
     def test_loaded_instance_still_validates(self, two_app_instance, tmp_path):
         path = tmp_path / "inst.json"

@@ -56,6 +56,13 @@ def _num(obj: Mapping[str, Any], key: str, where: str) -> float:
     return _float(v, f"{where}.{key}")
 
 
+def _id(obj: Mapping[str, Any], where: str) -> str:
+    v = obj["id"]
+    if not isinstance(v, str):
+        raise ValueError(f"{where}.id: expected a string, got {v!r}")
+    return v
+
+
 def _list(v: Any, where: str) -> list:
     if not isinstance(v, list):
         raise ValueError(f"{where}: expected a list, got {v!r}")
@@ -90,7 +97,7 @@ def _node_from_dict(d: Mapping[str, Any], where: str) -> ResourceNode:
     if "security_rating" in d:
         rating = SecurityLevel.from_name(str(d["security_rating"]))
     return ResourceNode(
-        id=str(d["id"]),
+        id=_id(d, where),
         tier=tier,
         **{name: _num(d, name, where) for name in NODE_QUANTITIES},
         position=position,
@@ -119,7 +126,7 @@ def _module_from_dict(d: Mapping[str, Any], where: str) -> AppModule:
 def _app_from_dict(d: Mapping[str, Any], where: str) -> Application:
     require_keys(d, {f.name for f in fields(Application)}, set(), where)
     return Application(
-        id=str(d["id"]),
+        id=_id(d, where),
         modules=tuple(_module_from_dict(md, f"{where}.modules[{j}]")
                       for j, md in enumerate(_list(d["modules"], f"{where}.modules"))),
         input_traffic=_num(d, "input_traffic", where),

@@ -18,15 +18,17 @@ order.  Consequences that the experiment harness relies on:
 Per-app draw order: (proc, mem, stor) for each module in chain order, then
 input traffic, the internal edge traffics, output traffic, the QoS variate,
 and the security variate.
+
+numpy is imported inside ``_stream``, the one function that creates the
+random streams, so importing the package, reading instances and solving
+never load it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Mapping
 
 from .instance_io import require_keys
 from .model import (
@@ -40,6 +42,9 @@ from .model import (
     Tier,
 )
 from .security import rate_infrastructure
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _STREAM_INFRA = 0
 _STREAM_APP = 1
@@ -122,6 +127,7 @@ def validate_config(cfg: ScenarioConfig) -> None:
 
 
 def _stream(seed: int, domain: int, index: int) -> np.random.Generator:
+    import numpy as np
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, domain, index])))
 
 

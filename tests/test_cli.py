@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -154,6 +155,9 @@ class TestMalformedInstance:
         (("links", "delay", 0, 1), None, "links.delay[0][1]"),
         (("apps", 0, "inter_traffic"), "12", "apps[0].inter_traffic"),
         (("apps", 0, "input_traffic"), 10 ** 400, "apps[0].input_traffic"),
+        (("apps", 0, "id"), None, "apps[0].id"),
+        (("nodes", 1, "id"), [1], "nodes[1].id"),
+        (("nodes", 0, "id"), 7, "nodes[0].id"),
     ])
     def test_malformed_field_is_input_error(self, tmp_path, capsys, doc, command, keys, value, named):
         parent = doc
@@ -308,3 +312,25 @@ def test_console_entry_point_help():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "generate" in proc.stdout and "experiment" in proc.stdout
+
+
+# Run in a fresh interpreter: importing the CLI, rating and solving (with an
+# LP export) must not load numpy; drawing a scenario must.
+_NUMPY_PROBE = """
+import sys
+from fogplace.cli import main
+inst = sys.argv[1]
+assert main(["rate", inst]) == 0
+assert main(["solve", inst, "--out", inst + ".report", "--export-lp", inst + ".lp"]) == 0
+print("numpy" in sys.modules)
+from fogplace.scenario import ScenarioConfig, generate_instance
+generate_instance(ScenarioConfig())
+print("numpy" in sys.modules)
+"""
+
+
+def test_only_scenario_drawing_loads_numpy(instance_file):
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, str(instance_file)], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2:] == ["False", "True"]

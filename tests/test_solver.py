@@ -207,6 +207,16 @@ class TestBounds:
                     suffix += step[m]
                     assert suffix >= prob.tail_bound[m] - 1e-9
 
+    def test_root_bound_tie_keeps_search_small(self):
+        # packing_search's f6_n20_q1.5_s909: tail_bound[0] equals the optimum
+        # to within one ulp.  A bound change that moved the sums by one ulp
+        # once took this solve from 161 nodes to 7.4M.
+        inst = generate_instance(ScenarioConfig(n_fog=6, n_apps=20, max_qos=1.5, seed=909,
+                                                fog_positions=None, tx_ranges=None))
+        report = solve_exact(inst, opts=SolveOptions(time_limit=5.0))
+        assert report.status is SolveStatus.OPTIMAL
+        assert report.search_stats.nodes_explored <= 161
+
 
 class TestBruteforce:
     def test_enumerates_all_27_assignments(self, tiny_instance):

@@ -2,7 +2,9 @@
 
 Subcommands: ``generate`` (write a random instance), ``rate`` (print node
 security ratings), ``solve`` (optimize a placement), ``experiment`` (run a
-sweep grid and print the trend report).
+sweep grid and print the trend report).  ``generate`` and ``experiment``
+import ``scenario`` and ``experiment`` inside their command functions, so
+``solve`` and ``rate`` start without loading either.
 
 Exit codes (stable): 0 success / solved; 1 internal error; 2 input error
 (bad flags, unreadable or unwritable paths, invalid files); 3 proven
@@ -22,9 +24,7 @@ from .ilp import Relaxations, build_model, export_lp
 from .instance_io import load_instance, save_instance, save_report
 from .metrics import GB_TO_MB, metrics_for
 from .model import Instance, Tier, validate_instance
-from .scenario import ScenarioConfig, config_from_dict, generate_instance
 from .security import boundary_distances, rate_infrastructure
-from .experiment import PRESETS, check_trends, grid_from_dict, run_sweep, to_csv
 from .solver import SolveOptions, SolveStatus, solve_bruteforce, solve_exact, solve_greedy
 
 EXIT_OK = 0
@@ -59,6 +59,8 @@ def _load_rated_instance(path: str) -> Instance:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from .scenario import ScenarioConfig, config_from_dict, generate_instance
+
     if args.config is not None:
         try:
             cfg = config_from_dict(_load_json(args.config))
@@ -148,7 +150,16 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    doc = {"preset": args.grid} if args.grid in PRESETS else _load_json(args.grid)
+    from .experiment import PRESETS, check_trends, grid_from_dict, run_sweep, to_csv
+
+    if args.grid in PRESETS:
+        doc = {"preset": args.grid}
+    else:
+        try:
+            doc = _load_json(args.grid)
+        except FileNotFoundError as exc:
+            raise InputError(f"{args.grid}: neither a preset ({', '.join(PRESETS)}) "
+                             "nor an existing file") from exc
     try:
         grid, seeds, base_cfg = grid_from_dict(doc)
     except ValueError as exc:
@@ -190,7 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("experiment", help="run a sweep grid and check trends")
-    p.add_argument("grid", help=f"grid config JSON or preset name ({', '.join(PRESETS)})")
+    # Names experiment.PRESETS without importing it; a test keeps the two equal.
+    p.add_argument("grid", help="grid config JSON or preset name (fig4, fig5, fig6, fig7)")
     p.add_argument("--out", required=True, help="CSV file to write")
     p.add_argument("--dump-placements", metavar="DIR",
                    help="also write every solve report into this directory")

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,7 @@ from fogplace.cli import (
     EXIT_OK,
     main,
 )
+from fogplace.experiment import PRESETS
 from fogplace.instance_io import instance_to_dict, save_instance
 from fogplace.scenario import ScenarioConfig, generate_instance
 
@@ -297,6 +299,21 @@ class TestExperiment:
         assert main(["experiment", str(grid), "--out", str(out)]) == EXIT_INPUT
         assert not out.exists()
 
+    def test_unknown_preset_name_lists_the_presets(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["experiment", "fig9", "--out", str(out)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "fig9" in err and all(name in err for name in PRESETS)
+        assert not out.exists()
+
+    def test_help_names_exactly_the_presets(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "--help"])
+        assert exc.value.code == 0
+        listed = re.search(r"preset name \(([^)]*)\)", " ".join(capsys.readouterr().out.split()))
+        assert listed is not None
+        assert listed.group(1).split(", ") == sorted(PRESETS)
+
     def test_preset_name_is_the_preset_document(self, tmp_path, capsys):
         grid = write_json(tmp_path / "grid.json", {"preset": "fig5"})
         by_name, by_doc = tmp_path / "name.csv", tmp_path / "doc.csv"
@@ -334,3 +351,32 @@ def test_only_scenario_drawing_loads_numpy(instance_file):
                           text=True, env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-2:] == ["False", "True"]
+
+
+# Run in a fresh interpreter: rating and solving must load neither the
+# scenario generator nor the sweep harness; each loads with its own command.
+_COMMAND_MODULES_PROBE = """
+import sys
+from fogplace.cli import main
+inst, grid, out = sys.argv[1:]
+seen = []
+def loaded():
+    seen.append(" ".join(str(name in sys.modules) for name in ("fogplace.scenario", "fogplace.experiment")))
+assert main(["rate", inst]) == 0
+assert main(["solve", inst, "--out", out + ".report", "--export-lp", out + ".lp"]) == 0
+loaded()
+assert main(["generate", "--seed", "0", "--out", out + ".inst"]) == 0
+loaded()
+assert main(["experiment", grid, "--out", out + ".csv"]) == 0
+loaded()
+print(*seen, sep="\\n")
+"""
+
+
+def test_solve_and_rate_load_neither_scenario_nor_experiment(instance_file, tmp_path):
+    grid = write_json(tmp_path / "grid.json", {"cells": [{"n_apps": 1, "max_qos": 1.5}], "seeds": [0]})
+    proc = subprocess.run([sys.executable, "-c", _COMMAND_MODULES_PROBE, str(instance_file), str(grid),
+                           str(tmp_path / "out")], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-3:] == ["False False", "True False", "True True"]

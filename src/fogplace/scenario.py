@@ -17,18 +17,29 @@ order.  Consequences that the experiment harness relies on:
 
 Per-app draw order: (proc, mem, stor) for each module in chain order, then
 input traffic, the internal edge traffics, output traffic, the QoS variate,
-and the security variate.
+and the security variate: 4m + 3 variates for m modules.  A randomly placed
+fog node draws x, then y.
 
-numpy is imported inside ``_stream``, the one function that creates the
+Each stream is read once, as one block of uniforms in [0, 1)
+(``Generator.random(n)``), by ``_draws``.  A variate ``u`` maps onto a
+range (lo, hi) as ``lo + (hi - lo) * u``, numpy's own formula for
+``Generator.uniform``, so the values are bit-identical to drawing them one
+scalar call at a time.  ``_draws`` is memoized in a bounded LRU cache of
+compact ``array('d')`` blocks (1024 streams, well under 1 MB), because a
+sweep redraws the same (seed, app) stream in many cells.
+
+numpy is imported inside ``_draws``, the one function that reads the
 random streams, so importing the package, reading instances and solving
 never load it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from array import array
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import Any, Mapping
 
 from .instance_io import require_keys
 from .model import (
@@ -42,9 +53,6 @@ from .model import (
     Tier,
 )
 from .security import rate_infrastructure
-
-if TYPE_CHECKING:
-    import numpy as np
 
 _STREAM_INFRA = 0
 _STREAM_APP = 1
@@ -101,34 +109,73 @@ class ScenarioConfig:
     seed: int = 0
 
 
+_RANGE_FIELDS = (
+    "proc_req_range", "mem_req_range", "stor_req_range",
+    "input_traffic_range", "inter_traffic_range", "output_traffic_range",
+)
+_CONFIG_FIELDS = {f.name for f in ScenarioConfig.__dataclass_fields__.values()}  # type: ignore[attr-defined]
+# Every cost, delay and capacity: node and link quantities, so finite and >= 0.
+_PRICE_FIELDS = tuple(name for name in ScenarioConfig.__dataclass_fields__  # type: ignore[attr-defined]
+                      if name.endswith(("_cost", "_delay", "_capacity")))
+
+
+def _require(ok: bool, name: str, rule: str, value: Any) -> None:
+    if not ok:
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+
+
 def validate_config(cfg: ScenarioConfig) -> None:
-    """Raise ValueError on an unusable configuration."""
+    """Raise ValueError, naming the field, on an unusable configuration."""
     if cfg.n_fog < 0 or cfg.n_apps < 0 or cfg.modules_per_app < 1:
         raise ValueError("counts must be positive (n_fog/n_apps >= 0, modules_per_app >= 1)")
-    for name in ("proc_req_range", "mem_req_range", "stor_req_range",
-                 "input_traffic_range", "inter_traffic_range", "output_traffic_range"):
+    for name in _RANGE_FIELDS:
         lo, hi = getattr(cfg, name)
         if not (math.isfinite(lo) and math.isfinite(hi)) or lo < 0 or lo > hi:
             raise ValueError(f"{name} must satisfy 0 <= low <= high, got ({lo}, {hi})")
-    if not 0 < cfg.min_qos <= cfg.max_qos:
-        raise ValueError(f"need 0 < min_qos <= max_qos, got ({cfg.min_qos}, {cfg.max_qos})")
+    if not (0 < cfg.min_qos <= cfg.max_qos and math.isfinite(cfg.max_qos)):
+        raise ValueError(f"need 0 < min_qos <= max_qos < inf, got ({cfg.min_qos}, {cfg.max_qos})")
     if cfg.alpha is not None and not 0.0 <= cfg.alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {cfg.alpha}")
+    for name in _PRICE_FIELDS:
+        value = getattr(cfg, name)
+        _require(math.isfinite(value) and value >= 0, name, "finite and >= 0", value)
+    for name in ("farm_width", "farm_height", "proc_speed_ref", "default_tx_range"):
+        value = getattr(cfg, name)
+        _require(math.isfinite(value) and value > 0, name, "finite and > 0", value)
     if cfg.fog_positions is not None and len(cfg.fog_positions) != cfg.n_fog:
         raise ValueError(f"fog_positions has {len(cfg.fog_positions)} entries for n_fog={cfg.n_fog}")
-    if cfg.tx_ranges is not None and len(cfg.tx_ranges) != cfg.n_fog:
-        raise ValueError(f"tx_ranges has {len(cfg.tx_ranges)} entries for n_fog={cfg.n_fog}")
-    if cfg.farm_width <= 0 or cfg.farm_height <= 0:
-        raise ValueError("farm dimensions must be positive")
-    if cfg.proc_speed_ref <= 0:
-        raise ValueError("proc_speed_ref must be positive")
+    if cfg.tx_ranges is not None:
+        if len(cfg.tx_ranges) != cfg.n_fog:
+            raise ValueError(f"tx_ranges has {len(cfg.tx_ranges)} entries for n_fog={cfg.n_fog}")
+        for f, value in enumerate(cfg.tx_ranges):
+            _require(math.isfinite(value) and value > 0, f"tx_ranges[{f}]", "finite and > 0", value)
+    # An app index may exceed n_apps: a sweep varies n_apps over one base
+    # config, and the override applies whenever that app is drawn.
+    for k, (i, j, value) in enumerate(cfg.exec_delay_overrides):
+        _require(i >= 0 and 0 <= j < cfg.modules_per_app, f"exec_delay_overrides[{k}]",
+                 f"[app >= 0, module in 0..{cfg.modules_per_app - 1}, delay]", [i, j, value])
+        _require(math.isfinite(value) and value >= 0, f"exec_delay_overrides[{k}] delay",
+                 "finite and >= 0", value)
     if cfg.seed < 0:
         raise ValueError("seed must be a nonnegative integer")
 
 
-def _stream(seed: int, domain: int, index: int) -> np.random.Generator:
+@functools.lru_cache(maxsize=1024)
+def _draws(seed: int, domain: int, index: int, n: int) -> array:
+    """The first ``n`` uniforms in [0, 1) of stream (seed, domain, index).
+
+    The block is shared by every caller that asks for it: read it, never
+    write to it.
+    """
     import numpy as np
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, domain, index])))
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, domain, index])))
+    return array("d", rng.random(n).tobytes())
+
+
+def _uniform(bounds: tuple[float, float], u: float) -> float:
+    """``Generator.uniform(lo, hi)`` given its variate ``u``, bit for bit."""
+    lo, hi = bounds
+    return lo + (hi - lo) * u
 
 
 def _build_nodes(cfg: ScenarioConfig) -> list[ResourceNode]:
@@ -149,8 +196,8 @@ def _build_nodes(cfg: ScenarioConfig) -> list[ResourceNode]:
         if cfg.fog_positions is not None:
             position = cfg.fog_positions[f]
         else:
-            rng = _stream(cfg.seed, _STREAM_INFRA, f)
-            position = (rng.uniform(0.0, cfg.farm_width), rng.uniform(0.0, cfg.farm_height))
+            x, y = _draws(cfg.seed, _STREAM_INFRA, f, 2)
+            position = (_uniform((0.0, cfg.farm_width), x), _uniform((0.0, cfg.farm_height), y))
         tx = cfg.tx_ranges[f] if cfg.tx_ranges is not None else cfg.default_tx_range
         nodes.append(ResourceNode(
             id=f"fog{f + 1}",
@@ -190,20 +237,20 @@ def _build_links(cfg: ScenarioConfig, nodes: list[ResourceNode]) -> LinkTable:
 
 
 def _draw_app(cfg: ScenarioConfig, app_idx: int, forced_high: bool) -> Application:
-    rng = _stream(cfg.seed, _STREAM_APP, app_idx)
+    u = iter(_draws(cfg.seed, _STREAM_APP, app_idx, 4 * cfg.modules_per_app + 3))
     overrides = {(i, j): v for i, j, v in cfg.exec_delay_overrides}
     modules = []
     for j in range(cfg.modules_per_app):
-        proc = rng.uniform(*cfg.proc_req_range)
-        mem = rng.uniform(*cfg.mem_req_range)
-        stor = rng.uniform(*cfg.stor_req_range)
+        proc = _uniform(cfg.proc_req_range, next(u))
+        mem = _uniform(cfg.mem_req_range, next(u))
+        stor = _uniform(cfg.stor_req_range, next(u))
         exec_delay = overrides.get((app_idx, j), proc / cfg.proc_speed_ref)
         modules.append(AppModule(proc_req=proc, mem_req=mem, stor_req=stor, exec_delay=exec_delay))
-    input_traffic = rng.uniform(*cfg.input_traffic_range)
-    inter = tuple(rng.uniform(*cfg.inter_traffic_range) for _ in range(cfg.modules_per_app - 1))
-    output_traffic = rng.uniform(*cfg.output_traffic_range)
-    u_qos = rng.random()
-    u_sec = rng.random()
+    input_traffic = _uniform(cfg.input_traffic_range, next(u))
+    inter = tuple(_uniform(cfg.inter_traffic_range, next(u)) for _ in range(cfg.modules_per_app - 1))
+    output_traffic = _uniform(cfg.output_traffic_range, next(u))
+    u_qos = next(u)
+    u_sec = next(u)
     qos = cfg.min_qos + u_qos * (cfg.max_qos - cfg.min_qos)
     if forced_high:
         sec = SecurityLevel.HIGH
@@ -236,13 +283,6 @@ def generate_instance(cfg: ScenarioConfig) -> Instance:
         farm=FarmGeometry(width=cfg.farm_width, height=cfg.farm_height),
     )
     return rate_infrastructure(inst)
-
-
-_RANGE_FIELDS = {
-    "proc_req_range", "mem_req_range", "stor_req_range",
-    "input_traffic_range", "inter_traffic_range", "output_traffic_range",
-}
-_CONFIG_FIELDS = {f.name for f in ScenarioConfig.__dataclass_fields__.values()}  # type: ignore[attr-defined]
 
 
 def config_to_dict(cfg: ScenarioConfig) -> dict[str, Any]:

@@ -53,6 +53,22 @@ def test_instance_and_report_bytes_pinned(tmp_path):
     assert sha(report) == SOLVE_SEED0_REPORT_SHA256
 
 
+# Values of the right type that no instance can hold: each once passed
+# validate_config and then failed validate_instance (exit 1), was
+# silently ignored, or wrote an infinite farm (exit 0).
+BAD_CONFIG_VALUES = [
+    ({"proc_speed_ref": float("nan")}, "proc_speed_ref"),
+    ({"proc_speed_ref": float("inf")}, "proc_speed_ref"),
+    ({"fog_proc_capacity": -5}, "fog_proc_capacity"),
+    ({"cloud_comm_cost": float("inf")}, "cloud_comm_cost"),
+    ({"fog_fog_delay": -1}, "fog_fog_delay"),
+    ({"farm_width": float("inf")}, "farm_width"),
+    ({"tx_ranges": [-5, 100]}, "tx_ranges[0]"),
+    ({"exec_delay_overrides": [[0, 0, -1.0]]}, "exec_delay_overrides[0] delay"),
+    ({"exec_delay_overrides": [[0, 7, 1.0]]}, "exec_delay_overrides[0]"),
+]
+
+
 class TestGenerate:
     def test_stable_output_bytes(self, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -92,6 +108,20 @@ class TestGenerate:
         assert not out.exists()
         if isinstance(doc, dict):
             assert next(iter(doc)) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc,named", BAD_CONFIG_VALUES)
+    def test_bad_config_value_names_the_field(self, tmp_path, capsys, doc, named):
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        out = tmp_path / "x.json"
+        assert main(["generate", "--config", str(cfg), "--out", str(out)]) == EXIT_INPUT
+        assert not out.exists()
+        assert f"{named} must be" in capsys.readouterr().err
+
+    def test_override_for_an_app_beyond_n_apps_is_kept(self, tmp_path):
+        # A sweep varies n_apps over one base config, so an override may
+        # name an app that a smaller cell does not draw.
+        cfg = write_json(tmp_path / "cfg.json", {"n_apps": 2, "exec_delay_overrides": [[5, 0, 0.3]]})
+        assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "x.json")]) == EXIT_OK
 
 
 class TestRate:
@@ -298,6 +328,14 @@ class TestExperiment:
         out = tmp_path / "x.csv"
         assert main(["experiment", str(grid), "--out", str(out)]) == EXIT_INPUT
         assert not out.exists()
+
+    @pytest.mark.parametrize("doc,named", BAD_CONFIG_VALUES)
+    def test_bad_base_config_value_names_the_field(self, tmp_path, capsys, doc, named):
+        grid = write_json(tmp_path / "grid.json", {"preset": "fig5", "seeds": [0], "base_config": doc})
+        out = tmp_path / "x.csv"
+        assert main(["experiment", str(grid), "--out", str(out)]) == EXIT_INPUT
+        assert not out.exists()
+        assert f"{named} must be" in capsys.readouterr().err
 
     def test_unknown_preset_name_lists_the_presets(self, tmp_path, capsys):
         out = tmp_path / "x.csv"

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -118,6 +120,18 @@ class TestRunSweep:
         assert seed_rows[0].status == "error:ValueError"
         assert seed_rows[0].cost_total is None
         assert seed_rows[1].status == "optimal"
+
+
+REFERENCE = Path(__file__).resolve().parents[1] / "benchmarks" / "reference.json"
+
+
+@pytest.mark.parametrize("preset", ["fig4", "fig5", "fig7"])
+def test_desk_sweep_csv_matches_benchmark_reference(preset):
+    # The benchmark's desk_sweep pass: every drawn instance, status, cost,
+    # tier count and search counter over seeds 0-19 is pinned by its digest.
+    expected = json.loads(REFERENCE.read_text(encoding="utf-8"))["desk_sweep"]["csv_sha256"][preset]
+    csv_text = to_csv(run_sweep(preset_grid(preset), list(range(20))))
+    assert hashlib.sha256(csv_text.encode("utf-8")).hexdigest() == expected
 
 
 class TestCheckTrends:

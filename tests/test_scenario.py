@@ -1,10 +1,13 @@
 import dataclasses
 import json
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from fogplace import scenario
 from fogplace.instance_io import instance_to_dict
-from fogplace.model import SecurityLevel, Tier, validate_instance
+from fogplace.model import Application, AppModule, SecurityLevel, Tier, validate_instance
 from fogplace.scenario import (
     ScenarioConfig,
     config_from_dict,
@@ -35,13 +38,107 @@ class TestDeterminism:
         assert large.apps[:3] == small.apps
 
     def test_known_stream_values_pinned(self):
-        # Frozen first draws of seed 0, app 0; any change to the RNG
-        # discipline or draw order must show up here.
-        inst = generate_instance(cfg(seed=0))
-        mod = inst.apps[0].modules[0]
-        assert mod.proc_req == pytest.approx(1.8794775825562686, rel=1e-15)
-        assert mod.mem_req == pytest.approx(0.02671414150618679, rel=1e-15)
-        assert mod.stor_req == pytest.approx(0.6660649404886898, rel=1e-15)
+        # Frozen draws of seed 0: all 4m + 3 variates of app 0 and one
+        # randomly drawn fog position.  Any change to the RNG discipline,
+        # the draw order or the mapping onto ranges must show up here.
+        assert list(scenario._draws(0, 1, 0, 15)) == [
+            0.8897387912781343, 0.5571380502062263, 0.8009080868919721,
+            0.9565138174753386, 0.05861516014935442, 0.23640069529958085,
+            0.7878121978721646, 0.00030824035715149023, 0.7257230733611507,
+            0.6187666612577356, 0.004051573689837662, 0.10830539207922729,
+            0.13050471177614809, 0.7617022800784415, 0.9587716588308863,
+        ]
+        app = generate_instance(cfg(seed=0)).apps[0]
+        assert [(m.proc_req, m.mem_req, m.stor_req) for m in app.modules] == [
+            (1.8794775825562686, 0.02671414150618679, 0.6660649404886898),
+            (2.013027634950677, 0.011758454804480633, 0.3770371559933854),
+            (1.6756243957443293, 0.010009247210714545, 0.6275702135609091),
+        ]
+        assert app.input_traffic == 0.0028562999837732066
+        assert app.inter_traffic == (0.1036464163208539, 0.19747485287130456)
+        assert app.output_traffic == 0.000565252355888074
+        assert app.qos_threshold == 1.2617022800784414
+        assert app.security_req is SecurityLevel.HIGH  # u_sec = 0.958... of 3 levels
+        fog = generate_instance(cfg(seed=0, n_fog=1, fog_positions=None, tx_ranges=None)).nodes[1]
+        assert fog.position == (636.9616873214543, 269.7867137638703)
+
+
+def reference_instance(c: ScenarioConfig):
+    """generate_instance drawn through numpy's scalar calls, one variate at a
+    time in the documented order: the definition the block draw must match."""
+    import numpy as np
+
+    def stream(domain, index):
+        return np.random.Generator(np.random.PCG64(np.random.SeedSequence([c.seed, domain, index])))
+
+    positions = []
+    for f in range(c.n_fog):
+        rng = stream(0, f)
+        positions.append((rng.uniform(0.0, c.farm_width), rng.uniform(0.0, c.farm_height)))
+    forced = 0 if c.alpha is None else math.ceil(c.alpha * c.n_apps)
+    apps = []
+    for i in range(c.n_apps):
+        rng = stream(1, i)
+        modules = []
+        for _ in range(c.modules_per_app):
+            proc = rng.uniform(*c.proc_req_range)
+            mem = rng.uniform(*c.mem_req_range)
+            stor = rng.uniform(*c.stor_req_range)
+            modules.append(AppModule(proc, mem, stor, proc / c.proc_speed_ref))
+        input_traffic = rng.uniform(*c.input_traffic_range)
+        inter = tuple(rng.uniform(*c.inter_traffic_range) for _ in range(c.modules_per_app - 1))
+        output_traffic = rng.uniform(*c.output_traffic_range)
+        u_qos, u_sec = rng.random(), rng.random()
+        if i < forced:
+            sec = SecurityLevel.HIGH
+        else:
+            levels = 3 if c.alpha is None else 2
+            sec = SecurityLevel(1 + min(levels - 1, int(u_sec * levels)))
+        apps.append(Application(f"app{i + 1}", tuple(modules), input_traffic, inter, output_traffic,
+                                c.min_qos + u_qos * (c.max_qos - c.min_qos), sec))
+    # Nodes and links hold no random draw once the positions are fixed.
+    fixed = generate_instance(dataclasses.replace(c, fog_positions=tuple(positions), n_apps=0, alpha=None))
+    return dataclasses.replace(fixed, apps=tuple(apps))
+
+
+def value_range(lo_max=10.0):
+    return st.tuples(st.floats(0.0, lo_max), st.floats(0.0, lo_max)).map(sorted).map(tuple)
+
+
+class TestBlockDraw:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**63),
+        n_apps=st.integers(0, 5),
+        modules_per_app=st.integers(1, 5),
+        n_fog=st.integers(0, 4),
+        proc=value_range(),
+        mem=value_range(1.0),
+        traffic=value_range(1e-3),
+        qos=value_range(5.0).filter(lambda q: q[0] > 0),
+        alpha=st.none() | st.floats(0.0, 1.0),
+        farm=st.tuples(st.floats(1.0, 1e4), st.floats(1.0, 1e4)),
+    )
+    def test_equals_scalar_draws(self, seed, n_apps, modules_per_app, n_fog, proc, mem, traffic,
+                                 qos, alpha, farm):
+        c = cfg(seed=seed, n_apps=n_apps, modules_per_app=modules_per_app, n_fog=n_fog,
+                fog_positions=None, tx_ranges=None, proc_req_range=proc, mem_req_range=mem,
+                input_traffic_range=traffic, inter_traffic_range=proc, output_traffic_range=mem,
+                min_qos=qos[0], max_qos=qos[1], alpha=alpha, farm_width=farm[0], farm_height=farm[1])
+        assert generate_instance(c) == reference_instance(c)
+
+    def test_cold_cache_equals_warm_cache(self):
+        c = cfg(seed=11, n_fog=3, fog_positions=None, tx_ranges=None)
+        scenario._draws.cache_clear()
+        cold = generate_instance(c)
+        assert scenario._draws.cache_info().misses == c.n_fog + c.n_apps
+        warm = generate_instance(c)
+        assert scenario._draws.cache_info().hits == c.n_fog + c.n_apps
+        assert cold == warm == reference_instance(c)
+
+    def test_cache_is_bounded(self):
+        assert scenario._draws.cache_info().maxsize is not None
+        assert 0 < scenario._draws.cache_info().maxsize <= 4096
 
 
 class TestDrawnValues:

@@ -23,7 +23,7 @@ from typing import Any
 from .ilp import Relaxations
 from .instance_io import require_keys, save_report
 from .metrics import count_deployed, unprotected_data
-from .scenario import ScenarioConfig, config_from_dict, generate_instance
+from .scenario import ScenarioConfig, config_from_dict, generate_instance, validate_config
 from .solver import SolveStatus, solve_exact
 
 _REL_TOL = 1e-9
@@ -95,7 +95,8 @@ def _cell_from_dict(c: Any, where: str) -> Cell:
 def grid_from_dict(doc: Any) -> tuple[SweepGrid, list[int], ScenarioConfig]:
     """Read a grid document (format in the README): a preset or a list of
     cells, plus optional seeds and base scenario config.  Raises ValueError
-    on any malformed document."""
+    on any malformed document, and on any (cell, seed) whose scenario config
+    is unusable, naming the cell index and the seed."""
     require_keys(doc, set(), {"preset", "name", "cells", "seeds", "base_config"}, "grid config")
     if "preset" in doc:
         grid = preset_grid(str(doc["preset"]))
@@ -114,7 +115,17 @@ def grid_from_dict(doc: Any) -> tuple[SweepGrid, list[int], ScenarioConfig]:
         base_cfg = config_from_dict(doc.get("base_config", {}))
     except ValueError as exc:
         raise ValueError(f"grid config: base_config: {exc}") from None
+    for i, cell in enumerate(grid.cells):
+        for seed in seeds:
+            try:
+                validate_config(_cell_config(base_cfg, cell, seed))
+            except ValueError as exc:
+                raise ValueError(f"grid config: cells[{i}] with seed {seed}: {exc}") from None
     return grid, seeds, base_cfg
+
+
+def _cell_config(base_cfg: ScenarioConfig, cell: Cell, seed: int) -> ScenarioConfig:
+    return replace(base_cfg, n_apps=cell.n_apps, max_qos=cell.max_qos, alpha=cell.alpha, seed=seed)
 
 
 @dataclass
@@ -186,9 +197,7 @@ def run_sweep(grid: SweepGrid, seeds: list[int] | tuple[int, ...],
                 seed=seed, status="",
             )
             try:
-                cfg = replace(base_cfg, n_apps=cell.n_apps, max_qos=cell.max_qos,
-                              alpha=cell.alpha, seed=seed)
-                inst = generate_instance(cfg)
+                inst = generate_instance(_cell_config(base_cfg, cell, seed))
                 start = time.perf_counter()
                 report = solve_exact(inst, cell.relax)
                 row.solve_ms = (time.perf_counter() - start) * 1000.0

@@ -21,10 +21,15 @@ for each untouched app its cheapest standalone full-chain cost including
 link costs (capacity ignored).  Both parts only discard constraints, so the
 bound never overestimates.
 
-Preprocessing enumerates each app's standalone-feasible chains once, sorted
-by cost: the first gives the app's standalone minimum for the bound, and the
+Preprocessing lists each app's standalone-feasible chains once, sorted by
+cost: the first gives the app's standalone minimum for the bound, and the
 greedy incumbent takes each app's first chain that still fits, so greedy and
-exact share one pass.  ``time_limit`` bounds preprocessing and search alike.
+exact share one pass.  The list grows as a prefix tree, one position at a
+time, and a partial chain whose delay already exceeds the app's threshold is
+dropped with its whole subtree (resource-constrained labelling).  Delay sums
+in one order everywhere: execution plus sensor attachment, each link, then
+the user attachment.  ``time_limit`` bounds preprocessing and search alike;
+the enumeration reads the clock every 4096 chain extensions.
 
 ``solve_bruteforce`` enumerates every complete assignment and filters with
 the declarative feasibility checker - the verification oracle for the
@@ -39,6 +44,7 @@ import itertools
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 
 from .ilp import FEAS_TOL, CostBreakdown, Relaxations, check_feasibility, eval_cost, eval_delay
 from .model import Instance, Placement
@@ -67,11 +73,7 @@ class SolveOptions:
 @dataclass
 class SearchStats:
     """Search counters, reported by every solver and written to sweep CSVs.
-
-    ``pruned_security`` is always 0: candidate filtering drops nodes rated
-    below an app's requirement before the search, so no branch is ever cut
-    for security.  It stays as a fixed report and CSV column.
-    """
+    ``pruned_security`` is always 0 (see the module notes)."""
 
     nodes_explored: int = 0
     pruned_bound: int = 0
@@ -126,7 +128,7 @@ class _Problem:
         self.inst = inst
         self.relax = relax
         self.deadline = deadline
-        self.combos_seen = 0
+        self.extensions_seen = 0
         nodes = inst.nodes
         self.n_nodes = len(nodes)
         self.node_ids = [n.id for n in nodes]
@@ -175,17 +177,12 @@ class _Problem:
                 ))
         self.n_positions = len(self.positions)
 
-        # app_combos[i]: app i's standalone-feasible (cost, combo) pairs,
-        # cheapest first, ties in lexicographic node order.  Their minima
+        # app_combos[i]: app i's chains (``app_chains``).  Their minima
         # (capacity between apps ignored) feed the cross-app part of the
         # completion bound; ``None`` marks an app that cannot be placed even
         # alone, which proves the instance infeasible.
-        self.app_combos: list[list[tuple[float, tuple[int, ...]]]] = [
-            sorted(self.iter_app_assignments(i)) for i in range(len(inst.apps))
-        ]
-        self.app_min: list[float | None] = [
-            combos[0][0] if combos else None for combos in self.app_combos
-        ]
+        self.app_combos = [self.app_chains(i) for i in range(len(inst.apps))]
+        self.app_min = [combos[0][0] if combos else None for combos in self.app_combos]
 
         # tail_bound[m]: lower bound on the cost of placing positions m.. end,
         # combining the per-module minima of the current app's remaining
@@ -207,41 +204,41 @@ class _Problem:
                     # (link costs included) is valid and at least as tight.
                     self.tail_bound[m] = max(self.tail_bound[m], app_tail[pos.app_idx])
 
-    def iter_app_assignments(self, app_idx: int):
-        """Yield (cost, node tuple) for every standalone-feasible full
-        assignment of one app, in lexicographic node order.
-
-        Capacity is checked per node against the app's own demands only;
-        security and QoS follow the active relaxations.  With a deadline set,
-        the clock is read every 4096 combos.
-        """
+    def app_chains(self, app_idx: int) -> list[tuple[float, tuple[int, ...]]]:
+        """One app's standalone-feasible chains as (cost, node tuple), cheapest
+        first, ties in lexicographic node order.  Capacity is checked against
+        the app's own demands only; security and QoS follow the relaxations."""
         positions = self.app_positions(app_idx)
-        check_qos = not self.relax.drop_qos
-        deadline = self.deadline
-        idle = ([0.0] * self.n_nodes,) * 3
-        # Only modules sharing a node can overload it past the candidate
-        # filter, so if the whole chain fits on each candidate, all combos do.
-        check_cap = not all(self.fits(positions, (k,) * len(positions), idle)
-                            for k in set().union(*(pos.candidates for pos in positions)))
-        for combo in itertools.product(*(pos.candidates for pos in positions)):
-            if deadline is not None:
-                self.combos_seen += 1
-                if self.combos_seen % 4096 == 0 and time.monotonic() > deadline:
+        limit = float("inf") if self.relax.drop_qos else self.qos[app_idx] + FEAS_TOL
+        no_link = [0.0] * self.n_nodes
+        # (cost, delay, combo) from an empty root, whose "link" to a host is the sensor's.
+        chains = [(0.0, self.exec_total[app_idx], ())]
+        for pos in positions:
+            static, inbound, cands = pos.static_cost, pos.inbound, pos.candidates
+            user = self.user_delay if pos.is_last else no_link
+            grown = []
+            for cost, delay, combo in chains:
+                self.extensions_seen += len(cands)  # read the clock on passing a multiple of 4096
+                if (self.deadline is not None and self.extensions_seen % 4096 < len(cands)
+                        and time.monotonic() > self.deadline):
                     raise TimeoutError
-            if check_cap and not self.fits(positions, combo, idle):
-                continue
-            cost = 0.0
-            delay = self.exec_total[app_idx] + self.sensor_delay[combo[0]] + self.user_delay[combo[-1]]
-            prev = -1
-            for pos, k in zip(positions, combo):
-                cost += pos.static_cost[k]
-                if prev >= 0:
-                    cost += pos.inbound * self.bw[prev][k]
-                    delay += self.t[prev][k]
-                prev = k
-            if check_qos and delay > self.qos[app_idx] + FEAS_TOL:
-                continue
-            yield cost, combo
+                t, bw = (self.t[combo[-1]], self.bw[combo[-1]]) if combo else (self.sensor_delay, no_link)
+                grown += [(cost + static[k] + inbound * bw[k], d, combo + (k,)) for k in cands
+                          if (d := delay + t[k] + user[k]) <= limit]
+            chains = grown
+        # Only modules sharing a node can overload it past the candidate
+        # filter, so if the whole chain fits on each candidate, all chains do.
+        proc = mem = stor = 0.0  # the whole chain's demands, summed as ``fits`` sums them
+        for pos in positions:
+            proc, mem, stor = proc + pos.proc, mem + pos.mem, stor + pos.stor
+        check_cap = any(proc > self.proc_cap[k] + FEAS_TOL or mem > self.mem_cap[k] + FEAS_TOL
+                        or stor > self.stor_cap[k] + FEAS_TOL
+                        for k in set().union(*(pos.candidates for pos in positions)))
+        idle = ([0.0] * self.n_nodes,) * 3
+        kept = [(cost, combo) for cost, _delay, combo in chains
+                if not check_cap or self.fits(positions, combo, idle)]
+        kept.sort(key=itemgetter(0))  # stable: ties keep the lexicographic build order
+        return kept
 
     def fits(self, positions: list[_Position], combo: tuple[int, ...],
              used: tuple[list[float], list[float], list[float]]) -> bool:
@@ -269,13 +266,14 @@ class _Problem:
 
 
 def _finish_report(inst: Instance, relax: Relaxations, status: SolveStatus,
-                   placement: Placement | None, stats: SearchStats) -> SolveReport:
+                   placement: Placement | None, stats: SearchStats,
+                   cost: CostBreakdown | None = None) -> SolveReport:
     if placement is None:
         return SolveReport(status=status, relax=relax, search_stats=stats)
-    cost = eval_cost(inst, placement)
     delays = {a.id: eval_delay(inst, placement, a) for a in inst.apps}
     return SolveReport(status=status, relax=relax, placement=placement,
-                       cost=cost, per_app_delay=delays, search_stats=stats)
+                       cost=eval_cost(inst, placement) if cost is None else cost,
+                       per_app_delay=delays, search_stats=stats)
 
 
 def _greedy(prob: _Problem, stats: SearchStats) -> list[int] | None:
@@ -319,10 +317,12 @@ def solve_exact(inst: Instance, relax: Relaxations = Relaxations(),
     if any(v is None for v in prob.app_min):
         return _finish_report(inst, relax, SolveStatus.INFEASIBLE, None, stats)
 
-    best_cost = float("inf")
-    best_assignment = _greedy(prob, SearchStats())
-    if best_assignment is not None:
-        best_cost = eval_cost(inst, prob.placement_of(best_assignment)).total
+    greedy = best_assignment = _greedy(prob, SearchStats())
+    greedy_placement = greedy_cost = None
+    if greedy is not None:
+        greedy_placement = prob.placement_of(greedy)
+        greedy_cost = eval_cost(inst, greedy_placement)
+    best_cost = float("inf") if greedy_cost is None else greedy_cost.total
 
     positions = prob.positions
     tail_bound = prob.tail_bound
@@ -388,13 +388,12 @@ def solve_exact(inst: Instance, relax: Relaxations = Relaxations(),
 
     try:
         dfs(0, 0.0)
+        status = SolveStatus.INFEASIBLE if best_assignment is None else SolveStatus.OPTIMAL
     except TimeoutError:
-        placement = prob.placement_of(best_assignment) if best_assignment is not None else None
-        return _finish_report(inst, relax, SolveStatus.TIME_LIMIT, placement, stats)
-    if best_assignment is None:
-        return _finish_report(inst, relax, SolveStatus.INFEASIBLE, None, stats)
-    return _finish_report(inst, relax, SolveStatus.OPTIMAL,
-                          prob.placement_of(best_assignment), stats)
+        status = SolveStatus.TIME_LIMIT
+    if best_assignment is greedy:  # none, or nothing cheaper: greedy's costing stands
+        return _finish_report(inst, relax, status, greedy_placement, stats, greedy_cost)
+    return _finish_report(inst, relax, status, prob.placement_of(best_assignment), stats)
 
 
 def solve_bruteforce(inst: Instance, relax: Relaxations = Relaxations()) -> SolveReport:

@@ -329,6 +329,20 @@ class TestExperiment:
         assert main(["experiment", str(grid), "--out", str(out)]) == EXIT_INPUT
         assert not out.exists()
 
+    # Each of these once exited 0 with a CSV whose rows all read error:ValueError.
+    @pytest.mark.parametrize("doc,named", [
+        ({"preset": "fig5", "seeds": [-1]}, "cells[0] with seed -1: seed must be"),
+        ({"cells": [{"n_apps": -2, "max_qos": 1.5}], "seeds": [0]}, "cells[0] with seed 0: counts must"),
+        ({"cells": [{"n_apps": 2, "max_qos": 3.0}, {"n_apps": 2, "max_qos": 0.1}], "seeds": [0]},
+         "cells[1] with seed 0: need 0 < min_qos <= max_qos"),
+    ])
+    def test_unusable_cell_or_seed_names_it(self, tmp_path, capsys, doc, named):
+        grid = write_json(tmp_path / "grid.json", doc)
+        out = tmp_path / "x.csv"
+        assert main(["experiment", str(grid), "--out", str(out)]) == EXIT_INPUT
+        assert not out.exists()
+        assert named in capsys.readouterr().err
+
     @pytest.mark.parametrize("doc,named", BAD_CONFIG_VALUES)
     def test_bad_base_config_value_names_the_field(self, tmp_path, capsys, doc, named):
         grid = write_json(tmp_path / "grid.json", {"preset": "fig5", "seeds": [0], "base_config": doc})

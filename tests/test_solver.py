@@ -5,12 +5,13 @@ import json
 import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fogplace import solver
 from fogplace.experiment import preset_grid, run_sweep, to_csv
 from fogplace.ilp import FEAS_TOL, Relaxations, check_feasibility, eval_cost
 from fogplace.instance_io import report_to_dict
-from fogplace.model import SecurityLevel
+from fogplace.model import AppModule, SecurityLevel
 from fogplace.scenario import ScenarioConfig, generate_instance
 from fogplace.solver import (
     SolveOptions,
@@ -163,6 +164,27 @@ class TestSolveExact:
         assert report.status is SolveStatus.TIME_LIMIT
         assert report.placement is None
 
+    def test_costs_the_incumbent_once(self, monkeypatch):
+        # When the search finds nothing cheaper than greedy, greedy's costing
+        # is the report's: one eval_cost call per solve.
+        instances = [generate_instance(tiny_cfg(seed)) for seed in range(6)]
+        greedy = [solve_greedy(inst).placement for inst in instances]
+        calls = []
+
+        def counting_eval_cost(*args):
+            calls.append(args)
+            return eval_cost(*args)
+
+        monkeypatch.setattr(solver, "eval_cost", counting_eval_cost)
+        checked = 0
+        for inst, placement in zip(instances, greedy):
+            calls.clear()
+            report = solve_exact(inst)
+            if report.status is SolveStatus.OPTIMAL and report.placement == placement:
+                assert len(calls) == 1
+                checked += 1
+        assert checked >= 3
+
     def test_builds_one_problem(self, two_app_instance, monkeypatch):
         built = []
 
@@ -207,6 +229,27 @@ class TestBounds:
                     suffix += step[m]
                     assert suffix >= prob.tail_bound[m] - 1e-9
 
+    def test_chains_and_bounds_pinned(self):
+        # sha256 of every app's chain list and the tail bound over random fog
+        # positions, both QoS levels, loose and tight fog capacity and three
+        # relaxations, recorded before the enumeration became a pruned
+        # prefix tree.  Any change to a chain, its cost float or a bound
+        # shows here.
+        digest = hashlib.sha256()
+        for n_fog in (2, 3, 4, 6):
+            for max_qos in (1.5, 3.0):
+                for cap in (22.0, 3.0):
+                    inst = generate_instance(ScenarioConfig(
+                        n_fog=n_fog, n_apps=4, max_qos=max_qos, fog_proc_capacity=cap,
+                        seed=100 * n_fog + int(max_qos) + int(cap),
+                        fog_positions=None, tx_ranges=None))
+                    for relax in (Relaxations(), Relaxations(drop_qos=True),
+                                  Relaxations(drop_security=True)):
+                        prob = _Problem(inst, relax)
+                        digest.update(repr((prob.app_combos, prob.tail_bound)).encode())
+        assert digest.hexdigest() == (
+            "75aa6b301f0288164e70b0b0c6e401adebfb86968b4fdcafd5f02f2cf7af65cc")
+
     def test_root_bound_tie_keeps_search_small(self):
         # packing_search's f6_n20_q1.5_s909: tail_bound[0] equals the optimum
         # to within one ulp.  A bound change that moved the sums by one ulp
@@ -216,6 +259,65 @@ class TestBounds:
         report = solve_exact(inst, opts=SolveOptions(time_limit=5.0))
         assert report.status is SolveStatus.OPTIMAL
         assert report.search_stats.nodes_explored <= 161
+
+
+def reference_chains(prob, app_idx, relax):
+    """One app's (cost, combo) list by a plain scan of every host tuple:
+    ``fits`` for capacity, delay summed in the search's order."""
+    app = prob.inst.apps[app_idx]
+    positions = prob.app_positions(app_idx)
+    idle = ([0.0] * prob.n_nodes,) * 3
+    chains = []
+    for combo in itertools.product(*(pos.candidates for pos in positions)):
+        cost, delay = 0.0, app.exec_total + prob.sensor_delay[combo[0]]
+        for j, (pos, k) in enumerate(zip(positions, combo)):
+            cost += pos.static_cost[k]
+            if j:
+                cost += pos.inbound * prob.bw[combo[j - 1]][k]
+                delay += prob.t[combo[j - 1]][k]
+        delay += prob.user_delay[combo[-1]]
+        if prob.fits(positions, combo, idle) and (
+                relax.drop_qos or delay <= app.qos_threshold + FEAS_TOL):
+            chains.append((cost, combo))
+    return sorted(chains)
+
+
+@st.composite
+def chain_instances(draw):
+    """Small instances with tight, varied capacities, so that some chains
+    overflow a node their modules share and some modules fit nowhere."""
+    cap = st.floats(0.5, 6.0)
+    nodes = [make_cloud(proc_capacity=draw(cap))]
+    for f in range(draw(st.integers(1, 3))):
+        position = (draw(st.floats(0.0, 1000.0)), draw(st.floats(0.0, 1000.0)))
+        nodes.append(make_fog(f"f{f}", position, proc_capacity=draw(cap)))
+    apps = []
+    for i in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, 4))
+        modules = tuple(AppModule(proc_req=draw(st.floats(0.1, 4.0)), mem_req=0.02,
+                                  stor_req=draw(st.floats(0.1, 1.0)),
+                                  exec_delay=draw(st.floats(0.01, 0.3))) for _ in range(n))
+        app = make_app(f"a{i}", n=n, qos=draw(st.floats(0.3, 3.0)),
+                       security=draw(st.sampled_from(list(SecurityLevel))))
+        apps.append(dataclasses.replace(app, modules=modules))
+    return make_instance(apps, nodes=nodes)
+
+
+class TestChains:
+    @settings(max_examples=80, deadline=None)
+    @given(inst=chain_instances())
+    # The whole 3-module chain overflows the fog node, so chains are fit one by one.
+    @example(inst=make_instance([make_app(n=3, proc=1.0)],
+                                nodes=(make_cloud(), make_fog("f0", (500.0, 500.0), proc_capacity=2.5))))
+    # A single module that fits nowhere: an empty candidate list.
+    @example(inst=make_instance([make_app(n=1, proc=8.0)],
+                                nodes=(make_cloud(proc_capacity=5.0),
+                                       make_fog("f0", (500.0, 500.0), proc_capacity=5.0))))
+    def test_matches_plain_scan(self, inst):
+        for relax in (Relaxations(), Relaxations(drop_qos=True), Relaxations(drop_security=True)):
+            prob = _Problem(inst, relax)
+            for i in range(len(inst.apps)):
+                assert prob.app_combos[i] == reference_chains(prob, i, relax), (i, relax)
 
 
 class TestBruteforce:

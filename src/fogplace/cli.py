@@ -48,7 +48,6 @@ def _load_json(path: str) -> dict:
 
 def _load_rated_instance(path: str) -> Instance:
     try:
-        # A stored rating is replaced, never checked: geometry decides it.
         inst = rate_infrastructure(load_instance(path))
     except ValueError as exc:  # includes JSONDecodeError
         raise InputError(f"{path}: {exc}") from exc
@@ -90,13 +89,10 @@ def _cmd_rate(args: argparse.Namespace) -> int:
     inst = _load_rated_instance(args.instance)
     print(f"{'node':<12} {'tier':<6} {'min_boundary':>12} {'tx_range':>9} {'rating':<7}")
     for n in inst.nodes:
-        if n.tier is Tier.FOG:
-            min_dist = f"{min(boundary_distances(n.position, inst.farm)):.1f}"
-            tx = f"{n.tx_range:.1f}"
-        else:
-            min_dist = "-"
-            tx = "-"
-        print(f"{n.id:<12} {n.tier.value:<6} {min_dist:>12} {tx:>9} {n.security_rating.label:<7}")
+        fog = n.tier is Tier.FOG
+        min_dist = f"{min(boundary_distances(n.position, inst.farm)):.1f}" if fog else "-"
+        tx = f"{n.tx_range:.1f}" if fog else "-"
+        print(f"{n.id:<12} {n.tier.value:<6} {min_dist:>12} {tx:>9} {inst.ratings[n.id].label:<7}")
     return EXIT_OK
 
 

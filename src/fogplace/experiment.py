@@ -17,6 +17,8 @@ import io
 import time
 from collections.abc import Iterable
 from dataclasses import dataclass, field, fields, replace
+from functools import reduce
+from operator import add
 from pathlib import Path
 from typing import Any
 
@@ -216,6 +218,11 @@ def run_sweep(grid: SweepGrid, seeds: list[int] | tuple[int, ...],
     return rows
 
 
+def _mean(values: list) -> float:
+    # Left to right on every Python: builtin ``sum`` compensates from 3.12 on.
+    return reduce(add, values, 0) / len(values)
+
+
 def aggregate_rows(rows: list[SweepRow]) -> list[SweepRow]:
     """One mean row per cell, averaging the optimal seed rows of that cell."""
     optimal: dict[tuple, list[SweepRow]] = {}
@@ -229,7 +236,7 @@ def aggregate_rows(rows: list[SweepRow]) -> list[SweepRow]:
         agg = SweepRow(*key, seed="mean", status=f"mean_of_{len(group)}")
         if group:
             for name in _MEAN_FIELDS:
-                setattr(agg, name, sum(getattr(r, name) for r in group) / len(group))
+                setattr(agg, name, _mean([getattr(r, name) for r in group]))
         out.append(agg)
     return out
 
@@ -356,7 +363,7 @@ def check_trends(rows: list[SweepRow]) -> TrendReport:
         by_qos.setdefault(r.max_qos, []).append(r.modules_on_fog)
     qos_values = sorted(by_qos)
     comparisons = violations = 0
-    means = {q: sum(v) / len(v) for q, v in by_qos.items()}
+    means = {q: _mean(v) for q, v in by_qos.items()}
     for lo, hi in zip(qos_values, qos_values[1:]):
         comparisons += 1
         if means[lo] < means[hi] - _REL_TOL:
@@ -378,10 +385,10 @@ def check_trends(rows: list[SweepRow]) -> TrendReport:
     comparisons = violations = 0
     details = []
     if noqos and by_scenario:
-        base = sum(noqos) / len(noqos)
+        base = _mean(noqos)
         details.append(f"mean_unprotected[noqos]={base:.4f}")
         for q in sorted(by_scenario):
-            mean_q = sum(by_scenario[q]) / len(by_scenario[q])
+            mean_q = _mean(by_scenario[q])
             details.append(f"mean_unprotected[max_qos={q}]={mean_q:.4f}")
             comparisons += 1
             if base > mean_q + _REL_TOL:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import Application, Instance, Placement, placement_is_consistent
+from .model import Application, Instance, Placement, ResourceNode, placement_is_consistent
 
 # Absolute slack below which a constraint is considered satisfied; shared by
 # every feasibility decision in the package so that solver pruning and the
@@ -101,6 +101,25 @@ class Violation:
     detail: str
 
 
+_CAPACITY = (("eq2", "proc_req", "proc_capacity"),
+             ("eq3", "mem_req", "mem_capacity"),
+             ("eq4", "stor_req", "stor_capacity"))
+
+
+def _hosting_costs(app: Application, j: int, nodes: tuple[ResourceNode, ...]) -> list[float]:
+    """Module j's objective coefficient on each node, link costs excluded."""
+    mod, last = app.modules[j], app.n_modules - 1
+    row = []
+    for node in nodes:
+        c = mod.exec_delay * node.proc_cost + mod.stor_req * node.stor_cost
+        if j == 0:
+            c += app.input_traffic * node.sensor_bw_cost
+        if j == last:
+            c += app.output_traffic * node.user_bw_cost
+        row.append(c)
+    return row
+
+
 def x_name(i: int, j: int, k: int) -> str:
     return f"x_{i}_{j}_{k}"
 
@@ -114,28 +133,19 @@ def build_model(inst: Instance, relax: Relaxations = Relaxations()) -> IlpModel:
 
     Variable and row order is deterministic: apps in input order, modules
     ascending, nodes in input order.  Raises ValueError if the security
-    constraint is active while some node is unrated.
+    constraint is active while some node cannot be rated (``Instance.ratings``).
     """
     nodes = inst.nodes
     n_nodes = len(nodes)
-    if not relax.drop_security:
-        for n in nodes:
-            if n.security_rating is None:
-                raise ValueError(f"node {n.id} has no security rating; rate the instance first")
+    ratings = None if relax.drop_security else inst.ratings
 
     variables: list[str] = []
     objective: dict[str, float] = {}
     for i, app in enumerate(inst.apps):
-        last = app.n_modules - 1
-        for j, mod in enumerate(app.modules):
-            for k, node in enumerate(nodes):
+        for j in range(app.n_modules):
+            for k, coeff in enumerate(_hosting_costs(app, j, nodes)):
                 name = x_name(i, j, k)
                 variables.append(name)
-                coeff = mod.exec_delay * node.proc_cost + mod.stor_req * node.stor_cost
-                if j == 0:
-                    coeff += app.input_traffic * node.sensor_bw_cost
-                if j == last:
-                    coeff += app.output_traffic * node.user_bw_cost
                 if coeff != 0.0:
                     objective[name] = coeff
     for i, app in enumerate(inst.apps):
@@ -150,10 +160,7 @@ def build_model(inst: Instance, relax: Relaxations = Relaxations()) -> IlpModel:
 
     rows: list[LinRow] = []
 
-    cap_fields = (("eq2", "proc_req", "proc_capacity"),
-                  ("eq3", "mem_req", "mem_capacity"),
-                  ("eq4", "stor_req", "stor_capacity"))
-    for tag, req_field, cap_field in cap_fields:
+    for tag, req_field, cap_field in _CAPACITY:
         for k, node in enumerate(nodes):
             coeffs = {}
             for i, app in enumerate(inst.apps):
@@ -196,10 +203,10 @@ def build_model(inst: Instance, relax: Relaxations = Relaxations()) -> IlpModel:
                 sense="<=", rhs=app.qos_threshold,
             ))
 
-    if not relax.drop_security:
+    if ratings is not None:
         for i, app in enumerate(inst.apps):
             for j in range(app.n_modules):
-                coeffs = {x_name(i, j, k): float(int(node.security_rating))
+                coeffs = {x_name(i, j, k): float(int(ratings[node.id]))
                           for k, node in enumerate(nodes)}
                 rows.append(LinRow(
                     name=f"eq8_app{i}_mod{j}", tag="eq8", coeffs=coeffs,
@@ -304,11 +311,8 @@ def check_feasibility(inst: Instance, p: Placement, relax: Relaxations = Relaxat
     rows, and an app with a missing module gets no eq7 check.
     """
     out: list[Violation] = []
-    nodes = inst.node_by_id
 
-    for tag, req_field, cap_field in (("eq2", "proc_req", "proc_capacity"),
-                                      ("eq3", "mem_req", "mem_capacity"),
-                                      ("eq4", "stor_req", "stor_capacity")):
+    for tag, req_field, cap_field in _CAPACITY:
         used: dict[str, float] = {n.id: 0.0 for n in inst.nodes}
         for a in inst.apps:
             for j, mod in enumerate(a.modules):
@@ -347,14 +351,13 @@ def check_feasibility(inst: Instance, p: Placement, relax: Relaxations = Relaxat
                 ))
 
     if not relax.drop_security:
+        ratings = inst.ratings
         for a in inst.apps:
             for j in range(a.n_modules):
                 node_id = p.assign.get((a.id, j))
                 if node_id is None:
                     continue
-                rating = nodes[node_id].security_rating
-                if rating is None:
-                    raise ValueError(f"node {node_id} has no security rating; rate the instance first")
+                rating = ratings[node_id]
                 short = int(a.security_req) - int(rating)
                 if short > 0:
                     out.append(Violation(

@@ -4,6 +4,7 @@ Instances are stored as a single UTF-8 JSON document.  Field names mirror
 the domain types; link tables are serialized as square matrices in node
 order.  The reader is strict: unknown fields are rejected, and a written
 instance reads back equal (floats survive via shortest-repr JSON encoding).
+Each node's ``security_rating`` comes from ``Instance.ratings``; read back, it is checked and ignored.
 """
 
 from __future__ import annotations
@@ -69,15 +70,14 @@ def _list(v: Any, where: str) -> list:
     return v
 
 
-def _node_to_dict(n: ResourceNode) -> dict[str, Any]:
+def _node_to_dict(n: ResourceNode, rating: SecurityLevel) -> dict[str, Any]:
     d: dict[str, Any] = {"id": n.id, "tier": n.tier.value,
                          **{name: getattr(n, name) for name in NODE_QUANTITIES}}
     if n.position is not None:
         d["position"] = [n.position[0], n.position[1]]
     if n.tx_range is not None:
         d["tx_range"] = n.tx_range
-    if n.security_rating is not None:
-        d["security_rating"] = n.security_rating.label
+    d["security_rating"] = rating.label
     return d
 
 
@@ -93,16 +93,14 @@ def _node_from_dict(d: Mapping[str, Any], where: str) -> ResourceNode:
         if not isinstance(raw, list) or len(raw) != 2:
             raise ValueError(f"{where}.position: expected [x, y]")
         position = (_float(raw[0], f"{where}.position[0]"), _float(raw[1], f"{where}.position[1]"))
-    rating = None
     if "security_rating" in d:
-        rating = SecurityLevel.from_name(str(d["security_rating"]))
+        SecurityLevel.from_name(str(d["security_rating"]))  # checked, then ignored
     return ResourceNode(
         id=_id(d, where),
         tier=tier,
         **{name: _num(d, name, where) for name in NODE_QUANTITIES},
         position=position,
         tx_range=_num(d, "tx_range", where) if "tx_range" in d else None,
-        security_rating=rating,
     )
 
 
@@ -141,7 +139,7 @@ def _app_from_dict(d: Mapping[str, Any], where: str) -> Application:
 def instance_to_dict(inst: Instance) -> dict[str, Any]:
     ids = [n.id for n in inst.nodes]
     return {
-        "nodes": [_node_to_dict(n) for n in inst.nodes],
+        "nodes": [_node_to_dict(n, inst.ratings[n.id]) for n in inst.nodes],
         "links": {
             "delay": [[inst.links.delay[(u, v)] for v in ids] for u in ids],
             "bw_cost": [[inst.links.bw_cost[(u, v)] for v in ids] for u in ids],

@@ -50,12 +50,10 @@ def count_deployed(inst: Instance, p: Placement) -> tuple[int, int]:
 def unprotected_data(inst: Instance, p: Placement) -> float:
     """Total inbound traffic (Gb) of modules hosted below their required rating."""
     total = 0.0
+    ratings = inst.ratings
     for a in inst.apps:
         for j in range(a.n_modules):
-            node = inst.node_by_id[p.assign[(a.id, j)]]
-            if node.security_rating is None:
-                raise ValueError(f"node {node.id} has no security rating; rate the instance first")
-            if int(node.security_rating) < int(a.security_req):
+            if ratings[p.assign[(a.id, j)]] < a.security_req:
                 total += a.input_traffic if j == 0 else a.inter_traffic[j - 1]
     return total
 

@@ -6,7 +6,7 @@ All types are immutable after construction; every operation here is pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from enum import Enum, IntEnum
 from functools import cached_property
 
@@ -55,8 +55,8 @@ class ResourceNode:
     follow the infrastructure price list: processing per second, storage per
     Gb, sensor/user attach bandwidth per Gb.  ``sensor_delay``/``user_delay``
     are the attach latencies in seconds.  Fog nodes carry a position inside
-    the farm and a radio transmission range; ``security_rating`` is filled
-    in by the rating pass (see :mod:`fogplace.security`).
+    the farm and a radio transmission range, from which their rating
+    follows (``Instance.ratings``).
     """
 
     id: str
@@ -72,7 +72,6 @@ class ResourceNode:
     user_delay: float
     position: tuple[float, float] | None = None
     tx_range: float | None = None
-    security_rating: SecurityLevel | None = None
 
 
 @dataclass(frozen=True)
@@ -129,7 +128,11 @@ class Application:
 
     @property
     def exec_total(self) -> float:
-        return sum(m.exec_delay for m in self.modules)
+        # Left to right on every Python: builtin ``sum`` compensates from 3.12 on.
+        total = 0.0
+        for m in self.modules:
+            total += m.exec_delay
+        return total
 
 
 @dataclass(frozen=True)
@@ -149,12 +152,15 @@ class Instance:
     def app_by_id(self) -> dict[str, Application]:
         return {a.id: a for a in self.apps}
 
+    @cached_property
+    def ratings(self) -> dict[str, SecurityLevel]:
+        """Node id -> rating, derived once from geometry; ValueError if a fog node cannot be rated."""
+        from .security import _rate_nodes  # local: security imports this module
+        return _rate_nodes(self)
+
     @property
     def total_modules(self) -> int:
         return sum(a.n_modules for a in self.apps)
-
-    def with_nodes(self, nodes: tuple[ResourceNode, ...]) -> "Instance":
-        return replace(self, nodes=nodes)
 
 
 @dataclass(frozen=True)
@@ -212,8 +218,6 @@ def validate_instance(inst: Instance) -> list[str]:
                 out.append(f"node {n.id}: fog node needs a transmission range")
             elif not _finite(n.tx_range) or n.tx_range <= 0:
                 out.append(f"node {n.id}: tx_range must be finite and > 0, got {n.tx_range!r}")
-        elif n.security_rating is not None and n.security_rating is not SecurityLevel.MEDIUM:
-            out.append(f"node {n.id}: cloud node rated {n.security_rating.label}, expected medium")
 
     ids = [n.id for n in inst.nodes]
     for u in ids:

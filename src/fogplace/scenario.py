@@ -285,23 +285,6 @@ def generate_instance(cfg: ScenarioConfig) -> Instance:
     return rate_infrastructure(inst)
 
 
-def config_to_dict(cfg: ScenarioConfig) -> dict[str, Any]:
-    out: dict[str, Any] = {}
-    for name in ScenarioConfig.__dataclass_fields__:  # type: ignore[attr-defined]
-        value = getattr(cfg, name)
-        if name in _RANGE_FIELDS:
-            out[name] = list(value)
-        elif name == "fog_positions":
-            out[name] = None if value is None else [list(p) for p in value]
-        elif name == "tx_ranges":
-            out[name] = None if value is None else list(value)
-        elif name == "exec_delay_overrides":
-            out[name] = [list(o) for o in value]
-        else:
-            out[name] = value
-    return out
-
-
 def config_from_dict(d: Mapping[str, Any]) -> ScenarioConfig:
     """Build a config from a (possibly partial) mapping.
 

@@ -3,12 +3,11 @@
 A fog node whose radio range reaches past any farm boundary can be
 eavesdropped from outside the farm, so it is rated low; fog nodes whose
 range stays inside are rated high.  The cloud sits behind the public
-internet and is rated medium regardless of geometry.
+internet and is rated medium regardless of geometry.  Ratings are never
+stored: ``Instance.ratings`` applies this rule once per instance and caches it.
 """
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 from .model import FarmGeometry, Instance, ResourceNode, SecurityLevel, Tier
 
@@ -40,14 +39,13 @@ def rate_fog_node(node: ResourceNode, farm: FarmGeometry) -> SecurityLevel:
 
 
 def rate_infrastructure(inst: Instance) -> Instance:
-    """Return a copy of the instance with every node's security rating set.
+    """Compute ``inst.ratings`` now and return ``inst`` itself, so that bad fog
+    geometry raises ValueError here rather than at first use."""
+    inst.ratings
+    return inst
 
-    Fog nodes are rated from geometry, cloud nodes are rated MEDIUM; all
-    other fields are untouched.
-    """
-    rated = tuple(
-        replace(n, security_rating=SecurityLevel.MEDIUM) if n.tier is Tier.CLOUD
-        else replace(n, security_rating=rate_fog_node(n, inst.farm))
-        for n in inst.nodes
-    )
-    return inst.with_nodes(rated)
+
+def _rate_nodes(inst: Instance) -> dict[str, SecurityLevel]:
+    """The rating rule behind ``Instance.ratings``: cloud MEDIUM, fog by geometry."""
+    return {n.id: SecurityLevel.MEDIUM if n.tier is Tier.CLOUD else rate_fog_node(n, inst.farm)
+            for n in inst.nodes}

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from operator import itemgetter
 
-from .ilp import FEAS_TOL, CostBreakdown, Relaxations, check_feasibility, eval_cost, eval_delay
+from .ilp import FEAS_TOL, CostBreakdown, Relaxations, _hosting_costs, check_feasibility, eval_cost, eval_delay
 from .model import Instance, Placement
 
 BRUTEFORCE_MAX_MODULES = 12
@@ -139,10 +139,7 @@ class _Problem:
         self.user_delay = [n.user_delay for n in nodes]
         self.t = [[inst.links.delay[(u.id, v.id)] for v in nodes] for u in nodes]
         self.bw = [[inst.links.bw_cost[(u.id, v.id)] for v in nodes] for u in nodes]
-        if not relax.drop_security:
-            for n in nodes:
-                if n.security_rating is None:
-                    raise ValueError(f"node {n.id} has no security rating; rate the instance first")
+        ratings = None if relax.drop_security else [inst.ratings[n.id] for n in nodes]
 
         self.positions: list[_Position] = []
         self.app_first_pos: list[int] = []
@@ -151,20 +148,9 @@ class _Problem:
         for i, app in enumerate(inst.apps):
             self.app_first_pos.append(len(self.positions))
             last = app.n_modules - 1
-            if relax.drop_security:
-                allowed = list(range(self.n_nodes))
-            else:
-                allowed = [k for k, n in enumerate(nodes)
-                           if int(n.security_rating) >= int(app.security_req)]
+            allowed = (range(self.n_nodes) if ratings is None
+                       else [k for k, r in enumerate(ratings) if r >= app.security_req])
             for j, mod in enumerate(app.modules):
-                static = []
-                for node in nodes:
-                    c = mod.exec_delay * node.proc_cost + mod.stor_req * node.stor_cost
-                    if j == 0:
-                        c += app.input_traffic * node.sensor_bw_cost
-                    if j == last:
-                        c += app.output_traffic * node.user_bw_cost
-                    static.append(c)
                 fits = [k for k in allowed
                         if mod.proc_req <= self.proc_cap[k] + FEAS_TOL
                         and mod.mem_req <= self.mem_cap[k] + FEAS_TOL
@@ -172,7 +158,8 @@ class _Problem:
                 self.positions.append(_Position(
                     app_idx=i, mod_idx=j, is_first=(j == 0), is_last=(j == last),
                     proc=mod.proc_req, mem=mod.mem_req, stor=mod.stor_req,
-                    static_cost=static, inbound=(app.input_traffic if j == 0 else app.inter_traffic[j - 1]),
+                    static_cost=_hosting_costs(app, j, nodes),
+                    inbound=(app.input_traffic if j == 0 else app.inter_traffic[j - 1]),
                     candidates=fits,
                 ))
         self.n_positions = len(self.positions)

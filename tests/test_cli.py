@@ -43,6 +43,11 @@ def write_json(path, doc):
 # writes for it: these pin both file formats byte for byte.
 GENERATE_SEED0_SHA256 = "b94a2527e5fdf0588521789d1b63455775d1e2c8b799043829614e009fea5d51"
 SOLVE_SEED0_REPORT_SHA256 = "d9e897ca50a983e6a67e3dbf611200a1f1fe466b389085d7dcf0eb04b0b35a6a"
+# The `solve --export-lp` text for that instance, full model and --no-security.
+EXPORT_LP_SEED0_SHA256 = {
+    (): "f812f270073880138613dc7b3a579deb2c9aaefe79ae28fee3b89a3655a7adc7",
+    ("--no-security",): "d613ee709f73c51658b7a369f863737041e3b5b7c145aa9ee10731b3f751f7aa",
+}
 
 
 def test_instance_and_report_bytes_pinned(tmp_path):
@@ -51,6 +56,14 @@ def test_instance_and_report_bytes_pinned(tmp_path):
     assert main(["solve", str(inst), "--out", str(report)]) == EXIT_OK
     assert sha(inst) == GENERATE_SEED0_SHA256
     assert sha(report) == SOLVE_SEED0_REPORT_SHA256
+
+
+@pytest.mark.parametrize("flags", sorted(EXPORT_LP_SEED0_SHA256))
+def test_export_lp_bytes_pinned(tmp_path, flags):
+    inst, lp = tmp_path / "inst.json", tmp_path / "model.lp"
+    assert main(["generate", "--seed", "0", "--out", str(inst)]) == EXIT_OK
+    assert main(["solve", str(inst), *flags, "--export-lp", str(lp)]) == EXIT_OK
+    assert sha(lp) == EXPORT_LP_SEED0_SHA256[flags]
 
 
 # Values of the right type that no instance can hold: each once passed
@@ -199,6 +212,12 @@ class TestMalformedInstance:
         path = write_json(tmp_path / "inst.json", doc)
         assert main([command, str(path)]) == EXIT_INPUT
         assert named in capsys.readouterr().err
+
+    def test_unknown_stored_rating_is_input_error(self, tmp_path, capsys, doc, command):
+        doc["nodes"][1]["security_rating"] = "ultra"
+        path = write_json(tmp_path / "inst.json", doc)
+        assert main([command, str(path)]) == EXIT_INPUT
+        assert "'ultra'" in capsys.readouterr().err
 
     def test_numeric_strings_in_lists_still_parse(self, tmp_path, doc, command):
         doc["apps"][0]["inter_traffic"] = [str(x) for x in doc["apps"][0]["inter_traffic"]]

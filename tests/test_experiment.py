@@ -7,8 +7,11 @@ import pytest
 from fogplace.ilp import Relaxations, eval_cost
 from fogplace.instance_io import placement_from_dict
 from fogplace.experiment import (
+    CSV_COLUMNS,
     Cell,
     SweepGrid,
+    SweepRow,
+    aggregate_rows,
     cell_label,
     check_trends,
     grid_from_lists,
@@ -82,6 +85,17 @@ class TestRunSweep:
             if group:
                 expected = sum(r.cost_total for r in group) / len(group)
                 assert agg.cost_total == pytest.approx(expected, rel=1e-12)
+
+    def test_mean_row_sums_left_to_right(self):
+        # Ten optimal rows of 0.1: the left-to-right mean is 0.09999999999999999;
+        # a correctly rounded sum (builtin ``sum`` from Python 3.12) gives 0.1.
+        rows = [SweepRow(1, 1.5, None, False, False, seed, "optimal") for seed in range(10)]
+        for row in rows:
+            for name in CSV_COLUMNS[CSV_COLUMNS.index("cost_processing"):]:
+                setattr(row, name, 0.1)
+        agg, = aggregate_rows(rows)
+        assert agg.status == "mean_of_10"
+        assert agg.cost_total == 0.09999999999999999
 
     def test_placement_dump_audits_costs(self, tmp_path):
         rows = run_sweep(TINY_GRID, [0, 1], dump_dir=tmp_path)

@@ -15,7 +15,7 @@ from fogplace.ilp import (
 )
 from fogplace.model import Placement, SecurityLevel
 
-from conftest import make_app, make_instance
+from conftest import make_app, make_cloud, make_fog, make_instance
 
 RELAX_ALL = Relaxations(drop_qos=True, drop_security=True)
 
@@ -66,8 +66,9 @@ class TestBuildModel:
         assert len(model.rows_tagged("eq9")) == 6
 
     def test_unrated_instance_needs_relaxation(self, tiny_instance):
-        unrated = make_instance([make_app()], rated=False)
-        with pytest.raises(ValueError, match="rating"):
+        no_range = dataclasses.replace(make_fog("f", (500.0, 500.0)), tx_range=None)
+        unrated = make_instance([make_app()], nodes=(make_cloud(), no_range), rated=False)
+        with pytest.raises(ValueError, match="to be rated"):
             build_model(unrated)
         build_model(unrated, Relaxations(drop_security=True))  # fine without eq8
 

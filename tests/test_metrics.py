@@ -8,7 +8,7 @@ from fogplace.model import Placement, SecurityLevel
 from fogplace.scenario import ScenarioConfig, generate_instance
 from fogplace.solver import SolveStatus, solve_exact
 
-from conftest import make_app, make_instance
+from conftest import make_app, make_cloud, make_fog, make_instance
 
 
 class TestResourceCost:
@@ -85,9 +85,10 @@ class TestUnprotectedData:
                 previous = value
 
     def test_unrated_nodes_rejected(self):
-        inst = make_instance([make_app()], rated=False)
+        no_range = dataclasses.replace(make_fog("f", (500.0, 500.0)), tx_range=None)
+        inst = make_instance([make_app()], nodes=(make_cloud(), no_range), rated=False)
         p = Placement({("a1", j): "cloud" for j in range(3)})
-        with pytest.raises(ValueError, match="rating"):
+        with pytest.raises(ValueError, match="to be rated"):
             unprotected_data(inst, p)
 
 

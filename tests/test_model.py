@@ -144,6 +144,12 @@ class TestInstanceFiles:
         assert validate_instance(instance_io.load_instance(path)) == []
 
 
+def test_exec_total_sums_left_to_right():
+    # Ten 0.1 s modules: 0.9999999999999999 left to right, 1.0 correctly
+    # rounded (what builtin ``sum`` gives from Python 3.12 on).
+    assert make_app(n=10, exec_delay=0.1).exec_total == 0.9999999999999999
+
+
 def test_security_level_numeric_image():
     assert int(SecurityLevel.LOW) == 1
     assert int(SecurityLevel.MEDIUM) == 2

@@ -11,7 +11,6 @@ from fogplace.model import Application, AppModule, SecurityLevel, Tier, validate
 from fogplace.scenario import (
     ScenarioConfig,
     config_from_dict,
-    config_to_dict,
     generate_instance,
     validate_config,
 )
@@ -229,12 +228,12 @@ class TestInfrastructure:
         for seed in range(5):
             inst = generate_instance(cfg(seed=seed))
             assert validate_instance(inst) == []
-            assert all(n.security_rating is not None for n in inst.nodes)
+            assert set(inst.ratings) == {n.id for n in inst.nodes}
 
     def test_default_geometry_gives_one_low_one_high(self):
         inst = generate_instance(cfg(seed=0))
-        assert inst.node_by_id["fog1"].security_rating is SecurityLevel.LOW
-        assert inst.node_by_id["fog2"].security_rating is SecurityLevel.HIGH
+        assert inst.ratings["fog1"] is SecurityLevel.LOW
+        assert inst.ratings["fog2"] is SecurityLevel.HIGH
 
     def test_random_positions_land_inside_farm(self):
         c = cfg(n_fog=4, fog_positions=None, tx_ranges=None, seed=9)
@@ -248,9 +247,14 @@ class TestInfrastructure:
 
 
 class TestConfigIO:
-    def test_round_trip(self):
-        c = cfg(alpha=0.5, seed=12, exec_delay_overrides=((1, 2, 0.3),))
-        assert config_from_dict(config_to_dict(c)) == c
+    def test_every_field_kind_parses(self):
+        doc = {"alpha": 0.5, "seed": 12, "exec_delay_overrides": [[1, 2, 0.3]],
+               "fog_positions": [[100.0, 200.0], [300.0, 400.0]], "tx_ranges": [80.0, 120.0],
+               "proc_req_range": [0.2, 1.5]}
+        assert config_from_dict(doc) == cfg(
+            alpha=0.5, seed=12, exec_delay_overrides=((1, 2, 0.3),),
+            fog_positions=((100.0, 200.0), (300.0, 400.0)), tx_ranges=(80.0, 120.0),
+            proc_req_range=(0.2, 1.5))
 
     def test_partial_config_uses_defaults(self):
         c = config_from_dict({"n_apps": 4, "max_qos": 3.0})

@@ -91,9 +91,7 @@ class TestRateFogNode:
 class TestRateInfrastructure:
     def test_three_way_scheme(self):
         inst = make_instance([make_app()], rated=False)
-        rated = rate_infrastructure(inst)
-        by_id = {n.id: n.security_rating for n in rated.nodes}
-        assert by_id == {
+        assert rate_infrastructure(inst).ratings == {
             "cloud": SecurityLevel.MEDIUM,
             "fog_lo": SecurityLevel.LOW,  # 50 m from the west edge, 100 m range
             "fog_hi": SecurityLevel.HIGH,
@@ -101,8 +99,7 @@ class TestRateInfrastructure:
 
     def test_cloud_only(self):
         inst = make_instance([make_app()], nodes=(make_cloud(),), rated=False)
-        rated = rate_infrastructure(inst)
-        assert rated.nodes[0].security_rating is SecurityLevel.MEDIUM
+        assert rate_infrastructure(inst).ratings == {"cloud": SecurityLevel.MEDIUM}
 
     def test_all_interior_fogs_rate_high(self):
         nodes = (make_cloud(),
@@ -111,12 +108,12 @@ class TestRateInfrastructure:
         rated = rate_infrastructure(make_instance([make_app()], nodes=nodes, rated=False))
         for n in rated.nodes:
             if n.tier is Tier.FOG:
-                assert n.security_rating is SecurityLevel.HIGH
+                assert rated.ratings[n.id] is SecurityLevel.HIGH
 
-    def test_other_fields_unchanged(self):
+    def test_returns_its_argument_and_rates_eagerly(self):
         inst = make_instance([make_app()], rated=False)
-        rated = rate_infrastructure(inst)
-        for before, after in zip(inst.nodes, rated.nodes):
-            assert dataclasses.replace(after, security_rating=None) == before
-        assert rated.apps == inst.apps
-        assert rated.links == inst.links
+        assert rate_infrastructure(inst) is inst
+        outside = make_instance([make_app()], nodes=(make_cloud(), make_fog("f", (5000.0, 1.0))),
+                                rated=False)
+        with pytest.raises(ValueError, match="outside farm"):
+            rate_infrastructure(outside)

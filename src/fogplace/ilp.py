@@ -154,7 +154,7 @@ def build_model(inst: Instance, relax: Relaxations = Relaxations()) -> IlpModel:
                 for v in range(n_nodes):
                     name = z_name(i, j, u, v)
                     variables.append(name)
-                    coeff = app.inter_traffic[j] * inst.links.bw_cost[(nodes[u].id, nodes[v].id)]
+                    coeff = app.inter_traffic[j] * inst.links.bw_cost[u][v]
                     if coeff != 0.0:
                         objective[name] = coeff
 
@@ -195,7 +195,7 @@ def build_model(inst: Instance, relax: Relaxations = Relaxations()) -> IlpModel:
             for j in range(app.n_modules - 1):
                 for u in range(n_nodes):
                     for v in range(n_nodes):
-                        t = inst.links.delay[(nodes[u].id, nodes[v].id)]
+                        t = inst.links.delay[u][v]
                         if t != 0.0:
                             coeffs[z_name(i, j, u, v)] = t
             rows.append(LinRow(
@@ -279,15 +279,16 @@ def eval_cost(inst: Instance, p: Placement) -> CostBreakdown:
     if not placement_is_consistent(inst, p):
         raise ValueError("placement is not consistent with the instance")
     processing = storage = sensor = inter = user = 0.0
+    nodes, bw = inst.nodes, inst.links.bw_cost
     for app in inst.apps:
-        hosts = [inst.node_by_id[h] for h in p.hosts(app)]
-        sensor += app.input_traffic * hosts[0].sensor_bw_cost
-        user += app.output_traffic * hosts[-1].user_bw_cost
-        for mod, node in zip(app.modules, hosts):
-            processing += mod.exec_delay * node.proc_cost
-            storage += mod.stor_req * node.stor_cost
+        hosts = [inst.node_index[h] for h in p.hosts(app)]
+        sensor += app.input_traffic * nodes[hosts[0]].sensor_bw_cost
+        user += app.output_traffic * nodes[hosts[-1]].user_bw_cost
+        for mod, k in zip(app.modules, hosts):
+            processing += mod.exec_delay * nodes[k].proc_cost
+            storage += mod.stor_req * nodes[k].stor_cost
         for traffic, u, v in zip(app.inter_traffic, hosts, hosts[1:]):
-            inter += traffic * inst.links.bw_cost[(u.id, v.id)]
+            inter += traffic * bw[u][v]
     return CostBreakdown(processing=processing, storage=storage,
                          sensor_comm=sensor, inter_comm=inter, user_comm=user)
 
@@ -297,10 +298,10 @@ def eval_delay(inst: Instance, p: Placement, app: Application) -> tuple[float, f
 
     Raises ValueError when some module of the app is not placed.
     """
-    hosts = p.hosts(app)
-    comm = inst.node_by_id[hosts[0]].sensor_delay + inst.node_by_id[hosts[-1]].user_delay
+    hosts = [inst.node_index[h] for h in p.hosts(app)]
+    comm = inst.nodes[hosts[0]].sensor_delay + inst.nodes[hosts[-1]].user_delay
     for u, v in zip(hosts, hosts[1:]):
-        comm += inst.links.delay[(u, v)]
+        comm += inst.links.delay[u][v]
     return comm, app.exec_total
 
 

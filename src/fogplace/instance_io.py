@@ -1,9 +1,10 @@
 """Reading and writing instance and report files.
 
 Instances are stored as a single UTF-8 JSON document.  Field names mirror
-the domain types; link tables are serialized as square matrices in node
-order.  The reader is strict: unknown fields are rejected, and a written
-instance reads back equal (floats survive via shortest-repr JSON encoding).
+the domain types; the link table's two matrices are written as they are
+held, square and in node order, with no node ids.  The reader is strict:
+unknown fields are rejected, and a written instance reads back equal
+(floats survive via shortest-repr JSON encoding).
 Each node's ``security_rating`` comes from ``Instance.ratings``; read back, it is checked and ignored.
 """
 
@@ -64,6 +65,13 @@ def _id(obj: Mapping[str, Any], where: str) -> str:
     return v
 
 
+def _level(v: Any, where: str) -> SecurityLevel:
+    try:
+        return SecurityLevel.from_name(str(v))
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
 def _list(v: Any, where: str) -> list:
     if not isinstance(v, list):
         raise ValueError(f"{where}: expected a list, got {v!r}")
@@ -94,7 +102,7 @@ def _node_from_dict(d: Mapping[str, Any], where: str) -> ResourceNode:
             raise ValueError(f"{where}.position: expected [x, y]")
         position = (_float(raw[0], f"{where}.position[0]"), _float(raw[1], f"{where}.position[1]"))
     if "security_rating" in d:
-        SecurityLevel.from_name(str(d["security_rating"]))  # checked, then ignored
+        _level(d["security_rating"], f"{where}.security_rating")  # checked, then ignored
     return ResourceNode(
         id=_id(d, where),
         tier=tier,
@@ -132,18 +140,15 @@ def _app_from_dict(d: Mapping[str, Any], where: str) -> Application:
                             for j, x in enumerate(_list(d["inter_traffic"], f"{where}.inter_traffic"))),
         output_traffic=_num(d, "output_traffic", where),
         qos_threshold=_num(d, "qos_threshold", where),
-        security_req=SecurityLevel.from_name(str(d["security_req"])),
+        security_req=_level(d["security_req"], f"{where}.security_req"),
     )
 
 
 def instance_to_dict(inst: Instance) -> dict[str, Any]:
-    ids = [n.id for n in inst.nodes]
     return {
         "nodes": [_node_to_dict(n, inst.ratings[n.id]) for n in inst.nodes],
-        "links": {
-            "delay": [[inst.links.delay[(u, v)] for v in ids] for u in ids],
-            "bw_cost": [[inst.links.bw_cost[(u, v)] for v in ids] for u in ids],
-        },
+        "links": {"delay": [list(row) for row in inst.links.delay],
+                  "bw_cost": [list(row) for row in inst.links.bw_cost]},
         "apps": [_app_to_dict(a) for a in inst.apps],
         "farm": {"width": inst.farm.width, "height": inst.farm.height},
     }
@@ -152,30 +157,33 @@ def instance_to_dict(inst: Instance) -> dict[str, Any]:
 def instance_from_dict(d: Mapping[str, Any]) -> Instance:
     require_keys(d, {"nodes", "links", "apps", "farm"}, set(), "instance")
     nodes = tuple(_node_from_dict(nd, f"nodes[{i}]") for i, nd in enumerate(_list(d["nodes"], "nodes")))
-    ids = [n.id for n in nodes]
-
+    n = len(nodes)
     require_keys(d["links"], {"delay", "bw_cost"}, set(), "links")
-    delay: dict[tuple[str, str], float] = {}
-    bw: dict[tuple[str, str], float] = {}
-    for label, matrix, table in (("delay", d["links"]["delay"], delay),
-                                 ("bw_cost", d["links"]["bw_cost"], bw)):
-        if not isinstance(matrix, list) or len(matrix) != len(ids):
-            raise ValueError(f"links.{label}: expected a {len(ids)}x{len(ids)} matrix")
+    links = {}
+    for label in ("delay", "bw_cost"):
+        matrix = d["links"][label]
+        if not isinstance(matrix, list) or len(matrix) != n:
+            raise ValueError(f"links.{label}: expected a {n}x{n} matrix")
         for i, row in enumerate(matrix):
-            if not isinstance(row, list) or len(row) != len(ids):
-                raise ValueError(f"links.{label}[{i}]: expected {len(ids)} entries")
-            for j, val in enumerate(row):
-                table[(ids[i], ids[j])] = _float(val, f"links.{label}[{i}][{j}]")
+            if not isinstance(row, list) or len(row) != n:
+                raise ValueError(f"links.{label}[{i}]: expected {n} entries")
+        links[label] = tuple(tuple(_float(val, f"links.{label}[{i}][{j}]") for j, val in enumerate(row))
+                             for i, row in enumerate(matrix))
 
     apps = tuple(_app_from_dict(ad, f"apps[{i}]") for i, ad in enumerate(_list(d["apps"], "apps")))
     require_keys(d["farm"], {"width", "height"}, set(), "farm")
     farm = FarmGeometry(width=_num(d["farm"], "width", "farm"),
                         height=_num(d["farm"], "height", "farm"))
-    return Instance(nodes=nodes, links=LinkTable(delay=delay, bw_cost=bw), apps=apps, farm=farm)
+    return Instance(nodes=nodes, links=LinkTable(**links), apps=apps, farm=farm)
+
+
+def _write_json(doc: dict[str, Any], path: str | Path) -> None:
+    """Write strict JSON: a NaN or infinity raises ValueError rather than reach the file."""
+    Path(path).write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n", encoding="utf-8")
 
 
 def save_instance(inst: Instance, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(instance_to_dict(inst), indent=2) + "\n", encoding="utf-8")
+    _write_json(instance_to_dict(inst), path)
 
 
 def load_instance(path: str | Path) -> Instance:
@@ -220,4 +228,4 @@ def report_to_dict(inst: Instance, report) -> dict[str, Any]:
 
 
 def save_report(inst: Instance, report, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(report_to_dict(inst, report), indent=2) + "\n", encoding="utf-8")
+    _write_json(report_to_dict(inst, report), path)

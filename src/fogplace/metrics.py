@@ -38,9 +38,10 @@ def resource_cost(report: SolveReport) -> float:
 def count_deployed(inst: Instance, p: Placement) -> tuple[int, int]:
     """(modules on cloud, modules on fog) under placement p."""
     cloud = fog = 0
+    nodes, index = inst.nodes, inst.node_index
     for a in inst.apps:
         for j in range(a.n_modules):
-            if inst.node_by_id[p.assign[(a.id, j)]].tier is Tier.CLOUD:
+            if nodes[index[p.assign[(a.id, j)]]].tier is Tier.CLOUD:
                 cloud += 1
             else:
                 fog += 1

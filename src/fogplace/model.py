@@ -9,6 +9,7 @@ import math
 from dataclasses import dataclass, fields
 from enum import Enum, IntEnum
 from functools import cached_property
+from typing import Iterable
 
 
 class SecurityLevel(IntEnum):
@@ -78,13 +79,15 @@ class ResourceNode:
 class LinkTable:
     """Pairwise link delays (seconds) and bandwidth costs (per Gb) between nodes.
 
-    Keyed by ordered (source id, destination id).  The self-loop entries are
-    zero by convention: co-located adjacent modules exchange data on-node,
-    incurring no communication delay or cost.
+    Each is a square matrix in ``Instance.nodes`` order, as in the instance
+    file: ``delay[u][v]`` is the link from node u to node v, and
+    ``Instance.node_index`` maps a node id to its row and column.  The
+    diagonal is zero by convention: co-located adjacent modules exchange
+    data on-node, incurring no communication delay or cost.
     """
 
-    delay: dict[tuple[str, str], float]
-    bw_cost: dict[tuple[str, str], float]
+    delay: tuple[tuple[float, ...], ...]
+    bw_cost: tuple[tuple[float, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -145,8 +148,9 @@ class Instance:
     farm: FarmGeometry
 
     @cached_property
-    def node_by_id(self) -> dict[str, ResourceNode]:
-        return {n.id: n for n in self.nodes}
+    def node_index(self) -> dict[str, int]:
+        """Node id -> position in ``nodes``: its row and column in ``links``."""
+        return {n.id: k for k, n in enumerate(self.nodes)}
 
     @cached_property
     def app_by_id(self) -> dict[str, Application]:
@@ -188,10 +192,21 @@ def _finite(x: float) -> bool:
     return isinstance(x, (int, float)) and math.isfinite(x)
 
 
+def first_overflow(terms: Iterable[tuple[str, float, float]]) -> str | None:
+    """The name of the first (name, unit price, amount) term at which the
+    running sum of price * amount stops being finite; None if it never does."""
+    total = 0.0
+    for name, price, amount in terms:
+        total += price * amount
+        if not math.isfinite(total):
+            return name
+    return None
+
+
 def validate_instance(inst: Instance) -> list[str]:
     """Return every invariant violation found in the instance (empty = valid).
 
-    Checks node fields, link-table coverage and self-loop convention, app
+    Checks node fields, link-matrix shape, entries and zero diagonal, app
     chain shapes and traffic sizes, and fog geometry against the farm
     rectangle.  Never raises and never mutates.
     """
@@ -219,23 +234,18 @@ def validate_instance(inst: Instance) -> list[str]:
             elif not _finite(n.tx_range) or n.tx_range <= 0:
                 out.append(f"node {n.id}: tx_range must be finite and > 0, got {n.tx_range!r}")
 
-    ids = [n.id for n in inst.nodes]
-    for u in ids:
-        for v in ids:
-            for table, label in ((inst.links.delay, "delay"), (inst.links.bw_cost, "bw_cost")):
-                if (u, v) not in table:
-                    out.append(f"links.{label} missing entry ({u}, {v})")
-                else:
-                    val = table[(u, v)]
-                    if not _finite(val) or val < 0:
-                        out.append(f"links.{label}[{u}, {v}] must be finite and nonnegative, got {val!r}")
-                    elif u == v and val != 0:
-                        out.append(f"links.{label}[{u}, {u}] must be 0 (co-location), got {val!r}")
-    known_pairs = {(u, v) for u in ids for v in ids}
-    for table, label in ((inst.links.delay, "delay"), (inst.links.bw_cost, "bw_cost")):
-        for pair in table:
-            if pair not in known_pairs:
-                out.append(f"links.{label} has entry for unknown node pair {pair}")
+    n_nodes = len(inst.nodes)
+    for label in ("delay", "bw_cost"):
+        matrix = getattr(inst.links, label)
+        if len(matrix) != n_nodes or any(len(row) != n_nodes for row in matrix):
+            out.append(f"links.{label} must be a {n_nodes}x{n_nodes} matrix in node order")
+            continue
+        for u, row in zip(inst.nodes, matrix):
+            for v, val in zip(inst.nodes, row):
+                if not _finite(val) or val < 0:
+                    out.append(f"links.{label}[{u.id}, {v.id}] must be finite and nonnegative, got {val!r}")
+                elif u is v and val != 0:
+                    out.append(f"links.{label}[{u.id}, {u.id}] must be 0 (co-location), got {val!r}")
 
     seen_apps: set[str] = set()
     for a in inst.apps:
@@ -261,6 +271,29 @@ def validate_instance(inst: Instance) -> list[str]:
         if not _finite(a.qos_threshold) or a.qos_threshold <= 0:
             out.append(f"app {a.id}: qos_threshold must be finite and > 0, got {a.qos_threshold!r}")
 
+    # Every answer must be finite.  Each bound prices every term at its
+    # largest unit price or delay, so no placement costs or takes more.
+    if not out and inst.nodes:
+        def top(name: str) -> float:
+            return max(getattr(n, name) for n in inst.nodes)
+        apps, mods = inst.apps, [m for a in inst.apps for m in a.modules]
+        field = first_overflow((
+            ("proc_cost", top("proc_cost"), sum(m.exec_delay for m in mods)),
+            ("stor_cost", top("stor_cost"), sum(m.stor_req for m in mods)),
+            ("sensor_bw_cost", top("sensor_bw_cost"), sum(a.input_traffic for a in apps)),
+            ("user_bw_cost", top("user_bw_cost"), sum(a.output_traffic for a in apps)),
+            ("links.bw_cost", max(map(max, inst.links.bw_cost)), sum(sum(a.inter_traffic) for a in apps)),
+        ))
+        if field:
+            out.append(f"{field}: the cost of a placement can overflow to inf")
+        field = first_overflow((
+            ("exec_delay", 1.0, max((a.exec_total for a in apps), default=0.0)),
+            ("sensor_delay", top("sensor_delay"), 1.0), ("user_delay", top("user_delay"), 1.0),
+            ("links.delay", max(map(max, inst.links.delay)), max((a.n_modules - 1 for a in apps), default=0)),
+        ))
+        if field:
+            out.append(f"{field}: an app's delay can overflow to inf")
+
     return out
 
 
@@ -272,7 +305,7 @@ def placement_is_consistent(inst: Instance, p: Placement) -> bool:
     for (app_id, _), node_id in p.assign.items():
         if app_id not in inst.app_by_id:
             raise ValueError(f"placement refers to unknown app {app_id!r}")
-        if node_id not in inst.node_by_id:
+        if node_id not in inst.node_index:
             raise ValueError(f"placement refers to unknown node {node_id!r}")
 
     # Every module present and no more keys than modules: nothing stray.

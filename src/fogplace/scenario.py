@@ -51,6 +51,7 @@ from .model import (
     ResourceNode,
     SecurityLevel,
     Tier,
+    first_overflow,
 )
 from .security import rate_infrastructure
 
@@ -158,6 +159,33 @@ def validate_config(cfg: ScenarioConfig) -> None:
                  "finite and >= 0", value)
     if cfg.seed < 0:
         raise ValueError("seed must be a nonnegative integer")
+    _check_bounds(cfg)
+
+
+def _check_bounds(cfg: ScenarioConfig) -> None:
+    """``validate_instance``'s cost and delay bounds for any instance drawn
+    from cfg: every range at its maximum, every price at the dearer tier's."""
+    def dearer(kind: str) -> tuple[str, float]:  # e.g. kind "fog_delay": cloud_fog_delay or fog_fog_delay
+        cloud, fog = getattr(cfg, "cloud_" + kind), getattr(cfg, "fog_" + kind)
+        return ("cloud_" + kind, cloud) if cloud >= fog else ("fog_" + kind, fog)
+    m, apps = cfg.modules_per_app, cfg.n_apps
+    exec_name, exec_max = "proc_speed_ref", cfg.proc_req_range[1] / cfg.proc_speed_ref
+    for _, _, v in cfg.exec_delay_overrides:
+        if v > exec_max:
+            exec_name, exec_max = "exec_delay_overrides", v
+    # Delay first: an infinite execution delay would make the cost bound NaN.
+    field = first_overflow(((exec_name, exec_max, m), (*dearer("access_delay"), 2),
+                            (*dearer("fog_delay"), m - 1)))
+    if field:
+        raise ValueError(f"{field}: an app's delay can overflow to inf")
+    field = first_overflow((
+        (*dearer("proc_cost"), apps * m * exec_max), (*dearer("stor_cost"), apps * m * cfg.stor_req_range[1]),
+        (*dearer("comm_cost"), apps * cfg.input_traffic_range[1]),
+        (*dearer("comm_cost"), apps * cfg.output_traffic_range[1]),
+        (*dearer("comm_cost"), apps * (m - 1) * cfg.inter_traffic_range[1]),
+    ))
+    if field:
+        raise ValueError(f"{field}: the cost of a placement can overflow to inf")
 
 
 @functools.lru_cache(maxsize=1024)
@@ -218,22 +246,13 @@ def _build_nodes(cfg: ScenarioConfig) -> list[ResourceNode]:
 
 
 def _build_links(cfg: ScenarioConfig, nodes: list[ResourceNode]) -> LinkTable:
-    delay: dict[tuple[str, str], float] = {}
-    bw: dict[tuple[str, str], float] = {}
-    for u in nodes:
-        for v in nodes:
-            if u.id == v.id:
-                delay[(u.id, v.id)] = 0.0
-                bw[(u.id, v.id)] = 0.0
-            elif u.tier is Tier.FOG and v.tier is Tier.FOG:
-                delay[(u.id, v.id)] = cfg.fog_fog_delay
-                bw[(u.id, v.id)] = cfg.fog_comm_cost
-            else:
-                # Any link touching the cloud is priced at the cloud rate,
-                # consistent with sensor/user attach pricing by node tier.
-                delay[(u.id, v.id)] = cfg.cloud_fog_delay
-                bw[(u.id, v.id)] = cfg.cloud_comm_cost
-    return LinkTable(delay=delay, bw_cost=bw)
+    # Any link touching the cloud is priced at the cloud rate, consistent
+    # with sensor/user attach pricing by node tier.
+    def matrix(fog_fog: float, cloud: float) -> tuple[tuple[float, ...], ...]:
+        return tuple([tuple([0.0 if u is v else fog_fog if u.tier is v.tier is Tier.FOG else cloud
+                             for v in nodes]) for u in nodes])
+    return LinkTable(delay=matrix(cfg.fog_fog_delay, cfg.cloud_fog_delay),
+                     bw_cost=matrix(cfg.fog_comm_cost, cfg.cloud_comm_cost))
 
 
 def _draw_app(cfg: ScenarioConfig, app_idx: int, forced_high: bool) -> Application:

@@ -137,8 +137,6 @@ class _Problem:
         self.stor_cap = [n.stor_capacity for n in nodes]
         self.sensor_delay = [n.sensor_delay for n in nodes]
         self.user_delay = [n.user_delay for n in nodes]
-        self.t = [[inst.links.delay[(u.id, v.id)] for v in nodes] for u in nodes]
-        self.bw = [[inst.links.bw_cost[(u.id, v.id)] for v in nodes] for u in nodes]
         ratings = None if relax.drop_security else [inst.ratings[n.id] for n in nodes]
 
         self.positions: list[_Position] = []
@@ -197,7 +195,7 @@ class _Problem:
         the app's own demands only; security and QoS follow the relaxations."""
         positions = self.app_positions(app_idx)
         limit = float("inf") if self.relax.drop_qos else self.qos[app_idx] + FEAS_TOL
-        no_link = [0.0] * self.n_nodes
+        no_link, t_rows, bw_rows = [0.0] * self.n_nodes, self.inst.links.delay, self.inst.links.bw_cost
         # (cost, delay, combo) from an empty root, whose "link" to a host is the sensor's.
         chains = [(0.0, self.exec_total[app_idx], ())]
         for pos in positions:
@@ -209,7 +207,7 @@ class _Problem:
                 if (self.deadline is not None and self.extensions_seen % 4096 < len(cands)
                         and time.monotonic() > self.deadline):
                     raise TimeoutError
-                t, bw = (self.t[combo[-1]], self.bw[combo[-1]]) if combo else (self.sensor_delay, no_link)
+                t, bw = (t_rows[combo[-1]], bw_rows[combo[-1]]) if combo else (self.sensor_delay, no_link)
                 grown += [(cost + static[k] + inbound * bw[k], d, combo + (k,)) for k in cands
                           if (d := delay + t[k] + user[k]) <= limit]
             chains = grown
@@ -314,7 +312,7 @@ def solve_exact(inst: Instance, relax: Relaxations = Relaxations(),
     positions = prob.positions
     tail_bound = prob.tail_bound
     proc_cap, mem_cap, stor_cap = prob.proc_cap, prob.mem_cap, prob.stor_cap
-    t, bw = prob.t, prob.bw
+    t, bw = inst.links.delay, inst.links.bw_cost
     sensor_delay, user_delay = prob.sensor_delay, prob.user_delay
     qos, exec_total = prob.qos, prob.exec_total
     check_qos = not relax.drop_qos

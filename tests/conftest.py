@@ -51,19 +51,10 @@ def make_fog(node_id: str, position: tuple[float, float], **over) -> ResourceNod
 
 def make_links(nodes, cloud_fog_delay=0.5, fog_fog_delay=0.01,
                cloud_bw=3.0, fog_bw=5.0) -> LinkTable:
-    delay, bw = {}, {}
-    for u in nodes:
-        for v in nodes:
-            if u.id == v.id:
-                delay[(u.id, v.id)] = 0.0
-                bw[(u.id, v.id)] = 0.0
-            elif u.tier is Tier.FOG and v.tier is Tier.FOG:
-                delay[(u.id, v.id)] = fog_fog_delay
-                bw[(u.id, v.id)] = fog_bw
-            else:
-                delay[(u.id, v.id)] = cloud_fog_delay
-                bw[(u.id, v.id)] = cloud_bw
-    return LinkTable(delay=delay, bw_cost=bw)
+    def matrix(fog_fog, cloud):
+        return tuple(tuple(0.0 if u is v else fog_fog if u.tier is v.tier is Tier.FOG else cloud
+                           for v in nodes) for u in nodes)
+    return LinkTable(delay=matrix(fog_fog_delay, cloud_fog_delay), bw_cost=matrix(fog_bw, cloud_bw))
 
 
 def make_app(app_id: str = "a1", n: int = 3, qos: float = 5.0,

@@ -68,17 +68,22 @@ def test_export_lp_bytes_pinned(tmp_path, flags):
 
 # Values of the right type that no instance can hold: each once passed
 # validate_config and then failed validate_instance (exit 1), was
-# silently ignored, or wrote an infinite farm (exit 0).
+# silently ignored, wrote an infinite farm (exit 0), or drew instances whose
+# placements cost, or whose apps take, more than the float range holds.
 BAD_CONFIG_VALUES = [
-    ({"proc_speed_ref": float("nan")}, "proc_speed_ref"),
-    ({"proc_speed_ref": float("inf")}, "proc_speed_ref"),
-    ({"fog_proc_capacity": -5}, "fog_proc_capacity"),
-    ({"cloud_comm_cost": float("inf")}, "cloud_comm_cost"),
-    ({"fog_fog_delay": -1}, "fog_fog_delay"),
-    ({"farm_width": float("inf")}, "farm_width"),
-    ({"tx_ranges": [-5, 100]}, "tx_ranges[0]"),
-    ({"exec_delay_overrides": [[0, 0, -1.0]]}, "exec_delay_overrides[0] delay"),
-    ({"exec_delay_overrides": [[0, 7, 1.0]]}, "exec_delay_overrides[0]"),
+    ({"proc_speed_ref": float("nan")}, "proc_speed_ref must be"),
+    ({"proc_speed_ref": float("inf")}, "proc_speed_ref must be"),
+    ({"fog_proc_capacity": -5}, "fog_proc_capacity must be"),
+    ({"cloud_comm_cost": float("inf")}, "cloud_comm_cost must be"),
+    ({"fog_fog_delay": -1}, "fog_fog_delay must be"),
+    ({"farm_width": float("inf")}, "farm_width must be"),
+    ({"tx_ranges": [-5, 100]}, "tx_ranges[0] must be"),
+    ({"exec_delay_overrides": [[0, 0, -1.0]]}, "exec_delay_overrides[0] delay must be"),
+    ({"exec_delay_overrides": [[0, 7, 1.0]]}, "exec_delay_overrides[0] must be"),
+    ({"fog_stor_cost": 1e308}, "fog_stor_cost: the cost of a placement can overflow"),
+    ({"cloud_comm_cost": 1e308, "n_apps": 3}, "cloud_comm_cost: the cost of a placement can overflow"),
+    ({"cloud_access_delay": 1e308}, "cloud_access_delay: an app's delay can overflow"),
+    ({"proc_speed_ref": 1e-320}, "proc_speed_ref: an app's delay can overflow"),
 ]
 
 
@@ -128,7 +133,7 @@ class TestGenerate:
         out = tmp_path / "x.json"
         assert main(["generate", "--config", str(cfg), "--out", str(out)]) == EXIT_INPUT
         assert not out.exists()
-        assert f"{named} must be" in capsys.readouterr().err
+        assert named in capsys.readouterr().err
 
     def test_override_for_an_app_beyond_n_apps_is_kept(self, tmp_path):
         # A sweep varies n_apps over one base config, so an override may
@@ -203,6 +208,9 @@ class TestMalformedInstance:
         (("apps", 0, "id"), None, "apps[0].id"),
         (("nodes", 1, "id"), [1], "nodes[1].id"),
         (("nodes", 0, "id"), 7, "nodes[0].id"),
+        (("nodes", 1, "security_rating"), "ultra", "nodes[1].security_rating"),
+        (("apps", 0, "security_req"), "ultra", "apps[0].security_req"),
+        (("apps", 0, "security_req"), 3, "apps[0].security_req"),
     ])
     def test_malformed_field_is_input_error(self, tmp_path, capsys, doc, command, keys, value, named):
         parent = doc
@@ -218,6 +226,17 @@ class TestMalformedInstance:
         path = write_json(tmp_path / "inst.json", doc)
         assert main([command, str(path)]) == EXIT_INPUT
         assert "'ultra'" in capsys.readouterr().err
+
+    def test_overflowing_cost_is_input_error(self, tmp_path, capsys, doc, command):
+        # Every field is finite, but each placement's cost overflows to inf.
+        for node in doc["nodes"]:
+            node["stor_cost"] = 1e308
+        path = write_json(tmp_path / "inst.json", doc)
+        out = tmp_path / "report.json"
+        extra = ["--out", str(out)] if command == "solve" else []
+        assert main([command, str(path), *extra]) == EXIT_INPUT
+        assert "stor_cost: the cost of a placement can overflow to inf" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_numeric_strings_in_lists_still_parse(self, tmp_path, doc, command):
         doc["apps"][0]["inter_traffic"] = [str(x) for x in doc["apps"][0]["inter_traffic"]]
@@ -368,7 +387,7 @@ class TestExperiment:
         out = tmp_path / "x.csv"
         assert main(["experiment", str(grid), "--out", str(out)]) == EXIT_INPUT
         assert not out.exists()
-        assert f"{named} must be" in capsys.readouterr().err
+        assert named in capsys.readouterr().err
 
     def test_unknown_preset_name_lists_the_presets(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
@@ -434,6 +453,7 @@ seen = []
 def loaded():
     seen.append(" ".join(str(name in sys.modules) for name in ("fogplace.scenario", "fogplace.experiment")))
 assert main(["rate", inst]) == 0
+seen.append(" ".join(sorted(name for name in sys.modules if name.partition(".")[0] == "fogplace")))
 assert main(["solve", inst, "--out", out + ".report", "--export-lp", out + ".lp"]) == 0
 loaded()
 assert main(["generate", "--seed", "0", "--out", out + ".inst"]) == 0
@@ -450,4 +470,9 @@ def test_solve_and_rate_load_neither_scenario_nor_experiment(instance_file, tmp_
                            str(tmp_path / "out")], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-3:] == ["False False", "True False", "True True"]
+    *_, rate_modules, solved, generated, swept = proc.stdout.splitlines()
+    # The start-up cost of `rate` (and of `solve`, which adds nothing) is what
+    # these modules take to import; a new one here is a new cost.
+    assert rate_modules.split() == ["fogplace", *(f"fogplace.{name}" for name in (
+        "cli", "ilp", "instance_io", "metrics", "model", "security", "solver"))]
+    assert [solved, generated, swept] == ["False False", "True False", "True True"]

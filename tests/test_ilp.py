@@ -98,7 +98,7 @@ class TestEvalCost:
         ) for n in tiny_instance.nodes)
         doubled_links = dataclasses.replace(
             tiny_instance.links,
-            bw_cost={k: 2 * v for k, v in tiny_instance.links.bw_cost.items()})
+            bw_cost=tuple(tuple(2 * v for v in row) for row in tiny_instance.links.bw_cost))
         doubled = dataclasses.replace(tiny_instance, nodes=doubled_nodes, links=doubled_links)
         for p in all_placements(tiny_instance):
             a = eval_cost(tiny_instance, p)

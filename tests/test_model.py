@@ -41,19 +41,45 @@ class TestValidateInstance:
         inst = make_instance([make_app()], nodes=nodes, rated=False)
         assert any("proc_cost" in v for v in validate_instance(inst))
 
-    def test_missing_link_entry(self, tiny_instance):
-        links = dataclasses.replace(tiny_instance.links)
-        trimmed = dict(links.delay)
-        del trimmed[("cloud", "fog_lo")]
-        inst = dataclasses.replace(tiny_instance, links=dataclasses.replace(links, delay=trimmed))
-        assert any("missing entry" in v for v in validate_instance(inst))
+    @staticmethod
+    def with_links(inst, **matrices):
+        return dataclasses.replace(inst, links=dataclasses.replace(inst.links, **matrices))
+
+    def test_ragged_link_row(self, tiny_instance):
+        delay = list(tiny_instance.links.delay)
+        delay[1] = delay[1][:2]
+        inst = self.with_links(tiny_instance, delay=tuple(delay))
+        assert validate_instance(inst) == ["links.delay must be a 3x3 matrix in node order"]
+
+    def test_wrong_link_row_count(self, tiny_instance):
+        inst = self.with_links(tiny_instance, bw_cost=tiny_instance.links.bw_cost[:2])
+        assert validate_instance(inst) == ["links.bw_cost must be a 3x3 matrix in node order"]
+
+    def test_negative_link_entry_names_both_nodes(self, tiny_instance):
+        bw = [list(row) for row in tiny_instance.links.bw_cost]
+        bw[2][1] = -1.0
+        inst = self.with_links(tiny_instance, bw_cost=tuple(map(tuple, bw)))
+        assert validate_instance(inst) == [
+            "links.bw_cost[fog_hi, fog_lo] must be finite and nonnegative, got -1.0"]
 
     def test_nonzero_self_loop_flagged(self, tiny_instance):
-        delay = dict(tiny_instance.links.delay)
-        delay[("cloud", "cloud")] = 0.25
-        inst = dataclasses.replace(
-            tiny_instance, links=dataclasses.replace(tiny_instance.links, delay=delay))
+        delay = [list(row) for row in tiny_instance.links.delay]
+        delay[0][0] = 0.25
+        inst = self.with_links(tiny_instance, delay=tuple(map(tuple, delay)))
         assert any("co-location" in v for v in validate_instance(inst))
+
+    def test_overflowing_link_cost_is_named(self):
+        # Each entry is finite, but 2 Gb on the dearest link cost 2e308.
+        inst = make_instance([make_app(inter=(1.0, 1.0))])
+        bw = [list(row) for row in inst.links.bw_cost]
+        bw[1][2] = 1e308
+        inst = self.with_links(inst, bw_cost=tuple(map(tuple, bw)))
+        assert validate_instance(inst) == ["links.bw_cost: the cost of a placement can overflow to inf"]
+
+    def test_overflowing_delay_is_named(self):
+        nodes = (make_cloud(sensor_delay=1e308, user_delay=1e308), make_fog("f1", (500.0, 500.0)))
+        inst = make_instance([make_app()], nodes=nodes)
+        assert validate_instance(inst) == ["user_delay: an app's delay can overflow to inf"]
 
     def test_duplicate_node_ids(self):
         nodes = (make_cloud(), make_fog("f1", (500.0, 500.0)), make_fog("f1", (400.0, 400.0)))
@@ -137,6 +163,16 @@ class TestInstanceFiles:
             del pairs[-1]
         with pytest.raises(ValueError, match="edge_map"):
             instance_io.placement_from_dict(doc)
+
+    def test_non_finite_values_are_never_written(self, tiny_instance, two_app_instance, tmp_path):
+        nodes = (dataclasses.replace(tiny_instance.nodes[0], proc_cost=float("nan")), *tiny_instance.nodes[1:])
+        with pytest.raises(ValueError, match="JSON compliant"):
+            instance_io.save_instance(dataclasses.replace(tiny_instance, nodes=nodes), tmp_path / "i.json")
+        report = solve_exact(two_app_instance, Relaxations(drop_qos=True))
+        report = dataclasses.replace(report, per_app_delay={"a1": (float("inf"), 0.0), "a2": (0.0, 0.0)})
+        with pytest.raises(ValueError, match="JSON compliant"):
+            instance_io.save_report(two_app_instance, report, tmp_path / "r.json")
+        assert list(tmp_path.iterdir()) == []
 
     def test_loaded_instance_still_validates(self, two_app_instance, tmp_path):
         path = tmp_path / "inst.json"

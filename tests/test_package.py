@@ -46,3 +46,13 @@ def test_bare_import_loads_no_submodule_until_first_use():
                           env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "False", "False", "True"]
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library use", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    exec(compile(code, "README.md", "exec"), {})
+    assert "\nMinimize\n" in (tmp_path / "model.lp").read_text(encoding="utf-8")
+    assert capsys.readouterr().out.startswith("SolveStatus.OPTIMAL ")

@@ -214,15 +214,13 @@ class TestSecurityMix:
 class TestInfrastructure:
     def test_price_table_and_delays(self):
         inst = generate_instance(cfg(seed=0))
-        cloud = inst.node_by_id["cloud"]
-        fog = inst.node_by_id["fog1"]
+        cloud, fog = inst.nodes[inst.node_index["cloud"]], inst.nodes[inst.node_index["fog1"]]
         assert cloud.proc_cost == 0.03 and fog.proc_cost == 0.02
         assert cloud.stor_cost == 0.001 and fog.stor_cost == 0.02
         assert cloud.sensor_bw_cost == 3.0 and fog.sensor_bw_cost == 5.0
-        assert inst.links.delay[("cloud", "fog1")] == 0.5
-        assert inst.links.delay[("fog1", "fog2")] == 0.01
-        assert inst.links.bw_cost[("fog1", "fog2")] == 5.0
-        assert inst.links.bw_cost[("cloud", "fog1")] == 3.0
+        assert [n.id for n in inst.nodes] == ["cloud", "fog1", "fog2"]
+        assert inst.links.delay == ((0.0, 0.5, 0.5), (0.5, 0.0, 0.01), (0.5, 0.01, 0.0))
+        assert inst.links.bw_cost == ((0.0, 3.0, 3.0), (3.0, 0.0, 5.0), (3.0, 5.0, 0.0))
 
     def test_generated_instances_validate_and_carry_ratings(self):
         for seed in range(5):

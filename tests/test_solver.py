@@ -67,7 +67,7 @@ class TestSolveExact:
                  make_fog("f2", (400.0, 400.0), sensor_bw_cost=4.0, user_bw_cost=4.0))
         inst = make_instance([make_app("a1"), make_app("a2", exec_delay=0.2)], nodes=nodes)
         free_links = dataclasses.replace(
-            inst.links, bw_cost={k: 0.0 for k in inst.links.bw_cost})
+            inst.links, bw_cost=tuple((0.0,) * len(row) for row in inst.links.bw_cost))
         inst = dataclasses.replace(inst, links=free_links)
         report = solve_exact(inst, RELAX_ALL)
         expected = 0.0
@@ -222,7 +222,7 @@ class TestBounds:
                 for m, (pos, k) in enumerate(zip(prob.positions, assignment)):
                     cost = pos.static_cost[k]
                     if not pos.is_first:
-                        cost += pos.inbound * prob.bw[assignment[m - 1]][k]
+                        cost += pos.inbound * prob.inst.links.bw_cost[assignment[m - 1]][k]
                     step.append(cost)
                 suffix = 0.0
                 for m in range(len(step) - 1, -1, -1):
@@ -273,8 +273,8 @@ def reference_chains(prob, app_idx, relax):
         for j, (pos, k) in enumerate(zip(positions, combo)):
             cost += pos.static_cost[k]
             if j:
-                cost += pos.inbound * prob.bw[combo[j - 1]][k]
-                delay += prob.t[combo[j - 1]][k]
+                cost += pos.inbound * prob.inst.links.bw_cost[combo[j - 1]][k]
+                delay += prob.inst.links.delay[combo[j - 1]][k]
         delay += prob.user_delay[combo[-1]]
         if prob.fits(positions, combo, idle) and (
                 relax.drop_qos or delay <= app.qos_threshold + FEAS_TOL):
@@ -353,8 +353,8 @@ def reference_greedy(inst, relax):
             for j, (pos, k) in enumerate(zip(positions, combo)):
                 cost += pos.static_cost[k]
                 if j:
-                    cost += pos.inbound * prob.bw[combo[j - 1]][k]
-                    delay += prob.t[combo[j - 1]][k]
+                    cost += pos.inbound * prob.inst.links.bw_cost[combo[j - 1]][k]
+                    delay += prob.inst.links.delay[combo[j - 1]][k]
                 load = loads.setdefault(k, [0.0, 0.0, 0.0])
                 for r, demand in enumerate((pos.proc, pos.mem, pos.stor)):
                     load[r] += demand

@@ -1,12 +1,11 @@
 """Seeded random instance generation for the replication scenarios.
 
 Randomness discipline: every application index owns an independent child
-stream of the instance seed (numpy PCG64 seeded via ``SeedSequence([seed,
-domain, index])``), and draws inside a stream happen in a fixed documented
-order.  Consequences that the experiment harness relies on:
+stream of the instance seed, and draws inside a stream happen in a fixed
+documented order.  Consequences that the experiment harness relies on:
 
   * instances are byte-identical for identical (config, seed), on any
-    platform;
+    platform and any supported Python;
   * the app list for ``n_apps = k`` is a prefix of the list for ``k + 1``;
   * the QoS threshold is derived from a raw uniform variate scaled into
     (min_qos, max_qos), so tightening max_qos only tightens each app's
@@ -20,17 +19,26 @@ input traffic, the internal edge traffics, output traffic, the QoS variate,
 and the security variate: 4m + 3 variates for m modules.  A randomly placed
 fog node draws x, then y.
 
-Each stream is read once, as one block of uniforms in [0, 1)
-(``Generator.random(n)``), by ``_draws``.  A variate ``u`` maps onto a
-range (lo, hi) as ``lo + (hi - lo) * u``, numpy's own formula for
-``Generator.uniform``, so the values are bit-identical to drawing them one
-scalar call at a time.  ``_draws`` is memoized in a bounded LRU cache of
-compact ``array('d')`` blocks (1024 streams, well under 1 MB), because a
-sweep redraws the same (seed, app) stream in many cells.
+Each stream is read once, as one block of uniforms in [0, 1), by
+``_draws``.  The stream of (seed, domain, index) is numpy's
+``Generator(PCG64(SeedSequence([seed, domain, index]))).random(n)``, bit
+for bit, computed here in pure Python from the published algorithms:
 
-numpy is imported inside ``_draws``, the one function that reads the
-random streams, so importing the package, reading instances and solving
-never load it.
+  * ``SeedSequence`` is O'Neill's ``seed_seq_fe`` ("Developing a seed_seq
+    alternative", 2015): the seed words are hashed and mixed into a pool
+    of four 32-bit words, which ``generate_state`` hashes out into four
+    64-bit words;
+  * those words seed PCG64, a 128-bit LCG with XSL-RR output (O'Neill,
+    "PCG: A family of simple fast space-efficient statistically good
+    algorithms for random number generation", 2014);
+  * a uniform is the top 53 bits of one 64-bit output times 2**-53.
+
+A variate ``u`` maps onto a range (lo, hi) as ``lo + (hi - lo) * u``,
+numpy's own formula for ``Generator.uniform``, so the values are the ones
+numpy's scalar calls would draw.  numpy is the reference in the tests, not
+a dependency.  ``_draws`` is memoized in a bounded LRU cache of compact
+``array('d')`` blocks (1024 streams, well under 1 MB), because a sweep
+redraws the same (seed, app) stream in many cells.
 """
 
 from __future__ import annotations
@@ -188,6 +196,91 @@ def _check_bounds(cfg: ScenarioConfig) -> None:
         raise ValueError(f"{field}: the cost of a placement can overflow to inf")
 
 
+_MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG's default 128-bit LCG multiplier
+
+
+def _hash_consts(first: int, mult: int, count: int) -> tuple[int, ...]:
+    """seed_seq_fe's running hash constant: ``first`` and its next ``count``
+    multiples by ``mult``, mod 2**32.  Hash k XORs with entry k and
+    multiplies by entry k + 1."""
+    out = [first]
+    for _ in range(count):
+        out.append(out[-1] * mult & _MASK32)
+    return tuple(out)
+
+
+_MIX_MULT = 0x931E8875
+_MIX_HASH = _hash_consts(0x43B0D7E5, _MIX_MULT, 16)  # the 16 hashes mixing 4 words or fewer
+_STATE_HASH = _hash_consts(0x8B51F9DD, 0x58F38DED, 8)  # generate_state's 8 hashes
+(_S0, _S1, _S2, _S3, _S4, _S5, _S6, _S7, _S8) = _STATE_HASH
+
+
+def _hashmix(value: int, k: int) -> int:
+    """The k-th hash of seed_seq_fe's entropy mixing."""
+    value = (value ^ _MIX_HASH[k]) * _MIX_HASH[k + 1] & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x: int, y: int) -> int:
+    value = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+    return value ^ value >> 16
+
+
+def _words(value: int) -> list[int]:
+    """A nonnegative int as little-endian 32-bit words; 0 is one word."""
+    out = [value & _MASK32]
+    while value := value >> 32:
+        out.append(value & _MASK32)
+    return out
+
+
+def _mix_entropy(words: list[int]) -> tuple[int, ...]:
+    """seed_seq_fe's pool of four words for entropy ``words``, any length."""
+    const = _MIX_HASH[0]
+
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * _MIX_MULT & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    return tuple(pool)
+
+
+@functools.lru_cache(maxsize=256)
+def _pool_head(seed: int, domain: int) -> tuple[int, int, int, int, int]:
+    """``_mix_entropy([seed, domain, index])`` up to where index is read,
+    for one-word values: pool words 0, 1, 3 and the two hashes of words 0
+    and 1 that mix into word 2.  Every stream of one instance shares it."""
+    m0, m1, m3 = _hashmix(seed, 0), _hashmix(domain, 1), _hashmix(0, 3)
+    m1, from_m0, m3 = _mix(m1, _hashmix(m0, 4)), _hashmix(m0, 5), _mix(m3, _hashmix(m0, 6))
+    m0, from_m1, m3 = _mix(m0, _hashmix(m1, 7)), _hashmix(m1, 8), _mix(m3, _hashmix(m1, 9))
+    return m0, m1, m3, from_m0, from_m1
+
+
+def _pool(seed: int, domain: int, index: int) -> tuple[int, ...]:
+    """seed_seq_fe's pool for entropy [seed, domain, index]; memoized per
+    (seed, domain) when all three are one 32-bit word each."""
+    if seed <= _MASK32 and domain <= _MASK32 and index <= _MASK32:
+        m0, m1, m3, from_m0, from_m1 = _pool_head(seed, domain)
+        m2 = _mix(_mix(_hashmix(index, 2), from_m0), from_m1)
+        m0, m1, m3 = _mix(m0, _hashmix(m2, 10)), _mix(m1, _hashmix(m2, 11)), _mix(m3, _hashmix(m2, 12))
+        return _mix(m0, _hashmix(m3, 13)), _mix(m1, _hashmix(m3, 14)), _mix(m2, _hashmix(m3, 15)), m3
+    return _mix_entropy(_words(seed) + _words(domain) + _words(index))
+
+
 @functools.lru_cache(maxsize=1024)
 def _draws(seed: int, domain: int, index: int, n: int) -> array:
     """The first ``n`` uniforms in [0, 1) of stream (seed, domain, index).
@@ -195,9 +288,32 @@ def _draws(seed: int, domain: int, index: int, n: int) -> array:
     The block is shared by every caller that asks for it: read it, never
     write to it.
     """
-    import numpy as np
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, domain, index])))
-    return array("d", rng.random(n).tobytes())
+    m0, m1, m2, m3 = _pool(seed, domain, index)
+    # generate_state(4, uint64): eight hashes of the pool words, cycled, paired
+    # little-endian into four 64-bit words.  PCG64 takes words 0 and 1 as
+    # the 128-bit state (high, low), and words 2 and 3, shifted left and
+    # made odd, as the increment.
+    w0 = (m0 ^ _S0) * _S1 & _MASK32
+    w1 = (m1 ^ _S1) * _S2 & _MASK32
+    w2 = (m2 ^ _S2) * _S3 & _MASK32
+    w3 = (m3 ^ _S3) * _S4 & _MASK32
+    w4 = (m0 ^ _S4) * _S5 & _MASK32
+    w5 = (m1 ^ _S5) * _S6 & _MASK32
+    w6 = (m2 ^ _S6) * _S7 & _MASK32
+    w7 = (m3 ^ _S7) * _S8 & _MASK32
+    state = (w1 ^ w1 >> 16) << 96 | (w0 ^ w0 >> 16) << 64 | (w3 ^ w3 >> 16) << 32 | w2 ^ w2 >> 16
+    inc = ((w5 ^ w5 >> 16) << 97 | (w4 ^ w4 >> 16) << 65 | (w7 ^ w7 >> 16) << 33
+           | (w6 ^ w6 >> 16) << 1 | 1) & _MASK128
+    # Seeding steps the LCG from 0, adds the state and steps again.  Each
+    # output steps, XORs the state's halves and rotates right by its top 6
+    # bits: the doubled word shifted by (rotation + 11) is the top 53 bits.
+    s = ((state + inc) * _PCG64_MULT + inc) & _MASK128
+    out = array("d", bytes(8 * n))
+    for i in range(n):
+        s = (s * _PCG64_MULT + inc) & _MASK128
+        out[i] = (((s >> 64 ^ s) & _MASK64) * 0x10000000000000001 >> (s >> 122) + 11
+                  & 0x1FFFFFFFFFFFFF) * 2.0 ** -53
+    return out
 
 
 def _uniform(bounds: tuple[float, float], u: float) -> float:
@@ -291,6 +407,11 @@ def _draw_app(cfg: ScenarioConfig, app_idx: int, forced_high: bool) -> Applicati
 def generate_instance(cfg: ScenarioConfig) -> Instance:
     """Generate and rate a random instance; deterministic in (cfg, seed)."""
     validate_config(cfg)
+    return _generate(cfg)
+
+
+def _generate(cfg: ScenarioConfig) -> Instance:
+    """``generate_instance`` for a config that has passed ``validate_config``."""
     nodes = _build_nodes(cfg)
     links = _build_links(cfg, nodes)
     forced = 0 if cfg.alpha is None else math.ceil(cfg.alpha * cfg.n_apps)

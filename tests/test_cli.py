@@ -421,26 +421,28 @@ def test_console_entry_point_help():
     assert "generate" in proc.stdout and "experiment" in proc.stdout
 
 
-# Run in a fresh interpreter: importing the CLI, rating and solving (with an
-# LP export) must not load numpy; drawing a scenario must.
+# Run in a fresh interpreter: no command loads numpy, drawing scenarios
+# included; the package has no runtime dependency.
 _NUMPY_PROBE = """
 import sys
 from fogplace.cli import main
-inst = sys.argv[1]
-assert main(["rate", inst]) == 0
-assert main(["solve", inst, "--out", inst + ".report", "--export-lp", inst + ".lp"]) == 0
-print("numpy" in sys.modules)
-from fogplace.scenario import ScenarioConfig, generate_instance
-generate_instance(ScenarioConfig())
-print("numpy" in sys.modules)
+inst, grid, out = sys.argv[1:]
+seen = []
+for argv in (["rate", inst], ["solve", inst, "--out", out + ".report", "--export-lp", out + ".lp"],
+             ["generate", "--seed", "0", "--out", out + ".inst"], ["experiment", grid, "--out", out + ".csv"]):
+    assert main(argv) == 0
+    seen.append(f"{argv[0]} {'numpy' in sys.modules}")
+print(*seen, sep="\\n")
 """
 
 
-def test_only_scenario_drawing_loads_numpy(instance_file):
-    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, str(instance_file)], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")})
+def test_no_command_loads_numpy(instance_file, tmp_path):
+    grid = write_json(tmp_path / "grid.json", {"cells": [{"n_apps": 2, "max_qos": 1.5}], "seeds": [0]})
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, str(instance_file), str(grid),
+                           str(tmp_path / "out")], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-2:] == ["False", "True"]
+    assert proc.stdout.splitlines()[-4:] == ["rate False", "solve False", "generate False", "experiment False"]
 
 
 # Run in a fresh interpreter: rating and solving must load neither the

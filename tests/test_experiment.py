@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from fogplace import experiment, scenario
 from fogplace.ilp import Relaxations, eval_cost
 from fogplace.instance_io import placement_from_dict
 from fogplace.experiment import (
@@ -19,7 +20,7 @@ from fogplace.experiment import (
     run_sweep,
     to_csv,
 )
-from fogplace.scenario import ScenarioConfig, generate_instance
+from fogplace.scenario import ScenarioConfig, generate_instance, validate_config
 
 
 TINY_GRID = SweepGrid("tiny", (
@@ -134,6 +135,37 @@ class TestRunSweep:
         assert seed_rows[0].status == "error:ValueError"
         assert seed_rows[0].cost_total is None
         assert seed_rows[1].status == "optimal"
+
+    def test_each_cell_config_validated_once(self, monkeypatch):
+        calls = []
+
+        def counting(cfg):
+            calls.append(cfg)
+            validate_config(cfg)
+
+        monkeypatch.setattr(experiment, "validate_config", counting)
+        monkeypatch.setattr(scenario, "validate_config", counting)
+        run_sweep(TINY_GRID, [0, 1, 2])
+        assert len(calls) == len(TINY_GRID.cells)
+
+    def test_error_rows_pinned(self):
+        # An invalid cell (alpha out of range, max_qos below min_qos) errors
+        # every row; a negative seed errors its own row in each valid cell.
+        grid = SweepGrid("mixed", (
+            Cell(1, 1.5, 2.0, Relaxations()),
+            Cell(1, 1.5, None, Relaxations()),
+            Cell(2, 0.1, None, Relaxations()),
+        ))
+        rows = run_sweep(grid, [0, -1, 1])
+        assert [(r.seed, r.status) for r in rows] == [
+            (0, "error:ValueError"), (-1, "error:ValueError"), (1, "error:ValueError"),
+            (0, "optimal"), (-1, "error:ValueError"), (1, "optimal"),
+            (0, "error:ValueError"), (-1, "error:ValueError"), (1, "error:ValueError"),
+            ("mean", "mean_of_0"), ("mean", "mean_of_2"), ("mean", "mean_of_0"),
+        ]
+        for row in rows:
+            if row.status.startswith("error:"):
+                assert all(getattr(row, name) is None for name in CSV_COLUMNS[7:])
 
 
 REFERENCE = Path(__file__).resolve().parents[1] / "benchmarks" / "reference.json"

@@ -3,7 +3,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fogplace import scenario
 from fogplace.instance_io import instance_to_dict
@@ -98,6 +98,45 @@ def reference_instance(c: ScenarioConfig):
     # Nodes and links hold no random draw once the positions are fixed.
     fixed = generate_instance(dataclasses.replace(c, fog_positions=tuple(positions), n_apps=0, alpha=None))
     return dataclasses.replace(fixed, apps=tuple(apps))
+
+
+def numpy_stream(seed, domain, index, n):
+    """The bytes of numpy's draw, the definition ``_draws`` reproduces."""
+    import numpy as np
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, domain, index]))).random(n).tobytes()
+
+
+class TestStreamKernel:
+    ONE_WORD = 2**32 - 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1) | st.integers(2**32, 2**300),
+        domain=st.integers(0, 1) | st.integers(0, 2**40),
+        index=st.integers(0, 2**32 - 1) | st.integers(2**32, 2**64),
+        n=st.integers(1, 40),
+    )
+    @example(seed=0, domain=0, index=0, n=1)
+    @example(seed=ONE_WORD, domain=1, index=ONE_WORD, n=15)  # largest values of the memoized path
+    @example(seed=2**32, domain=1, index=0, n=15)  # two-word seed: the general path
+    @example(seed=7, domain=2**32, index=0, n=2)  # two-word domain: the general path
+    @example(seed=7, domain=1, index=2**32, n=15)  # two-word index: the general path
+    @example(seed=2**300 - 1, domain=1, index=3, n=40)  # 12 words: mixing past the 4-word pool
+    def test_equals_numpy(self, seed, domain, index, n):
+        assert scenario._draws.__wrapped__(seed, domain, index, n).tobytes() == numpy_stream(
+            seed, domain, index, n)
+
+    def test_memo_hit_equals_miss(self):
+        scenario._pool_head.cache_clear()
+        first = scenario._draws.__wrapped__(5, 1, 3, 15)
+        assert scenario._pool_head.cache_info().misses == 1
+        second = scenario._draws.__wrapped__(5, 1, 4, 15)
+        assert scenario._pool_head.cache_info().hits == 1
+        assert first.tobytes() == numpy_stream(5, 1, 3, 15)
+        assert second.tobytes() == numpy_stream(5, 1, 4, 15)
+
+    def test_memo_is_bounded(self):
+        assert 0 < scenario._pool_head.cache_info().maxsize <= 4096
 
 
 def value_range(lo_max=10.0):

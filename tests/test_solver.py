@@ -203,6 +203,27 @@ class TestSolveExact:
         assert hashlib.sha256(csv.encode()).hexdigest() == (
             "5386c79157d62997901c5104b1e6bfa6e3f4aa16276fea36e467c99c84ff8095")
 
+    def test_search_counters_pinned_on_random_positions(self):
+        # sha256 of (status, cost, counters) for packing_search-layout
+        # instances (random fog positions, 3-6 fogs) that solve in
+        # milliseconds.  Every prune kind fires, so any change to the order
+        # or the float sums of the search shows here.
+        cases = [(3, 7, 1.5, 3371), (3, 14, 1.5, 3141), (4, 14, 3.0, 4243),
+                 (5, 10, 1.5, 5501), (6, 20, 1.5, 6201)]
+        digest = hashlib.sha256()
+        for n, (n_fog, n_apps, max_qos, seed) in enumerate(cases):
+            inst = generate_instance(ScenarioConfig(n_fog=n_fog, n_apps=n_apps, max_qos=max_qos,
+                                                    seed=seed, fog_positions=None, tx_ranges=None))
+            relaxes = [Relaxations(), Relaxations(drop_qos=True)]
+            if n % 2 == 0:  # the others take 0.2 s each with security dropped
+                relaxes.append(Relaxations(drop_security=True))
+            for relax in relaxes:
+                report = solve_exact(inst, relax)
+                digest.update(repr((report.status.value, report.cost,
+                                    report.search_stats.to_dict())).encode())
+        assert digest.hexdigest() == (
+            "661b1e2c6c3b333ee7a689cf0b87180cfd5ab7729d9a2e8cc35f1e03a3c7f394")
+
 
 class TestBounds:
     def test_tail_bound_admissible_on_feasible_completions(self):

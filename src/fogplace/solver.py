@@ -21,15 +21,23 @@ for each untouched app its cheapest standalone full-chain cost including
 link costs (capacity ignored).  Both parts only discard constraints, so the
 bound never overestimates.
 
-Preprocessing lists each app's standalone-feasible chains once, sorted by
-cost: the first gives the app's standalone minimum for the bound, and the
-greedy incumbent takes each app's first chain that still fits, so greedy and
-exact share one pass.  The list grows as a prefix tree, one position at a
-time, and a partial chain whose delay already exceeds the app's threshold is
-dropped with its whole subtree (resource-constrained labelling).  Delay sums
-in one order everywhere: execution plus sensor attachment, each link, then
-the user attachment.  ``time_limit`` bounds preprocessing and search alike;
-the enumeration reads the clock every 4096 chain extensions.
+Preprocessing groups the module slots per app (``app_positions[i]``; the
+search walks their flattening) and lists each app's standalone-feasible
+chains once, sorted by cost: the first gives the app's standalone minimum
+for the bound, and the greedy incumbent takes each app's first chain that
+still fits, so greedy and exact share one pass.  The list grows as a prefix
+tree, one position at a time, and a partial chain whose delay already
+exceeds the app's limit is dropped with its whole subtree
+(resource-constrained labelling).  ``time_limit`` bounds preprocessing and
+search alike; the enumeration reads the clock every 4096 chain extensions.
+
+The enumeration and the search extend a chain onto host ``k`` by one rule.
+The position picks ``base, t, bw``: ``(exec_total, sensor_delay, zeros)`` on
+an app's first module, else the chain's delay so far and the predecessor
+host's link rows.  Then ``delay = base + t[k] + user[k]``, with ``user`` the
+user-attachment row on the last module and zeros elsewhere, must not exceed
+``limit[i]``, and the step costs ``static[k] + inbound * bw[k]``.  Every
+value is finite and nonnegative, so the zero rows add exactly nothing.
 
 ``solve_bruteforce`` enumerates every complete assignment and filters with
 the declarative feasibility checker - the verification oracle for the
@@ -95,26 +103,21 @@ class SolveReport:
     search_stats: SearchStats = field(default_factory=SearchStats)
 
 
+@dataclass(slots=True)
 class _Position:
-    """One module slot in the global (app, chain) branching order."""
+    """One module slot of an app's chain; ``root`` and ``user`` carry the
+    chain-extension rule of the module notes."""
 
-    __slots__ = ("app_idx", "mod_idx", "is_first", "is_last", "proc", "mem", "stor",
-                 "static_cost", "inbound", "candidates", "min_cost")
-
-    def __init__(self, app_idx: int, mod_idx: int, is_first: bool, is_last: bool,
-                 proc: float, mem: float, stor: float,
-                 static_cost: list[float], inbound: float, candidates: list[int]):
-        self.app_idx = app_idx
-        self.mod_idx = mod_idx
-        self.is_first = is_first
-        self.is_last = is_last
-        self.proc = proc
-        self.mem = mem
-        self.stor = stor
-        self.static_cost = static_cost  # per node index, link costs excluded
-        self.inbound = inbound  # Gb arriving from the predecessor module
-        self.candidates = candidates  # node indices, search order
-        self.min_cost = min((static_cost[k] for k in candidates), default=float("inf"))
+    app_idx: int
+    proc: float
+    mem: float
+    stor: float
+    static_cost: list[float]  # per node index, link costs excluded
+    inbound: float  # Gb arriving from the predecessor module (the sensor for the first)
+    candidates: list[int]  # node indices, search order
+    min_cost: float  # cheapest static cost over the candidates
+    root: tuple[float, list[float], list[float]] | None  # (exec_total, sensor_delay, zeros) if first
+    user: list[float]  # user_delay on the last module, zeros elsewhere
 
 
 class _Problem:
@@ -126,7 +129,6 @@ class _Problem:
 
     def __init__(self, inst: Instance, relax: Relaxations, deadline: float | None = None):
         self.inst = inst
-        self.relax = relax
         self.deadline = deadline
         self.extensions_seen = 0
         nodes = inst.nodes
@@ -138,29 +140,33 @@ class _Problem:
         self.sensor_delay = [n.sensor_delay for n in nodes]
         self.user_delay = [n.user_delay for n in nodes]
         ratings = None if relax.drop_security else [inst.ratings[n.id] for n in nodes]
+        zeros = [0.0] * self.n_nodes
+        # limit[i]: the largest delay app i may accumulate, inf when QoS is relaxed.
+        self.limit = [float("inf") if relax.drop_qos else a.qos_threshold + FEAS_TOL
+                      for a in inst.apps]
 
-        self.positions: list[_Position] = []
-        self.app_first_pos: list[int] = []
-        self.qos = [a.qos_threshold for a in inst.apps]
-        self.exec_total = [a.exec_total for a in inst.apps]
+        # app_positions[i]: app i's module slots in chain order; positions: all, app by app.
+        self.app_positions: list[list[_Position]] = []
         for i, app in enumerate(inst.apps):
-            self.app_first_pos.append(len(self.positions))
-            last = app.n_modules - 1
             allowed = (range(self.n_nodes) if ratings is None
                        else [k for k, r in enumerate(ratings) if r >= app.security_req])
+            group = []
             for j, mod in enumerate(app.modules):
                 fits = [k for k in allowed
                         if mod.proc_req <= self.proc_cap[k] + FEAS_TOL
                         and mod.mem_req <= self.mem_cap[k] + FEAS_TOL
                         and mod.stor_req <= self.stor_cap[k] + FEAS_TOL]
-                self.positions.append(_Position(
-                    app_idx=i, mod_idx=j, is_first=(j == 0), is_last=(j == last),
-                    proc=mod.proc_req, mem=mod.mem_req, stor=mod.stor_req,
-                    static_cost=_hosting_costs(app, j, nodes),
+                static = _hosting_costs(app, j, nodes)
+                group.append(_Position(
+                    app_idx=i, proc=mod.proc_req, mem=mod.mem_req, stor=mod.stor_req,
+                    static_cost=static,
                     inbound=(app.input_traffic if j == 0 else app.inter_traffic[j - 1]),
-                    candidates=fits,
+                    candidates=fits, min_cost=min((static[k] for k in fits), default=float("inf")),
+                    root=(app.exec_total, self.sensor_delay, zeros) if j == 0 else None,
+                    user=self.user_delay if j == app.n_modules - 1 else zeros,
                 ))
-        self.n_positions = len(self.positions)
+            self.app_positions.append(group)
+        self.positions = [pos for group in self.app_positions for pos in group]
 
         # app_combos[i]: app i's chains (``app_chains``).  Their minima
         # (capacity between apps ignored) feed the cross-app part of the
@@ -172,44 +178,39 @@ class _Problem:
         # tail_bound[m]: lower bound on the cost of placing positions m.. end,
         # combining the per-module minima of the current app's remaining
         # modules with the standalone minima of every later app.
-        self.tail_bound = [0.0] * (self.n_positions + 1)
+        self.tail_bound = [0.0] * (len(self.positions) + 1)
         if all(v is not None for v in self.app_min):
-            app_tail = [0.0] * (len(inst.apps) + 1)
+            m = len(self.positions)
+            later = 0.0  # the standalone minima of the apps after app i
             for i in range(len(inst.apps) - 1, -1, -1):
-                app_tail[i] = app_tail[i + 1] + self.app_min[i]
-            intra = 0.0
-            for m in range(self.n_positions - 1, -1, -1):
-                pos = self.positions[m]
-                app_end_here = (m + 1 == self.n_positions
-                                or self.positions[m + 1].app_idx != pos.app_idx)
-                intra = pos.min_cost if app_end_here else intra + pos.min_cost
-                self.tail_bound[m] = intra + app_tail[pos.app_idx + 1]
-                if pos.mod_idx == 0:
-                    # At an app boundary the whole-chain standalone minimum
-                    # (link costs included) is valid and at least as tight.
-                    self.tail_bound[m] = max(self.tail_bound[m], app_tail[pos.app_idx])
+                intra = 0.0
+                for pos in reversed(self.app_positions[i]):
+                    m -= 1
+                    intra += pos.min_cost
+                    self.tail_bound[m] = intra + later
+                later += self.app_min[i]
+                # At an app boundary the whole-chain standalone minimum
+                # (link costs included) is valid and at least as tight.
+                self.tail_bound[m] = max(self.tail_bound[m], later)
 
     def app_chains(self, app_idx: int) -> list[tuple[float, tuple[int, ...]]]:
         """One app's standalone-feasible chains as (cost, node tuple), cheapest
         first, ties in lexicographic node order.  Capacity is checked against
         the app's own demands only; security and QoS follow the relaxations."""
-        positions = self.app_positions(app_idx)
-        limit = float("inf") if self.relax.drop_qos else self.qos[app_idx] + FEAS_TOL
-        no_link, t_rows, bw_rows = [0.0] * self.n_nodes, self.inst.links.delay, self.inst.links.bw_cost
-        # (cost, delay, combo) from an empty root, whose "link" to a host is the sensor's.
-        chains = [(0.0, self.exec_total[app_idx], ())]
+        positions = self.app_positions[app_idx]
+        limit, t_rows, bw_rows = self.limit[app_idx], self.inst.links.delay, self.inst.links.bw_cost
+        chains = [(0.0, 0.0, ())]  # (cost, delay, combo); the first module's root sets the delay
         for pos in positions:
-            static, inbound, cands = pos.static_cost, pos.inbound, pos.candidates
-            user = self.user_delay if pos.is_last else no_link
+            static, inbound, cands, user = pos.static_cost, pos.inbound, pos.candidates, pos.user
             grown = []
             for cost, delay, combo in chains:
                 self.extensions_seen += len(cands)  # read the clock on passing a multiple of 4096
                 if (self.deadline is not None and self.extensions_seen % 4096 < len(cands)
                         and time.monotonic() > self.deadline):
                     raise TimeoutError
-                t, bw = (t_rows[combo[-1]], bw_rows[combo[-1]]) if combo else (self.sensor_delay, no_link)
+                base, t, bw = pos.root or (delay, t_rows[combo[-1]], bw_rows[combo[-1]])
                 grown += [(cost + static[k] + inbound * bw[k], d, combo + (k,)) for k in cands
-                          if (d := delay + t[k] + user[k]) <= limit]
+                          if (d := base + t[k] + user[k]) <= limit]
             chains = grown
         # Only modules sharing a node can overload it past the candidate
         # filter, so if the whole chain fits on each candidate, all chains do.
@@ -241,13 +242,9 @@ class _Problem:
                        or used_stor[k] + stor > self.stor_cap[k] + FEAS_TOL
                        for k, (proc, mem, stor) in load.items())
 
-    def app_positions(self, app_idx: int) -> list[_Position]:
-        base = self.app_first_pos[app_idx]
-        return self.positions[base:base + self.inst.apps[app_idx].n_modules]
-
     def placement_of(self, assignment: list[int]) -> Placement:
-        return Placement({(self.inst.apps[pos.app_idx].id, pos.mod_idx): self.node_ids[k]
-                          for pos, k in zip(self.positions, assignment)})
+        keys = [(app.id, j) for app in self.inst.apps for j in range(app.n_modules)]
+        return Placement({key: self.node_ids[k] for key, k in zip(keys, assignment)})
 
 
 def _finish_report(inst: Instance, relax: Relaxations, status: SolveStatus,
@@ -269,9 +266,8 @@ def _greedy(prob: _Problem, stats: SearchStats) -> list[int] | None:
     """
     used = used_proc, used_mem, used_stor = tuple([0.0] * prob.n_nodes for _ in range(3))
     assignment: list[int] = []
-    for i, combos in enumerate(prob.app_combos):
+    for positions, combos in zip(prob.app_positions, prob.app_combos):
         stats.nodes_explored += len(combos)
-        positions = prob.app_positions(i)
         chosen = next((combo for _cost, combo in combos if prob.fits(positions, combo, used)), None)
         if chosen is None:
             return None
@@ -310,19 +306,16 @@ def solve_exact(inst: Instance, relax: Relaxations = Relaxations(),
     best_cost = float("inf") if greedy_cost is None else greedy_cost.total
 
     positions = prob.positions
-    tail_bound = prob.tail_bound
+    tail_bound, limit = prob.tail_bound, prob.limit
     proc_cap, mem_cap, stor_cap = prob.proc_cap, prob.mem_cap, prob.stor_cap
     t, bw = inst.links.delay, inst.links.bw_cost
-    sensor_delay, user_delay = prob.sensor_delay, prob.user_delay
-    qos, exec_total = prob.qos, prob.exec_total
-    check_qos = not relax.drop_qos
-    n_pos = prob.n_positions
+    n_pos = len(positions)
 
     used_proc = [0.0] * prob.n_nodes
     used_mem = [0.0] * prob.n_nodes
     used_stor = [0.0] * prob.n_nodes
     current = [0] * n_pos
-    app_delay = [0.0] * len(inst.apps)
+    delay_at = [0.0] * n_pos  # the app's delay up to and including position m
 
     def dfs(m: int, prefix_cost: float) -> None:
         nonlocal best_cost, best_assignment
@@ -335,27 +328,19 @@ def solve_exact(inst: Instance, relax: Relaxations = Relaxations(),
                 and time.monotonic() > deadline):
             raise TimeoutError
         pos = positions[m]
-        a = pos.app_idx
-        prev = current[m - 1] if not pos.is_first else -1
-        saved_delay = app_delay[a]
+        base, t_row, bw_row = pos.root or (delay_at[m - 1], t[current[m - 1]], bw[current[m - 1]])
+        static, inbound, user, qos_limit = pos.static_cost, pos.inbound, pos.user, limit[pos.app_idx]
         for k in pos.candidates:
             if (used_proc[k] + pos.proc > proc_cap[k] + FEAS_TOL
                     or used_mem[k] + pos.mem > mem_cap[k] + FEAS_TOL
                     or used_stor[k] + pos.stor > stor_cap[k] + FEAS_TOL):
                 stats.pruned_capacity += 1
                 continue
-            if pos.is_first:
-                delay = exec_total[a] + sensor_delay[k]
-                step_cost = pos.static_cost[k]
-            else:
-                delay = saved_delay + t[prev][k]
-                step_cost = pos.static_cost[k] + pos.inbound * bw[prev][k]
-            if pos.is_last:
-                delay += user_delay[k]
-            if check_qos and delay > qos[a] + FEAS_TOL:
+            delay = base + t_row[k] + user[k]
+            if delay > qos_limit:
                 stats.pruned_qos += 1
                 continue
-            child_cost = prefix_cost + step_cost
+            child_cost = prefix_cost + (static[k] + inbound * bw_row[k])
             if child_cost + tail_bound[m + 1] >= best_cost:
                 stats.pruned_bound += 1
                 continue
@@ -364,12 +349,11 @@ def solve_exact(inst: Instance, relax: Relaxations = Relaxations(),
             used_mem[k] += pos.mem
             used_stor[k] += pos.stor
             current[m] = k
-            app_delay[a] = delay
+            delay_at[m] = delay
             dfs(m + 1, child_cost)
             used_proc[k] -= pos.proc
             used_mem[k] -= pos.mem
             used_stor[k] -= pos.stor
-        app_delay[a] = saved_delay
 
     try:
         dfs(0, 0.0)

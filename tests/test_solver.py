@@ -237,12 +237,13 @@ class TestBounds:
                 report = solve_bruteforce(inst, relax)
                 if report.status is not SolveStatus.OPTIMAL:
                     continue
-                assignment = [node_pos[report.placement.assign[(inst.apps[p.app_idx].id, p.mod_idx)]]
-                              for p in prob.positions]
+                assignment = [node_pos[report.placement.assign[(app.id, j)]]
+                              for app, group in zip(inst.apps, prob.app_positions)
+                              for j in range(len(group))]
                 step = []
                 for m, (pos, k) in enumerate(zip(prob.positions, assignment)):
                     cost = pos.static_cost[k]
-                    if not pos.is_first:
+                    if pos.root is None:  # not an app's first module
                         cost += pos.inbound * prob.inst.links.bw_cost[assignment[m - 1]][k]
                     step.append(cost)
                 suffix = 0.0
@@ -286,7 +287,7 @@ def reference_chains(prob, app_idx, relax):
     """One app's (cost, combo) list by a plain scan of every host tuple:
     ``fits`` for capacity, delay summed in the search's order."""
     app = prob.inst.apps[app_idx]
-    positions = prob.app_positions(app_idx)
+    positions = prob.app_positions[app_idx]
     idle = ([0.0] * prob.n_nodes,) * 3
     chains = []
     for combo in itertools.product(*(pos.candidates for pos in positions)):
@@ -367,7 +368,7 @@ def reference_greedy(inst, relax):
     caps = list(zip(prob.proc_cap, prob.mem_cap, prob.stor_cap))
     assignment, explored = [], 0
     for i, app in enumerate(inst.apps):
-        positions = prob.positions[prob.app_first_pos[i]:][:app.n_modules]
+        positions = prob.app_positions[i]
         best = None
         for combo in itertools.product(*(pos.candidates for pos in positions)):
             cost, delay, loads = 0.0, app.exec_total + prob.sensor_delay[combo[0]], {}

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Any
 
 from .ilp import Relaxations
-from .instance_io import require_keys, save_report
+from .instance_io import require_keys, save_report, strict_bool, strict_float, strict_int
 from .metrics import count_deployed, unprotected_data
 from .scenario import ScenarioConfig, config_from_dict, validate_config
 # run_sweep validates each cell once, so it draws through the unchecked
@@ -83,18 +83,20 @@ DEFAULT_SEEDS: tuple[int, ...] = tuple(range(20))
 _CELL_FIELDS = ("n_apps", "max_qos", "alpha", "drop_qos", "drop_security")
 
 
+_CELL_PARSERS = {"n_apps": strict_int, "max_qos": strict_float, "alpha": strict_float,
+                 "drop_qos": strict_bool, "drop_security": strict_bool}
+
+
 def _cell_from_dict(c: Any, where: str) -> Cell:
     require_keys(c, {"n_apps", "max_qos"}, {"alpha", "drop_qos", "drop_security"}, where)
-    try:
-        return Cell(
-            n_apps=int(c["n_apps"]),
-            max_qos=float(c["max_qos"]),
-            alpha=None if c.get("alpha") is None else float(c["alpha"]),
-            relax=Relaxations(drop_qos=bool(c.get("drop_qos", False)),
-                              drop_security=bool(c.get("drop_security", False))),
-        )
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{where}: {exc}") from None
+    v: dict[str, Any] = {"alpha": None, "drop_qos": False, "drop_security": False}
+    for name, value in c.items():
+        try:
+            v[name] = None if name == "alpha" and value is None else _CELL_PARSERS[name](value)
+        except (TypeError, OverflowError) as exc:
+            raise ValueError(f"{where}: {name}: {exc}") from None
+    return Cell(n_apps=v["n_apps"], max_qos=v["max_qos"], alpha=v["alpha"],
+                relax=Relaxations(drop_qos=v["drop_qos"], drop_security=v["drop_security"]))
 
 
 def grid_from_dict(doc: Any) -> tuple[SweepGrid, list[int], ScenarioConfig]:
@@ -112,9 +114,12 @@ def grid_from_dict(doc: Any) -> tuple[SweepGrid, list[int], ScenarioConfig]:
         grid = SweepGrid(name=str(doc.get("name", "custom")), cells=cells)
     else:
         raise ValueError("grid config needs either 'preset' or 'cells'")
+    seeds = doc.get("seeds", DEFAULT_SEEDS)
     try:
-        seeds = [int(s) for s in doc.get("seeds", DEFAULT_SEEDS)]
-    except (TypeError, ValueError, OverflowError):
+        if not isinstance(seeds, (list, tuple)):
+            raise TypeError
+        seeds = [strict_int(s) for s in seeds]
+    except (TypeError, OverflowError):
         raise ValueError(f"grid config: seeds must be a list of integers, got {doc['seeds']!r}") from None
     try:
         base_cfg = config_from_dict(doc.get("base_config", {}))

@@ -43,6 +43,32 @@ def require_keys(obj: Mapping[str, Any], required: set[str], optional: set[str],
         raise ValueError(f"{where}: missing fields {missing}")
 
 
+def strict_float(v: Any) -> float:
+    """``float(v)`` for an int or a float; a TypeError for the bools and
+    strings ``float`` would coerce."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise TypeError(f"expected a number, got {v!r}")
+    return float(v)
+
+
+def strict_int(v: Any) -> int:
+    """``v`` as an int when it is an integral int or float; a TypeError for
+    the bools, strings and fractions ``int`` would coerce or truncate."""
+    if isinstance(v, float) and v.is_integer():
+        return int(v)
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise TypeError(f"expected an integer, got {v!r}")
+    return v
+
+
+def strict_bool(v: Any) -> bool:
+    """``v`` when it is a bool; a TypeError for the strings and numbers
+    ``bool`` would coerce."""
+    if not isinstance(v, bool):
+        raise TypeError(f"expected true or false, got {v!r}")
+    return v
+
+
 def _float(v: Any, where: str) -> float:
     """``float(v)``, or a ValueError naming the entry ``where``."""
     try:
@@ -52,10 +78,10 @@ def _float(v: Any, where: str) -> float:
 
 
 def _num(obj: Mapping[str, Any], key: str, where: str) -> float:
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ValueError(f"{where}.{key}: expected a number, got {v!r}")
-    return _float(v, f"{where}.{key}")
+    try:
+        return strict_float(obj[key])
+    except (TypeError, OverflowError):
+        raise ValueError(f"{where}.{key}: expected a number, got {obj[key]!r}") from None
 
 
 def _id(obj: Mapping[str, Any], where: str) -> str:

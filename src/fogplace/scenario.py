@@ -49,7 +49,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-from .instance_io import require_keys
+from .instance_io import require_keys, strict_float, strict_int
 from .model import (
     Application,
     AppModule,
@@ -436,19 +436,20 @@ def config_from_dict(d: Mapping[str, Any]) -> ScenarioConfig:
     for name, value in d.items():
         try:
             if name in _RANGE_FIELDS:
-                kwargs[name] = (float(value[0]), float(value[1]))
+                kwargs[name] = (strict_float(value[0]), strict_float(value[1]))
             elif name == "fog_positions":
-                kwargs[name] = None if value is None else tuple((float(p[0]), float(p[1])) for p in value)
+                kwargs[name] = None if value is None else tuple(
+                    (strict_float(p[0]), strict_float(p[1])) for p in value)
             elif name == "tx_ranges":
-                kwargs[name] = None if value is None else tuple(float(x) for x in value)
+                kwargs[name] = None if value is None else tuple(strict_float(x) for x in value)
             elif name == "exec_delay_overrides":
-                kwargs[name] = tuple((int(o[0]), int(o[1]), float(o[2])) for o in value)
+                kwargs[name] = tuple((strict_int(o[0]), strict_int(o[1]), strict_float(o[2])) for o in value)
             elif name == "alpha":
-                kwargs[name] = None if value is None else float(value)
+                kwargs[name] = None if value is None else strict_float(value)
             elif name in ("n_fog", "n_apps", "modules_per_app", "seed"):
-                kwargs[name] = int(value)
+                kwargs[name] = strict_int(value)
             else:
-                kwargs[name] = float(value)
+                kwargs[name] = strict_float(value)
         except (TypeError, ValueError, IndexError, OverflowError) as exc:
             raise ValueError(f"scenario config: bad {name} {value!r} ({exc})") from None
     cfg = ScenarioConfig(**kwargs)

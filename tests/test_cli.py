@@ -84,6 +84,13 @@ BAD_CONFIG_VALUES = [
     ({"cloud_comm_cost": 1e308, "n_apps": 3}, "cloud_comm_cost: the cost of a placement can overflow"),
     ({"cloud_access_delay": 1e308}, "cloud_access_delay: an app's delay can overflow"),
     ({"proc_speed_ref": 1e-320}, "proc_speed_ref: an app's delay can overflow"),
+    ({"n_apps": 2.7}, "bad n_apps 2.7 (expected an integer"),
+    ({"n_apps": "3"}, "bad n_apps '3' (expected an integer"),
+    ({"max_qos": True}, "bad max_qos True (expected a number"),
+    ({"seed": 1.9}, "bad seed 1.9 (expected an integer"),
+    ({"seed": True}, "bad seed True (expected an integer"),
+    ({"proc_req_range": ["0.1", 2.0]}, "bad proc_req_range"),
+    ({"exec_delay_overrides": [[0, 0.5, 1.0]]}, "bad exec_delay_overrides"),
 ]
 
 
@@ -367,12 +374,21 @@ class TestExperiment:
         assert main(["experiment", str(grid), "--out", str(out)]) == EXIT_INPUT
         assert not out.exists()
 
-    # Each of these once exited 0 with a CSV whose rows all read error:ValueError.
+    # Each of these once exited 0: the first three with a CSV whose rows all
+    # read error:ValueError, the others with the value silently coerced.
     @pytest.mark.parametrize("doc,named", [
         ({"preset": "fig5", "seeds": [-1]}, "cells[0] with seed -1: seed must be"),
         ({"cells": [{"n_apps": -2, "max_qos": 1.5}], "seeds": [0]}, "cells[0] with seed 0: counts must"),
         ({"cells": [{"n_apps": 2, "max_qos": 3.0}, {"n_apps": 2, "max_qos": 0.1}], "seeds": [0]},
          "cells[1] with seed 0: need 0 < min_qos <= max_qos"),
+        ({"cells": [{"n_apps": 2, "max_qos": 1.5, "drop_qos": "false"}], "seeds": [0]},
+         "cells[0]: drop_qos: expected true or false"),
+        ({"cells": [{"n_apps": 2.7, "max_qos": 1.5}], "seeds": [0]}, "cells[0]: n_apps: expected an integer"),
+        ({"cells": [{"n_apps": "3", "max_qos": 1.5}], "seeds": [0]}, "cells[0]: n_apps: expected an integer"),
+        ({"cells": [{"n_apps": 2, "max_qos": True}], "seeds": [0]}, "cells[0]: max_qos: expected a number"),
+        ({"preset": "fig5", "seeds": [1.9]}, "seeds must be a list of integers"),
+        ({"preset": "fig5", "seeds": [True]}, "seeds must be a list of integers"),
+        ({"preset": "fig5", "seeds": "12"}, "seeds must be a list of integers"),
     ])
     def test_unusable_cell_or_seed_names_it(self, tmp_path, capsys, doc, named):
         grid = write_json(tmp_path / "grid.json", doc)

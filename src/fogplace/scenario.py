@@ -372,21 +372,23 @@ def _build_links(cfg: ScenarioConfig, nodes: list[ResourceNode]) -> LinkTable:
 
 
 def _draw_app(cfg: ScenarioConfig, app_idx: int, forced_high: bool) -> Application:
-    u = iter(_draws(cfg.seed, _STREAM_APP, app_idx, 4 * cfg.modules_per_app + 3))
-    overrides = {(i, j): v for i, j, v in cfg.exec_delay_overrides}
+    m = cfg.modules_per_app
+    # The block: (proc, mem, stor) per module, then input, the m - 1 inter
+    # traffics, output, the QoS variate and the security variate.
+    u = _draws(cfg.seed, _STREAM_APP, app_idx, 4 * m + 3)
+    (p_lo, p_hi), (m_lo, m_hi), (s_lo, s_hi) = cfg.proc_req_range, cfg.mem_req_range, cfg.stor_req_range
+    p_span, m_span, s_span = p_hi - p_lo, m_hi - m_lo, s_hi - s_lo  # as ``_uniform`` spans them
     modules = []
-    for j in range(cfg.modules_per_app):
-        proc = _uniform(cfg.proc_req_range, next(u))
-        mem = _uniform(cfg.mem_req_range, next(u))
-        stor = _uniform(cfg.stor_req_range, next(u))
-        exec_delay = overrides.get((app_idx, j), proc / cfg.proc_speed_ref)
-        modules.append(AppModule(proc_req=proc, mem_req=mem, stor_req=stor, exec_delay=exec_delay))
-    input_traffic = _uniform(cfg.input_traffic_range, next(u))
-    inter = tuple(_uniform(cfg.inter_traffic_range, next(u)) for _ in range(cfg.modules_per_app - 1))
-    output_traffic = _uniform(cfg.output_traffic_range, next(u))
-    u_qos = next(u)
-    u_sec = next(u)
-    qos = cfg.min_qos + u_qos * (cfg.max_qos - cfg.min_qos)
+    for j in range(m):
+        proc = p_lo + p_span * u[3 * j]
+        exec_delay = proc / cfg.proc_speed_ref
+        for i, oj, v in cfg.exec_delay_overrides:  # the last override of a module wins
+            if i == app_idx and oj == j:
+                exec_delay = v
+        modules.append(AppModule(proc, m_lo + m_span * u[3 * j + 1], s_lo + s_span * u[3 * j + 2], exec_delay))
+    t_lo, t_hi = cfg.inter_traffic_range
+    t_span = t_hi - t_lo
+    u_sec = u[4 * m + 2]
     if forced_high:
         sec = SecurityLevel.HIGH
     elif cfg.alpha is None:
@@ -396,10 +398,10 @@ def _draw_app(cfg: ScenarioConfig, app_idx: int, forced_high: bool) -> Applicati
     return Application(
         id=f"app{app_idx + 1}",
         modules=tuple(modules),
-        input_traffic=input_traffic,
-        inter_traffic=inter,
-        output_traffic=output_traffic,
-        qos_threshold=qos,
+        input_traffic=_uniform(cfg.input_traffic_range, u[3 * m]),
+        inter_traffic=tuple([t_lo + t_span * x for x in u[3 * m + 1:4 * m]]),
+        output_traffic=_uniform(cfg.output_traffic_range, u[4 * m]),
+        qos_threshold=cfg.min_qos + u[4 * m + 1] * (cfg.max_qos - cfg.min_qos),
         security_req=sec,
     )
 

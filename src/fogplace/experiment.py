@@ -80,23 +80,22 @@ def preset_grid(name: str) -> SweepGrid:
 
 DEFAULT_SEEDS: tuple[int, ...] = tuple(range(20))
 
-_CELL_FIELDS = ("n_apps", "max_qos", "alpha", "drop_qos", "drop_security")
-
-
+# A cell's fields in column order, each with the parser of its grid-document value.
 _CELL_PARSERS = {"n_apps": strict_int, "max_qos": strict_float, "alpha": strict_float,
                  "drop_qos": strict_bool, "drop_security": strict_bool}
+_CELL_FIELDS = tuple(_CELL_PARSERS)
 
 
 def _cell_from_dict(c: Any, where: str) -> Cell:
     require_keys(c, {"n_apps", "max_qos"}, {"alpha", "drop_qos", "drop_security"}, where)
-    v: dict[str, Any] = {"alpha": None, "drop_qos": False, "drop_security": False}
+    parsed: dict[str, Any] = {"alpha": None, "drop_qos": False, "drop_security": False}
     for name, value in c.items():
         try:
-            v[name] = None if name == "alpha" and value is None else _CELL_PARSERS[name](value)
+            parsed[name] = None if name == "alpha" and value is None else _CELL_PARSERS[name](value)
         except (TypeError, OverflowError) as exc:
             raise ValueError(f"{where}: {name}: {exc}") from None
-    return Cell(n_apps=v["n_apps"], max_qos=v["max_qos"], alpha=v["alpha"],
-                relax=Relaxations(drop_qos=v["drop_qos"], drop_security=v["drop_security"]))
+    return Cell(n_apps=parsed["n_apps"], max_qos=parsed["max_qos"], alpha=parsed["alpha"],
+                relax=Relaxations(drop_qos=parsed["drop_qos"], drop_security=parsed["drop_security"]))
 
 
 def grid_from_dict(doc: Any) -> tuple[SweepGrid, list[int], ScenarioConfig]:
@@ -116,7 +115,7 @@ def grid_from_dict(doc: Any) -> tuple[SweepGrid, list[int], ScenarioConfig]:
         raise ValueError("grid config needs either 'preset' or 'cells'")
     seeds = doc.get("seeds", DEFAULT_SEEDS)
     try:
-        if not isinstance(seeds, (list, tuple)):
+        if not isinstance(seeds, (list, tuple)):  # a string would iterate as its digits
             raise TypeError
         seeds = [strict_int(s) for s in seeds]
     except (TypeError, OverflowError):

@@ -44,16 +44,14 @@ def require_keys(obj: Mapping[str, Any], required: set[str], optional: set[str],
 
 
 def strict_float(v: Any) -> float:
-    """``float(v)`` for an int or a float; a TypeError for the bools and
-    strings ``float`` would coerce."""
+    """``float(v)`` for an int or a float; a TypeError for a bool or a string."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise TypeError(f"expected a number, got {v!r}")
     return float(v)
 
 
 def strict_int(v: Any) -> int:
-    """``v`` as an int when it is an integral int or float; a TypeError for
-    the bools, strings and fractions ``int`` would coerce or truncate."""
+    """``v`` as an int if it is integral; a TypeError for a bool, a string or a fraction."""
     if isinstance(v, float) and v.is_integer():
         return int(v)
     if isinstance(v, bool) or not isinstance(v, int):
@@ -62,8 +60,7 @@ def strict_int(v: Any) -> int:
 
 
 def strict_bool(v: Any) -> bool:
-    """``v`` when it is a bool; a TypeError for the strings and numbers
-    ``bool`` would coerce."""
+    """``v`` if it is a bool; a TypeError for the strings and numbers ``bool`` coerces."""
     if not isinstance(v, bool):
         raise TypeError(f"expected true or false, got {v!r}")
     return v

@@ -372,14 +372,14 @@ def _build_links(cfg: ScenarioConfig, nodes: list[ResourceNode]) -> LinkTable:
 
 
 def _draw_app(cfg: ScenarioConfig, app_idx: int, forced_high: bool) -> Application:
-    m = cfg.modules_per_app
-    # The block: (proc, mem, stor) per module, then input, the m - 1 inter
+    n = cfg.modules_per_app
+    # The block: (proc, mem, stor) per module, then input, the n - 1 inter
     # traffics, output, the QoS variate and the security variate.
-    u = _draws(cfg.seed, _STREAM_APP, app_idx, 4 * m + 3)
+    u = _draws(cfg.seed, _STREAM_APP, app_idx, 4 * n + 3)
     (p_lo, p_hi), (m_lo, m_hi), (s_lo, s_hi) = cfg.proc_req_range, cfg.mem_req_range, cfg.stor_req_range
     p_span, m_span, s_span = p_hi - p_lo, m_hi - m_lo, s_hi - s_lo  # as ``_uniform`` spans them
     modules = []
-    for j in range(m):
+    for j in range(n):
         proc = p_lo + p_span * u[3 * j]
         exec_delay = proc / cfg.proc_speed_ref
         for i, oj, v in cfg.exec_delay_overrides:  # the last override of a module wins
@@ -388,7 +388,7 @@ def _draw_app(cfg: ScenarioConfig, app_idx: int, forced_high: bool) -> Applicati
         modules.append(AppModule(proc, m_lo + m_span * u[3 * j + 1], s_lo + s_span * u[3 * j + 2], exec_delay))
     t_lo, t_hi = cfg.inter_traffic_range
     t_span = t_hi - t_lo
-    u_sec = u[4 * m + 2]
+    u_sec = u[4 * n + 2]
     if forced_high:
         sec = SecurityLevel.HIGH
     elif cfg.alpha is None:
@@ -398,10 +398,10 @@ def _draw_app(cfg: ScenarioConfig, app_idx: int, forced_high: bool) -> Applicati
     return Application(
         id=f"app{app_idx + 1}",
         modules=tuple(modules),
-        input_traffic=_uniform(cfg.input_traffic_range, u[3 * m]),
-        inter_traffic=tuple([t_lo + t_span * x for x in u[3 * m + 1:4 * m]]),
-        output_traffic=_uniform(cfg.output_traffic_range, u[4 * m]),
-        qos_threshold=cfg.min_qos + u[4 * m + 1] * (cfg.max_qos - cfg.min_qos),
+        input_traffic=_uniform(cfg.input_traffic_range, u[3 * n]),
+        inter_traffic=tuple([t_lo + t_span * x for x in u[3 * n + 1:4 * n]]),
+        output_traffic=_uniform(cfg.output_traffic_range, u[4 * n]),
+        qos_threshold=cfg.min_qos + u[4 * n + 1] * (cfg.max_qos - cfg.min_qos),
         security_req=sec,
     )
 

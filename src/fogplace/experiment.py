@@ -191,6 +191,9 @@ def run_sweep(grid: SweepGrid, seeds: list[int] | tuple[int, ...],
     inputs produce identical tables.  With ``dump_dir`` set, every run that
     produced a placement also writes its full solve report there for audit,
     named by the cell label and seed.
+
+    The runs go seed by seed; the cells of one seed share app draws and
+    per-app solver domains, which are dropped before the next seed.
     """
     if base_cfg is None:
         base_cfg = ScenarioConfig()
@@ -206,21 +209,21 @@ def run_sweep(grid: SweepGrid, seeds: list[int] | tuple[int, ...],
             cell_error = ""
         except Exception as exc:
             cell_error = f"error:{type(exc).__name__}"
-        for seed in seeds:
-            row = SweepRow(
-                n_apps=cell.n_apps, max_qos=cell.max_qos, alpha=cell.alpha,
-                drop_qos=cell.relax.drop_qos, drop_security=cell.relax.drop_security,
-                seed=seed, status=cell_error,
-            )
-            rows.append(row)
-            if cell_error:
+        rows += [SweepRow(n_apps=cell.n_apps, max_qos=cell.max_qos, alpha=cell.alpha,
+                          drop_qos=cell.relax.drop_qos, drop_security=cell.relax.drop_security,
+                          seed=seed, status=cell_error) for seed in seeds]
+    for s, seed in enumerate(seeds):
+        drawn: dict = {}
+        domains: dict = {}
+        for cell, row in zip(grid.cells, rows[s::len(seeds)]):
+            if row.status:  # the cell is invalid
                 continue
             try:
                 if seed < 0:
                     raise ValueError("seed must be a nonnegative integer")
-                inst = generate_instance(_cell_config(base_cfg, cell, seed))
+                inst = generate_instance(_cell_config(base_cfg, cell, seed), drawn)
                 start = time.perf_counter()
-                report = solve_exact(inst, cell.relax)
+                report = solve_exact(inst, cell.relax, _domains=domains)
                 row.solve_ms = (time.perf_counter() - start) * 1000.0
                 row.status = report.status.value
                 vars(row).update(report.search_stats.to_dict())

@@ -67,8 +67,11 @@ def strict_bool(v: Any) -> bool:
 
 
 def _float(v: Any, where: str) -> float:
-    """``float(v)``, or a ValueError naming the entry ``where``."""
+    """``float(v)`` for a number or a numeric string, or a ValueError naming
+    the entry ``where``; a bool is not a number."""
     try:
+        if isinstance(v, bool):
+            raise TypeError
         return float(v)
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{where}: expected a number, got {v!r}") from None

@@ -412,16 +412,27 @@ def generate_instance(cfg: ScenarioConfig) -> Instance:
     return _generate(cfg)
 
 
-def _generate(cfg: ScenarioConfig) -> Instance:
-    """``generate_instance`` for a config that has passed ``validate_config``."""
+def _generate(cfg: ScenarioConfig, drawn: dict | None = None) -> Instance:
+    """``generate_instance`` for a config that has passed ``validate_config``.
+
+    ``drawn`` is a sweep's memo of one seed's apps, keyed by what else may
+    vary between its cells: within a ``run_sweep`` call the rest of the
+    config is fixed.
+    """
     nodes = _build_nodes(cfg)
     links = _build_links(cfg, nodes)
     forced = 0 if cfg.alpha is None else math.ceil(cfg.alpha * cfg.n_apps)
-    apps = tuple(_draw_app(cfg, i, forced_high=(i < forced)) for i in range(cfg.n_apps))
+    drawn = {} if drawn is None else drawn
+    apps = []
+    for i in range(cfg.n_apps):
+        key = (i, cfg.max_qos, cfg.alpha is None, i < forced)
+        if key not in drawn:
+            drawn[key] = _draw_app(cfg, i, forced_high=(i < forced))
+        apps.append(drawn[key])
     inst = Instance(
         nodes=tuple(nodes),
         links=links,
-        apps=apps,
+        apps=tuple(apps),
         farm=FarmGeometry(width=cfg.farm_width, height=cfg.farm_height),
     )
     return rate_infrastructure(inst)

@@ -31,13 +31,18 @@ exceeds the app's limit is dropped with its whole subtree
 (resource-constrained labelling).  ``time_limit`` bounds preprocessing and
 search alike; the enumeration reads the clock every 4096 chain extensions.
 
+An app's slots and chains form its domain.  It holds no app index (each
+slot carries the app's delay ``limit``), so it depends only on the app, the
+relaxation and the infrastructure: a sweep reuses it across the cells of
+one seed, while library calls build every domain afresh.
+
 The enumeration and the search extend a chain onto host ``k`` by one rule.
 The position picks ``base, t, bw``: ``(exec_total, sensor_delay, zeros)`` on
 an app's first module, else the chain's delay so far and the predecessor
 host's link rows.  Then ``delay = base + t[k] + user[k]``, with ``user`` the
 user-attachment row on the last module and zeros elsewhere, must not exceed
-``limit[i]``, and the step costs ``static[k] + inbound * bw[k]``.  Every
-value is finite and nonnegative, so the zero rows add exactly nothing.
+the slot's ``limit``, and the step costs ``static[k] + inbound * bw[k]``.
+Every value is finite and nonnegative, so the zero rows add exactly nothing.
 
 ``solve_bruteforce`` enumerates every complete assignment and filters with
 the declarative feasibility checker - the verification oracle for the
@@ -105,10 +110,10 @@ class SolveReport:
 
 @dataclass(slots=True)
 class _Position:
-    """One module slot of an app's chain; ``root`` and ``user`` carry the
-    chain-extension rule of the module notes."""
+    """One module slot of an app's chain; ``root``, ``user`` and ``limit``
+    carry the chain-extension rule of the module notes."""
 
-    app_idx: int
+    limit: float  # the largest delay the app may accumulate, inf when QoS is relaxed
     proc: float
     mem: float
     stor: float
@@ -124,10 +129,14 @@ class _Problem:
     """Dense arrays, per-app chain lists and bounds shared by the solvers.
 
     Raises ``TimeoutError`` when ``deadline`` (a ``time.monotonic()`` value)
-    passes during the per-app enumeration.
+    passes during the per-app enumeration.  ``domains``, a dict the caller
+    owns, keeps each app's domain (its positions and chains) by (app,
+    relaxation) for later builds on the same infrastructure; a build that
+    times out adds nothing to it.
     """
 
-    def __init__(self, inst: Instance, relax: Relaxations, deadline: float | None = None):
+    def __init__(self, inst: Instance, relax: Relaxations, deadline: float | None = None,
+                 domains: dict | None = None):
         self.inst = inst
         self.deadline = deadline
         self.extensions_seen = 0
@@ -141,38 +150,48 @@ class _Problem:
         self.user_delay = [n.user_delay for n in nodes]
         ratings = None if relax.drop_security else [inst.ratings[n.id] for n in nodes]
         zeros = [0.0] * self.n_nodes
-        # limit[i]: the largest delay app i may accumulate, inf when QoS is relaxed.
-        self.limit = [float("inf") if relax.drop_qos else a.qos_threshold + FEAS_TOL
-                      for a in inst.apps]
+        infra = (nodes, inst.links, inst.farm)  # the farm fixes the ratings
+        if domains is not None and domains.get("infra", infra) != infra:
+            domains = None  # another infrastructure's memo
+        memo, built = domains or {}, []
 
         # app_positions[i]: app i's module slots in chain order; positions: all, app by app.
-        self.app_positions: list[list[_Position]] = []
-        for i, app in enumerate(inst.apps):
-            allowed = (range(self.n_nodes) if ratings is None
-                       else [k for k, r in enumerate(ratings) if r >= app.security_req])
-            group = []
-            for j, mod in enumerate(app.modules):
-                fits = [k for k in allowed
-                        if mod.proc_req <= self.proc_cap[k] + FEAS_TOL
-                        and mod.mem_req <= self.mem_cap[k] + FEAS_TOL
-                        and mod.stor_req <= self.stor_cap[k] + FEAS_TOL]
-                static = _hosting_costs(app, j, nodes)
-                group.append(_Position(
-                    app_idx=i, proc=mod.proc_req, mem=mod.mem_req, stor=mod.stor_req,
-                    static_cost=static,
-                    inbound=(app.input_traffic if j == 0 else app.inter_traffic[j - 1]),
-                    candidates=fits, min_cost=min((static[k] for k in fits), default=float("inf")),
-                    root=(app.exec_total, self.sensor_delay, zeros) if j == 0 else None,
-                    user=self.user_delay if j == app.n_modules - 1 else zeros,
-                ))
-            self.app_positions.append(group)
-        self.positions = [pos for group in self.app_positions for pos in group]
-
         # app_combos[i]: app i's chains (``app_chains``).  Their minima
         # (capacity between apps ignored) feed the cross-app part of the
         # completion bound; ``None`` marks an app that cannot be placed even
         # alone, which proves the instance infeasible.
-        self.app_combos = [self.app_chains(i) for i in range(len(inst.apps))]
+        self.app_positions: list[list[_Position]] = []
+        self.app_combos: list[list[tuple[float, tuple[int, ...]]]] = []
+        for app in inst.apps:
+            key = (app, relax.drop_qos, relax.drop_security)
+            domain = memo.get(key) if memo else None  # an empty memo hashes nothing
+            if domain is None:
+                limit = float("inf") if relax.drop_qos else app.qos_threshold + FEAS_TOL
+                allowed = (range(self.n_nodes) if ratings is None
+                           else [k for k, r in enumerate(ratings) if r >= app.security_req])
+                group = []
+                for j, mod in enumerate(app.modules):
+                    fits = [k for k in allowed
+                            if mod.proc_req <= self.proc_cap[k] + FEAS_TOL
+                            and mod.mem_req <= self.mem_cap[k] + FEAS_TOL
+                            and mod.stor_req <= self.stor_cap[k] + FEAS_TOL]
+                    static = _hosting_costs(app, j, nodes)
+                    group.append(_Position(
+                        limit=limit, proc=mod.proc_req, mem=mod.mem_req, stor=mod.stor_req,
+                        static_cost=static,
+                        inbound=(app.input_traffic if j == 0 else app.inter_traffic[j - 1]),
+                        candidates=fits, min_cost=min((static[k] for k in fits), default=float("inf")),
+                        root=(app.exec_total, self.sensor_delay, zeros) if j == 0 else None,
+                        user=self.user_delay if j == app.n_modules - 1 else zeros,
+                    ))
+                domain = (group, self.app_chains(group))
+                built.append((key, domain))
+            self.app_positions.append(domain[0])
+            self.app_combos.append(domain[1])
+        if domains is not None:  # only a completed build adds to the memo
+            domains.update(built)
+            domains["infra"] = infra
+        self.positions = [pos for group in self.app_positions for pos in group]
         self.app_min = [combos[0][0] if combos else None for combos in self.app_combos]
 
         # tail_bound[m]: lower bound on the cost of placing positions m.. end,
@@ -193,12 +212,12 @@ class _Problem:
                 # (link costs included) is valid and at least as tight.
                 self.tail_bound[m] = max(self.tail_bound[m], later)
 
-    def app_chains(self, app_idx: int) -> list[tuple[float, tuple[int, ...]]]:
+    def app_chains(self, positions: list[_Position]) -> list[tuple[float, tuple[int, ...]]]:
         """One app's standalone-feasible chains as (cost, node tuple), cheapest
-        first, ties in lexicographic node order.  Capacity is checked against
-        the app's own demands only; security and QoS follow the relaxations."""
-        positions = self.app_positions[app_idx]
-        limit, t_rows, bw_rows = self.limit[app_idx], self.inst.links.delay, self.inst.links.bw_cost
+        first, ties in lexicographic node order, from its module slots.  Capacity
+        is checked against the app's own demands only; security and QoS follow
+        the relaxations."""
+        limit, t_rows, bw_rows = positions[0].limit, self.inst.links.delay, self.inst.links.bw_cost
         chains = [(0.0, 0.0, ())]  # (cost, delay, combo); the first module's root sets the delay
         for pos in positions:
             static, inbound, cands, user = pos.static_cost, pos.inbound, pos.candidates, pos.user
@@ -280,18 +299,19 @@ def _greedy(prob: _Problem, stats: SearchStats) -> list[int] | None:
 
 
 def solve_exact(inst: Instance, relax: Relaxations = Relaxations(),
-                opts: SolveOptions = SolveOptions()) -> SolveReport:
+                opts: SolveOptions = SolveOptions(), _domains: dict | None = None) -> SolveReport:
     """Minimum-cost feasible placement via branch-and-bound, or Infeasible.
 
     Deterministic: modules are branched in (app, chain) order and nodes tried
     in input order, so identical inputs produce identical reports.  The time
     limit covers preprocessing and search; hitting it returns the best
-    incumbent found (if any) with status TIME_LIMIT.
+    incumbent found (if any) with status TIME_LIMIT.  ``_domains`` is the
+    sweep's per-seed memo of ``_Problem``'s per-app domains.
     """
     deadline = None if opts.time_limit is None else time.monotonic() + opts.time_limit
     stats = SearchStats()
     try:
-        prob = _Problem(inst, relax, deadline)
+        prob = _Problem(inst, relax, deadline, _domains)
     except TimeoutError:
         return _finish_report(inst, relax, SolveStatus.TIME_LIMIT, None, stats)
 
@@ -306,7 +326,7 @@ def solve_exact(inst: Instance, relax: Relaxations = Relaxations(),
     best_cost = float("inf") if greedy_cost is None else greedy_cost.total
 
     positions = prob.positions
-    tail_bound, limit = prob.tail_bound, prob.limit
+    tail_bound = prob.tail_bound
     proc_cap, mem_cap, stor_cap = prob.proc_cap, prob.mem_cap, prob.stor_cap
     t, bw = inst.links.delay, inst.links.bw_cost
     n_pos = len(positions)
@@ -329,7 +349,7 @@ def solve_exact(inst: Instance, relax: Relaxations = Relaxations(),
             raise TimeoutError
         pos = positions[m]
         base, t_row, bw_row = pos.root or (delay_at[m - 1], t[current[m - 1]], bw[current[m - 1]])
-        static, inbound, user, qos_limit = pos.static_cost, pos.inbound, pos.user, limit[pos.app_idx]
+        static, inbound, user, qos_limit = pos.static_cost, pos.inbound, pos.user, pos.limit
         for k in pos.candidates:
             if (used_proc[k] + pos.proc > proc_cap[k] + FEAS_TOL
                     or used_mem[k] + pos.mem > mem_cap[k] + FEAS_TOL

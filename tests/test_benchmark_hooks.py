@@ -8,7 +8,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
 
 import spans  # noqa: E402
-from fogplace import solver  # noqa: E402
+from fogplace import experiment, solver  # noqa: E402
 
 
 def test_every_traced_attribute_exists_and_is_callable():
@@ -28,3 +28,20 @@ def test_tracer_records_spans_and_restores_bindings(tiny_instance):
     assert solver.solve_exact is original
     names = [s.name for s in tracer.spans]
     assert names[0] == "solver.search" and "solver.preprocess" in names
+
+
+def test_traced_sweep_keeps_one_span_per_solve_and_instance():
+    # run_sweep passes its per-seed memos through the traced names
+    # ``generate_instance``, ``solve_exact`` and ``_Problem``.
+    grid = experiment.preset_grid("fig5")
+    untraced = experiment.to_csv(experiment.run_sweep(grid, [0, 1]))
+    tracer = spans.Tracer()
+    with tracer.installed():
+        traced = experiment.to_csv(experiment.run_sweep(grid, [0, 1]))
+    assert traced == untraced
+    runs = 2 * len(grid.cells)
+    names = [s.name for s in tracer.spans]
+    assert names.count("solver.search") == names.count("solver.preprocess") == runs
+    assert names.count("scenario") == runs
+    assert all(tracer.spans[s.parent].name == "solver.search"
+               for s in tracer.spans if s.name == "solver.preprocess")

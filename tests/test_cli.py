@@ -210,6 +210,10 @@ class TestMalformedInstance:
         (("apps", 0, "inter_traffic"), 5, "apps[0].inter_traffic"),
         (("nodes", 1, "position"), [None, 1], "nodes[1].position[0]"),
         (("links", "delay", 0, 1), None, "links.delay[0][1]"),
+        (("nodes", 1, "position"), [True, 500.0], "nodes[1].position[0]"),
+        (("apps", 0, "inter_traffic"), [0.5, True], "apps[0].inter_traffic[1]"),
+        (("links", "delay", 0, 1), True, "links.delay[0][1]"),
+        (("links", "bw_cost", 2, 1), False, "links.bw_cost[2][1]"),
         (("apps", 0, "inter_traffic"), "12", "apps[0].inter_traffic"),
         (("apps", 0, "input_traffic"), 10 ** 400, "apps[0].input_traffic"),
         (("apps", 0, "id"), None, "apps[0].id"),

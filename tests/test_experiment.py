@@ -1,12 +1,14 @@
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from fogplace import experiment, scenario
 from fogplace.ilp import Relaxations, eval_cost
-from fogplace.instance_io import placement_from_dict
+from fogplace.instance_io import placement_from_dict, save_report
+from fogplace.metrics import count_deployed, unprotected_data
 from fogplace.experiment import (
     CSV_COLUMNS,
     Cell,
@@ -21,6 +23,7 @@ from fogplace.experiment import (
     to_csv,
 )
 from fogplace.scenario import ScenarioConfig, generate_instance, validate_config
+from fogplace.solver import solve_exact
 
 
 TINY_GRID = SweepGrid("tiny", (
@@ -166,6 +169,61 @@ class TestRunSweep:
         for row in rows:
             if row.status.startswith("error:"):
                 assert all(getattr(row, name) is None for name in CSV_COLUMNS[7:])
+
+
+def fresh_row(cell, seed, base_cfg, dump_dir):
+    """A sweep row's measured columns from a fresh, memo-free generate and
+    solve; writes the report into ``dump_dir`` as the sweep would."""
+    try:
+        inst = generate_instance(replace(base_cfg, n_apps=cell.n_apps, max_qos=cell.max_qos,
+                                         alpha=cell.alpha, seed=seed))
+    except ValueError:
+        return {"status": "error:ValueError"}
+    report = solve_exact(inst, cell.relax)
+    out = {"status": report.status.value, **report.search_stats.to_dict()}
+    if report.placement is not None:
+        out.update({f"cost_{k}": v for k, v in report.cost.to_dict().items()})
+        out["modules_on_cloud"], out["modules_on_fog"] = count_deployed(inst, report.placement)
+        out["unprotected_gb"] = unprotected_data(inst, report.placement)
+        save_report(inst, report, dump_dir / f"{cell_label(cell, seed)}.json")
+    return out
+
+
+# Random fog positions, execution-delay overrides, every alpha kind, every
+# relaxation and an invalid cell (max_qos below min_qos).
+CUSTOM_GRID = SweepGrid("custom", grid_from_lists(
+    "custom", [1, 3], [1.5, 3.0], [None, 0.0, 1.0],
+    [Relaxations(q, s) for q in (False, True) for s in (False, True)]).cells
+    + (Cell(2, 0.1, None, Relaxations()),))
+CUSTOM_CFG = ScenarioConfig(n_fog=3, fog_positions=None, tx_ranges=None,
+                            exec_delay_overrides=((0, 1, 0.05), (2, 0, 0.3)))
+
+
+@pytest.mark.parametrize("grid, seeds, base_cfg, statuses", [
+    (preset_grid("fig4"), [0, 1], ScenarioConfig(), {"optimal"}),
+    (preset_grid("fig5"), [0, 1], ScenarioConfig(), {"optimal", "infeasible"}),
+    (preset_grid("fig7"), [0, 1], ScenarioConfig(), {"optimal"}),
+    (CUSTOM_GRID, [5, -1, 6], CUSTOM_CFG, {"optimal", "error:ValueError"}),
+], ids=["fig4", "fig5", "fig7", "custom"])
+def test_sweep_rows_match_fresh_solves(grid, seeds, base_cfg, statuses, tmp_path):
+    # The sweep reuses app draws and solver domains within a seed; every
+    # row and dumped report must be what a fresh generate and solve give.
+    rows = run_sweep(grid, seeds, base_cfg, dump_dir=tmp_path / "sweep")
+    (tmp_path / "fresh").mkdir()
+    measured = CSV_COLUMNS[CSV_COLUMNS.index("status"):]
+    got = [[(name, repr(getattr(row, name))) for name in measured if getattr(row, name) is not None]
+           for row in rows if not row.is_aggregate]
+    expected = []
+    for cell in grid.cells:
+        for seed in seeds:
+            fresh = fresh_row(cell, seed, base_cfg, tmp_path / "fresh")
+            expected.append([(name, repr(fresh[name])) for name in measured if name in fresh])
+    assert got == expected
+    assert {row.status for row in rows if not row.is_aggregate} == statuses
+    dumped = sorted(p.name for p in (tmp_path / "sweep").iterdir())
+    assert dumped == sorted(p.name for p in (tmp_path / "fresh").iterdir())
+    for name in dumped:
+        assert (tmp_path / "sweep" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
 
 
 REFERENCE = Path(__file__).resolve().parents[1] / "benchmarks" / "reference.json"

@@ -283,6 +283,73 @@ class TestBounds:
         assert report.search_stats.nodes_explored <= 161
 
 
+class TestDomainMemo:
+    @pytest.fixture
+    def count_chains(self, monkeypatch):
+        calls = []
+        original = _Problem.app_chains
+
+        def counting(self, positions):
+            calls.append(positions)
+            return original(self, positions)
+
+        monkeypatch.setattr(_Problem, "app_chains", counting)
+        return calls
+
+    def test_domain_does_not_depend_on_app_index(self, count_chains):
+        # Random-position instances whose searches prune on QoS, so an app
+        # checked against another app's delay limit changes the report.
+        for n_fog, n_apps, max_qos, seed in ((3, 14, 1.5, 3141), (4, 14, 3.0, 4243)):
+            inst = generate_instance(ScenarioConfig(n_fog=n_fog, n_apps=n_apps, max_qos=max_qos,
+                                                    seed=seed, fog_positions=None, tx_ranges=None))
+            moved = dataclasses.replace(inst, apps=inst.apps[::-1])
+            for relax in (Relaxations(), Relaxations(drop_qos=True)):
+                memo = {}
+                solve_exact(inst, relax, _domains=memo)
+                count_chains.clear()
+                assert solve_exact(moved, relax, _domains=memo) == solve_exact(moved, relax)
+                assert len(count_chains) == len(inst.apps)  # the fresh solve's builds only
+
+    def test_memo_holds_for_one_infrastructure(self, count_chains):
+        inst = generate_instance(ScenarioConfig(n_apps=4, seed=3))
+        cloud, *fogs = inst.nodes
+        other = dataclasses.replace(inst, nodes=(dataclasses.replace(cloud, proc_cost=0.5), *fogs))
+        memo = {}
+        solve_exact(inst, _domains=memo)
+        count_chains.clear()
+        assert solve_exact(other, _domains=memo) == solve_exact(other)
+        assert len(count_chains) == 2 * len(inst.apps)
+
+    def test_timed_out_build_leaves_memo_unchanged(self, monkeypatch):
+        inst = generate_instance(ScenarioConfig(n_apps=3, seed=0))
+        memo = {}
+        _Problem(dataclasses.replace(inst, apps=inst.apps[:1]), Relaxations(), domains=memo)
+        before = dict(memo)
+        calls = []
+        original = _Problem.app_chains
+
+        def second_times_out(self, positions):
+            calls.append(positions)
+            if len(calls) == 2:
+                raise TimeoutError
+            return original(self, positions)
+
+        # App 0 comes from the memo, app 1 builds, app 2 times out.
+        monkeypatch.setattr(_Problem, "app_chains", second_times_out)
+        with pytest.raises(TimeoutError):
+            _Problem(inst, Relaxations(), domains=memo)
+        assert len(calls) == 2
+        assert memo.keys() == before.keys()
+        assert all(memo[key] is before[key] for key in before)
+
+    def test_library_calls_build_every_domain(self, count_chains):
+        inst = generate_instance(ScenarioConfig(n_apps=5, seed=1))
+        first = solve_exact(inst)
+        assert len(count_chains) == len(inst.apps)
+        assert solve_exact(inst) == first
+        assert len(count_chains) == 2 * len(inst.apps)
+
+
 def reference_chains(prob, app_idx, relax):
     """One app's (cost, combo) list by a plain scan of every host tuple:
     ``fits`` for capacity, delay summed in the search's order."""

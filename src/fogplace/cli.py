@@ -97,6 +97,8 @@ def _cmd_rate(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    if args.time_limit is not None and args.solver != "exact":
+        raise InputError(f"--time-limit applies to --solver exact only, not {args.solver}")
     try:
         opts = SolveOptions(time_limit=args.time_limit)
     except ValueError as exc:
@@ -191,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-qos", action="store_true", help="drop the delay constraints")
     p.add_argument("--no-security", action="store_true", help="drop the security constraints")
     p.add_argument("--solver", choices=("exact", "greedy", "brute"), default="exact")
-    p.add_argument("--time-limit", type=float, default=None, help="seconds")
+    p.add_argument("--time-limit", type=float, default=None, help="seconds (--solver exact only)")
     p.add_argument("--export-lp", metavar="PATH", help="also write the model in LP format")
     p.add_argument("--out", metavar="PATH", help="write the solve report as JSON")
     p.set_defaults(func=_cmd_solve)

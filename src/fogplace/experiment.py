@@ -120,20 +120,24 @@ def grid_from_dict(doc: Any) -> tuple[SweepGrid, list[int], ScenarioConfig]:
         seeds = [strict_int(s) for s in seeds]
     except (TypeError, OverflowError):
         raise ValueError(f"grid config: seeds must be a list of integers, got {doc['seeds']!r}") from None
+    if len(set(seeds)) < len(seeds):  # a seed's rows would count twice in each mean
+        repeated = next(s for s in seeds if seeds.count(s) > 1)
+        raise ValueError(f"grid config: seeds: seed {repeated} is repeated")
     try:
         base_cfg = config_from_dict(doc.get("base_config", {}))
     except ValueError as exc:
         raise ValueError(f"grid config: base_config: {exc}") from None
-    for i, cell in enumerate(grid.cells):
-        for seed in seeds:
-            try:
-                validate_config(_cell_config(base_cfg, cell, seed))
-            except ValueError as exc:
-                raise ValueError(f"grid config: cells[{i}] with seed {seed}: {exc}") from None
+    # Only the seed's sign depends on the seed, so each cell is checked at the lowest.
+    for i, cell in enumerate(grid.cells if seeds else ()):
+        try:
+            validate_config(_cell_config(base_cfg, cell, min(seeds)))
+        except ValueError as exc:
+            raise ValueError(f"grid config: cells[{i}] with seed {min(seeds)}: {exc}") from None
     return grid, seeds, base_cfg
 
 
-def _cell_config(base_cfg: ScenarioConfig, cell: Cell, seed: int) -> ScenarioConfig:
+def _cell_config(base_cfg: ScenarioConfig, cell: Cell, seed: int = 0) -> ScenarioConfig:
+    """The cell's config; a sweep builds it once, at seed 0, and passes each seed separately."""
     return replace(base_cfg, n_apps=cell.n_apps, max_qos=cell.max_qos, alpha=cell.alpha, seed=seed)
 
 
@@ -192,8 +196,9 @@ def run_sweep(grid: SweepGrid, seeds: list[int] | tuple[int, ...],
     produced a placement also writes its full solve report there for audit,
     named by the cell label and seed.
 
-    The runs go seed by seed; the cells of one seed share app draws and
-    per-app solver domains, which are dropped before the next seed.
+    The runs go seed by seed; the cells of one seed share its
+    infrastructure, app draws and per-app solver domains, which are dropped
+    before the next seed.
     """
     if base_cfg is None:
         base_cfg = ScenarioConfig()
@@ -201,11 +206,12 @@ def run_sweep(grid: SweepGrid, seeds: list[int] | tuple[int, ...],
         dump_dir = Path(dump_dir)
         dump_dir.mkdir(parents=True, exist_ok=True)
     rows: list[SweepRow] = []
-    for cell in grid.cells:
+    cfgs = [_cell_config(base_cfg, cell) for cell in grid.cells]
+    for cell, cfg in zip(grid.cells, cfgs):
         # Of the config, only the seed's sign depends on the seed: validate
         # the cell once, and an invalid cell errors every one of its rows.
         try:
-            validate_config(_cell_config(base_cfg, cell, 0))
+            validate_config(cfg)
             cell_error = ""
         except Exception as exc:
             cell_error = f"error:{type(exc).__name__}"
@@ -215,13 +221,13 @@ def run_sweep(grid: SweepGrid, seeds: list[int] | tuple[int, ...],
     for s, seed in enumerate(seeds):
         drawn: dict = {}
         domains: dict = {}
-        for cell, row in zip(grid.cells, rows[s::len(seeds)]):
+        for cell, cfg, row in zip(grid.cells, cfgs, rows[s::len(seeds)]):
             if row.status:  # the cell is invalid
                 continue
             try:
                 if seed < 0:
                     raise ValueError("seed must be a nonnegative integer")
-                inst = generate_instance(_cell_config(base_cfg, cell, seed), drawn)
+                inst = generate_instance(cfg, seed, drawn)
                 start = time.perf_counter()
                 report = solve_exact(inst, cell.relax, _domains=domains)
                 row.solve_ms = (time.perf_counter() - start) * 1000.0

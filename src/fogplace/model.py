@@ -166,6 +166,14 @@ class Instance:
     def total_modules(self) -> int:
         return sum(a.n_modules for a in self.apps)
 
+    def with_apps(self, apps: tuple[Application, ...]) -> Instance:
+        """``apps`` on this infrastructure: the same node, link and farm
+        objects, and the node index and ratings derived from them so far."""
+        inst = Instance(self.nodes, self.links, apps, self.farm)
+        inst.__dict__.update((name, value) for name, value in vars(self).items()
+                             if name in ("node_index", "ratings"))
+        return inst
+
 
 @dataclass(frozen=True)
 class Placement:

@@ -322,7 +322,7 @@ def _uniform(bounds: tuple[float, float], u: float) -> float:
     return lo + (hi - lo) * u
 
 
-def _build_nodes(cfg: ScenarioConfig) -> list[ResourceNode]:
+def _build_nodes(cfg: ScenarioConfig, seed: int) -> list[ResourceNode]:
     nodes = [ResourceNode(
         id="cloud",
         tier=Tier.CLOUD,
@@ -340,7 +340,7 @@ def _build_nodes(cfg: ScenarioConfig) -> list[ResourceNode]:
         if cfg.fog_positions is not None:
             position = cfg.fog_positions[f]
         else:
-            x, y = _draws(cfg.seed, _STREAM_INFRA, f, 2)
+            x, y = _draws(seed, _STREAM_INFRA, f, 2)
             position = (_uniform((0.0, cfg.farm_width), x), _uniform((0.0, cfg.farm_height), y))
         tx = cfg.tx_ranges[f] if cfg.tx_ranges is not None else cfg.default_tx_range
         nodes.append(ResourceNode(
@@ -371,11 +371,11 @@ def _build_links(cfg: ScenarioConfig, nodes: list[ResourceNode]) -> LinkTable:
                      bw_cost=matrix(cfg.fog_comm_cost, cfg.cloud_comm_cost))
 
 
-def _draw_app(cfg: ScenarioConfig, app_idx: int, forced_high: bool) -> Application:
+def _draw_app(cfg: ScenarioConfig, seed: int, app_idx: int, forced_high: bool) -> Application:
     n = cfg.modules_per_app
     # The block: (proc, mem, stor) per module, then input, the n - 1 inter
     # traffics, output, the QoS variate and the security variate.
-    u = _draws(cfg.seed, _STREAM_APP, app_idx, 4 * n + 3)
+    u = _draws(seed, _STREAM_APP, app_idx, 4 * n + 3)
     (p_lo, p_hi), (m_lo, m_hi), (s_lo, s_hi) = cfg.proc_req_range, cfg.mem_req_range, cfg.stor_req_range
     p_span, m_span, s_span = p_hi - p_lo, m_hi - m_lo, s_hi - s_lo  # as ``_uniform`` spans them
     modules = []
@@ -409,33 +409,31 @@ def _draw_app(cfg: ScenarioConfig, app_idx: int, forced_high: bool) -> Applicati
 def generate_instance(cfg: ScenarioConfig) -> Instance:
     """Generate and rate a random instance; deterministic in (cfg, seed)."""
     validate_config(cfg)
-    return _generate(cfg)
+    return _generate(cfg, cfg.seed)
 
 
-def _generate(cfg: ScenarioConfig, drawn: dict | None = None) -> Instance:
-    """``generate_instance`` for a config that has passed ``validate_config``.
+def _generate(cfg: ScenarioConfig, seed: int, drawn: dict | None = None) -> Instance:
+    """``generate_instance`` of seed ``seed`` (``cfg.seed`` is not read) for
+    a config that has passed ``validate_config``.
 
-    ``drawn`` is a sweep's memo of one seed's apps, keyed by what else may
-    vary between its cells: within a ``run_sweep`` call the rest of the
-    config is fixed.
+    ``drawn`` is a sweep's memo of one seed: its rated infrastructure, which
+    every instance shares, and its apps, keyed by what else may vary between
+    its cells.  Within a ``run_sweep`` call the rest of the config is fixed.
     """
-    nodes = _build_nodes(cfg)
-    links = _build_links(cfg, nodes)
-    forced = 0 if cfg.alpha is None else math.ceil(cfg.alpha * cfg.n_apps)
     drawn = {} if drawn is None else drawn
+    if "infra" not in drawn:
+        nodes = _build_nodes(cfg, seed)
+        drawn["infra"] = rate_infrastructure(Instance(
+            nodes=tuple(nodes), links=_build_links(cfg, nodes), apps=(),
+            farm=FarmGeometry(width=cfg.farm_width, height=cfg.farm_height)))
+    forced = 0 if cfg.alpha is None else math.ceil(cfg.alpha * cfg.n_apps)
     apps = []
     for i in range(cfg.n_apps):
         key = (i, cfg.max_qos, cfg.alpha is None, i < forced)
         if key not in drawn:
-            drawn[key] = _draw_app(cfg, i, forced_high=(i < forced))
+            drawn[key] = _draw_app(cfg, seed, i, forced_high=(i < forced))
         apps.append(drawn[key])
-    inst = Instance(
-        nodes=tuple(nodes),
-        links=links,
-        apps=tuple(apps),
-        farm=FarmGeometry(width=cfg.farm_width, height=cfg.farm_height),
-    )
-    return rate_infrastructure(inst)
+    return drawn["infra"].with_apps(tuple(apps))
 
 
 def config_from_dict(d: Mapping[str, Any]) -> ScenarioConfig:

@@ -31,17 +31,21 @@ exceeds the app's limit is dropped with its whole subtree
 (resource-constrained labelling).  ``time_limit`` bounds preprocessing and
 search alike; the enumeration reads the clock every 4096 chain extensions.
 
-An app's slots and chains form its domain.  It holds no app index (each
-slot carries the app's delay ``limit``), so it depends only on the app, the
-relaxation and the infrastructure: a sweep reuses it across the cells of
-one seed, while library calls build every domain afresh.
+An app's slots and chains form its domain.  It holds no app index and no
+threshold: the delay limits live in ``_Problem.app_limits``, which the
+enumeration and the search read.  A library call builds every domain
+afresh and enumerates it pruned at the app's limit.  A sweep keeps each
+domain across the cells of one seed, keyed by all of the app but its
+threshold, with every chain unpruned and its final delay; each cell keeps
+the chains within its limit.  A chain's delay never falls as it grows, so
+that filter gives the pruned list: the same floats in the same order.
 
 The enumeration and the search extend a chain onto host ``k`` by one rule.
 The position picks ``base, t, bw``: ``(exec_total, sensor_delay, zeros)`` on
 an app's first module, else the chain's delay so far and the predecessor
 host's link rows.  Then ``delay = base + t[k] + user[k]``, with ``user`` the
 user-attachment row on the last module and zeros elsewhere, must not exceed
-the slot's ``limit``, and the step costs ``static[k] + inbound * bw[k]``.
+the app's limit, and the step costs ``static[k] + inbound * bw[k]``.
 Every value is finite and nonnegative, so the zero rows add exactly nothing.
 
 ``solve_bruteforce`` enumerates every complete assignment and filters with
@@ -60,7 +64,7 @@ from enum import Enum
 from operator import itemgetter
 
 from .ilp import FEAS_TOL, CostBreakdown, Relaxations, _hosting_costs, check_feasibility, eval_cost, eval_delay
-from .model import Instance, Placement
+from .model import Application, Instance, Placement
 
 BRUTEFORCE_MAX_MODULES = 12
 BRUTEFORCE_MAX_NODES = 4
@@ -110,10 +114,9 @@ class SolveReport:
 
 @dataclass(slots=True)
 class _Position:
-    """One module slot of an app's chain; ``root``, ``user`` and ``limit``
-    carry the chain-extension rule of the module notes."""
+    """One module slot of an app's chain; ``root`` and ``user`` carry the
+    chain-extension rule of the module notes."""
 
-    limit: float  # the largest delay the app may accumulate, inf when QoS is relaxed
     proc: float
     mem: float
     stor: float
@@ -130,9 +133,9 @@ class _Problem:
 
     Raises ``TimeoutError`` when ``deadline`` (a ``time.monotonic()`` value)
     passes during the per-app enumeration.  ``domains``, a dict the caller
-    owns, keeps each app's domain (its positions and chains) by (app,
-    relaxation) for later builds on the same infrastructure; a build that
-    times out adds nothing to it.
+    owns, keeps each app's domain (see the module notes) and each app
+    object's chains within its limit for later builds on the same
+    infrastructure; a build that times out adds nothing to it.
     """
 
     def __init__(self, inst: Instance, relax: Relaxations, deadline: float | None = None,
@@ -149,45 +152,38 @@ class _Problem:
         self.sensor_delay = [n.sensor_delay for n in nodes]
         self.user_delay = [n.user_delay for n in nodes]
         ratings = None if relax.drop_security else [inst.ratings[n.id] for n in nodes]
-        zeros = [0.0] * self.n_nodes
         infra = (nodes, inst.links, inst.farm)  # the farm fixes the ratings
         if domains is not None and domains.get("infra", infra) != infra:
             domains = None  # another infrastructure's memo
-        memo, built = domains or {}, []
+        built: dict = {}
 
         # app_positions[i]: app i's module slots in chain order; positions: all, app by app.
-        # app_combos[i]: app i's chains (``app_chains``).  Their minima
-        # (capacity between apps ignored) feed the cross-app part of the
-        # completion bound; ``None`` marks an app that cannot be placed even
-        # alone, which proves the instance infeasible.
+        # app_combos[i]: app i's chains (``app_chains``) within its delay
+        # limit app_limits[i].  Their minima (capacity between apps ignored)
+        # feed the cross-app part of the completion bound; ``None`` marks an
+        # app that cannot be placed even alone, which proves the instance
+        # infeasible.
+        self.app_limits = [float("inf") if relax.drop_qos else app.qos_threshold + FEAS_TOL
+                           for app in inst.apps]
         self.app_positions: list[list[_Position]] = []
         self.app_combos: list[list[tuple[float, tuple[int, ...]]]] = []
-        for app in inst.apps:
-            key = (app, relax.drop_qos, relax.drop_security)
-            domain = memo.get(key) if memo else None  # an empty memo hashes nothing
-            if domain is None:
-                limit = float("inf") if relax.drop_qos else app.qos_threshold + FEAS_TOL
-                allowed = (range(self.n_nodes) if ratings is None
-                           else [k for k, r in enumerate(ratings) if r >= app.security_req])
-                group = []
-                for j, mod in enumerate(app.modules):
-                    fits = [k for k in allowed
-                            if mod.proc_req <= self.proc_cap[k] + FEAS_TOL
-                            and mod.mem_req <= self.mem_cap[k] + FEAS_TOL
-                            and mod.stor_req <= self.stor_cap[k] + FEAS_TOL]
-                    static = _hosting_costs(app, j, nodes)
-                    group.append(_Position(
-                        limit=limit, proc=mod.proc_req, mem=mod.mem_req, stor=mod.stor_req,
-                        static_cost=static,
-                        inbound=(app.input_traffic if j == 0 else app.inter_traffic[j - 1]),
-                        candidates=fits, min_cost=min((static[k] for k in fits), default=float("inf")),
-                        root=(app.exec_total, self.sensor_delay, zeros) if j == 0 else None,
-                        user=self.user_delay if j == app.n_modules - 1 else zeros,
-                    ))
-                domain = (group, self.app_chains(group))
-                built.append((key, domain))
-            self.app_positions.append(domain[0])
-            self.app_combos.append(domain[1])
+        for app, limit in zip(inst.apps, self.app_limits):
+            key = (id(app), relax.drop_qos, relax.drop_security)  # the entry keeps the app alive
+            entry = domains.get(key) if domains else None
+            if entry is None:
+                # All of the app but its id and threshold, hashed once per app object.
+                shared = None if domains is None else (
+                    app.modules, app.input_traffic, app.inter_traffic, app.output_traffic,
+                    app.security_req, relax.drop_security)
+                domain = domains.get(shared) if domains else None
+                if domain is None:
+                    group = self.app_slots(app, ratings)
+                    domain = built[shared] = (group, self.app_chains(
+                        group, limit if shared is None else float("inf")))
+                entry = built[key] = (app, domain[0], [(cost, combo) for cost, delay, combo in domain[1]
+                                                       if delay <= limit])
+            self.app_positions.append(entry[1])
+            self.app_combos.append(entry[2])
         if domains is not None:  # only a completed build adds to the memo
             domains.update(built)
             domains["infra"] = infra
@@ -212,12 +208,35 @@ class _Problem:
                 # (link costs included) is valid and at least as tight.
                 self.tail_bound[m] = max(self.tail_bound[m], later)
 
-    def app_chains(self, positions: list[_Position]) -> list[tuple[float, tuple[int, ...]]]:
-        """One app's standalone-feasible chains as (cost, node tuple), cheapest
-        first, ties in lexicographic node order, from its module slots.  Capacity
-        is checked against the app's own demands only; security and QoS follow
-        the relaxations."""
-        limit, t_rows, bw_rows = positions[0].limit, self.inst.links.delay, self.inst.links.bw_cost
+    def app_slots(self, app: Application, ratings: list | None) -> list[_Position]:
+        """An app's module slots; ``ratings`` None admits every node."""
+        allowed = (range(self.n_nodes) if ratings is None
+                   else [k for k, r in enumerate(ratings) if r >= app.security_req])
+        zeros = [0.0] * self.n_nodes
+        group = []
+        for j, mod in enumerate(app.modules):
+            fits = [k for k in allowed
+                    if mod.proc_req <= self.proc_cap[k] + FEAS_TOL
+                    and mod.mem_req <= self.mem_cap[k] + FEAS_TOL
+                    and mod.stor_req <= self.stor_cap[k] + FEAS_TOL]
+            static = _hosting_costs(app, j, self.inst.nodes)
+            group.append(_Position(
+                proc=mod.proc_req, mem=mod.mem_req, stor=mod.stor_req, static_cost=static,
+                inbound=(app.input_traffic if j == 0 else app.inter_traffic[j - 1]),
+                candidates=fits, min_cost=min((static[k] for k in fits), default=float("inf")),
+                root=(app.exec_total, self.sensor_delay, zeros) if j == 0 else None,
+                user=self.user_delay if j == app.n_modules - 1 else zeros,
+            ))
+        return group
+
+    def app_chains(self, positions: list[_Position],
+                   limit: float) -> list[tuple[float, float, tuple[int, ...]]]:
+        """One app's standalone-feasible chains as (cost, delay, node tuple),
+        cheapest first, ties in lexicographic node order, from its module
+        slots.  Capacity is checked against the app's own demands only,
+        security follows the relaxation, and no chain's delay exceeds
+        ``limit``."""
+        t_rows, bw_rows = self.inst.links.delay, self.inst.links.bw_cost
         chains = [(0.0, 0.0, ())]  # (cost, delay, combo); the first module's root sets the delay
         for pos in positions:
             static, inbound, cands, user = pos.static_cost, pos.inbound, pos.candidates, pos.user
@@ -240,10 +259,10 @@ class _Problem:
                         or stor > self.stor_cap[k] + FEAS_TOL
                         for k in set().union(*(pos.candidates for pos in positions)))
         idle = ([0.0] * self.n_nodes,) * 3
-        kept = [(cost, combo) for cost, _delay, combo in chains
-                if not check_cap or self.fits(positions, combo, idle)]
-        kept.sort(key=itemgetter(0))  # stable: ties keep the lexicographic build order
-        return kept
+        if check_cap:
+            chains = [chain for chain in chains if self.fits(positions, chain[2], idle)]
+        chains.sort(key=itemgetter(0))  # stable: ties keep the lexicographic build order
+        return chains
 
     def fits(self, positions: list[_Position], combo: tuple[int, ...],
              used: tuple[list[float], list[float], list[float]]) -> bool:
@@ -326,6 +345,7 @@ def solve_exact(inst: Instance, relax: Relaxations = Relaxations(),
     best_cost = float("inf") if greedy_cost is None else greedy_cost.total
 
     positions = prob.positions
+    qos_limits = [limit for limit, group in zip(prob.app_limits, prob.app_positions) for _pos in group]
     tail_bound = prob.tail_bound
     proc_cap, mem_cap, stor_cap = prob.proc_cap, prob.mem_cap, prob.stor_cap
     t, bw = inst.links.delay, inst.links.bw_cost
@@ -349,7 +369,7 @@ def solve_exact(inst: Instance, relax: Relaxations = Relaxations(),
             raise TimeoutError
         pos = positions[m]
         base, t_row, bw_row = pos.root or (delay_at[m - 1], t[current[m - 1]], bw[current[m - 1]])
-        static, inbound, user, qos_limit = pos.static_cost, pos.inbound, pos.user, pos.limit
+        static, inbound, user, qos_limit = pos.static_cost, pos.inbound, pos.user, qos_limits[m]
         for k in pos.candidates:
             if (used_proc[k] + pos.proc > proc_cap[k] + FEAS_TOL
                     or used_mem[k] + pos.mem > mem_cap[k] + FEAS_TOL

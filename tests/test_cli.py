@@ -323,6 +323,17 @@ class TestSolve:
         assert code == EXIT_INPUT
         assert not lp.exists()
 
+    @pytest.mark.parametrize("solver", ["greedy", "brute"])
+    def test_time_limit_needs_the_exact_solver(self, instance_file, tmp_path, capsys, solver):
+        # Neither solver reads a clock: the limit would be silently ignored.
+        out = tmp_path / "report.json"
+        code = main(["solve", str(instance_file), "--solver", solver, "--time-limit", "0.5",
+                     "--out", str(out)])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "--time-limit" in err and solver in err
+        assert not out.exists()
+
     def test_inputs_never_mutated(self, instance_file):
         before = sha(instance_file)
         main(["solve", str(instance_file)])
@@ -393,6 +404,8 @@ class TestExperiment:
         ({"preset": "fig5", "seeds": [1.9]}, "seeds must be a list of integers"),
         ({"preset": "fig5", "seeds": [True]}, "seeds must be a list of integers"),
         ({"preset": "fig5", "seeds": "12"}, "seeds must be a list of integers"),
+        ({"preset": "fig5", "seeds": [0, 0]}, "seeds: seed 0 is repeated"),
+        ({"preset": "fig5", "seeds": [3, 0, 1, 0, 3]}, "seeds: seed 3 is repeated"),
     ])
     def test_unusable_cell_or_seed_names_it(self, tmp_path, capsys, doc, named):
         grid = write_json(tmp_path / "grid.json", doc)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from fogplace import experiment, scenario
+from fogplace import experiment, scenario, security
 from fogplace.ilp import Relaxations, eval_cost
 from fogplace.instance_io import placement_from_dict, save_report
 from fogplace.metrics import count_deployed, unprotected_data
@@ -224,6 +224,37 @@ def test_sweep_rows_match_fresh_solves(grid, seeds, base_cfg, statuses, tmp_path
     assert dumped == sorted(p.name for p in (tmp_path / "fresh").iterdir())
     for name in dumped:
         assert (tmp_path / "sweep" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+
+
+def test_each_seed_shares_its_infrastructure_and_domains_with_itself_only(monkeypatch):
+    rated, made, memos = [], [], []
+    rate, generate, solve = security._rate_nodes, experiment.generate_instance, experiment.solve_exact
+
+    def generating(cfg, seed, drawn):
+        made.append(generate(cfg, seed, drawn))
+        return made[-1]
+
+    def solving(inst, relax, _domains):
+        memos.append(_domains)
+        return solve(inst, relax, _domains=_domains)
+
+    monkeypatch.setattr(security, "_rate_nodes", lambda inst: rated.append(inst) or rate(inst))
+    monkeypatch.setattr(experiment, "generate_instance", generating)
+    monkeypatch.setattr(experiment, "solve_exact", solving)
+    grid = preset_grid("fig7")
+    rows = run_sweep(grid, [0, 1])
+    assert len(rated) == 2  # one rating pass per seed
+    n = len(grid.cells)
+    assert len(made) == len(memos) == 2 * n
+    for insts, seed_memos in ((made[:n], memos[:n]), (made[n:], memos[n:])):
+        assert all(inst.nodes is insts[0].nodes and inst.links is insts[0].links for inst in insts)
+        assert all(memo is seed_memos[0] for memo in seed_memos)
+    assert made[0].nodes is not made[n].nodes and made[0].links is not made[n].links
+    assert made[0].nodes == made[n].nodes  # fixed fog positions: equal, yet rebuilt
+    first, second = memos[0], memos[n]
+    assert first is not second
+    assert not {id(v) for v in first.values()} & {id(v) for v in second.values()}
+    assert {row.status for row in rows[:2 * n]} == {"optimal"}
 
 
 REFERENCE = Path(__file__).resolve().parents[1] / "benchmarks" / "reference.json"

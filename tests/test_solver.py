@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 import time
 
 import pytest
@@ -289,9 +290,9 @@ class TestDomainMemo:
         calls = []
         original = _Problem.app_chains
 
-        def counting(self, positions):
-            calls.append(positions)
-            return original(self, positions)
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            return original(self, *args, **kwargs)
 
         monkeypatch.setattr(_Problem, "app_chains", counting)
         return calls
@@ -328,11 +329,11 @@ class TestDomainMemo:
         calls = []
         original = _Problem.app_chains
 
-        def second_times_out(self, positions):
-            calls.append(positions)
+        def second_times_out(self, *args, **kwargs):
+            calls.append(args)
             if len(calls) == 2:
                 raise TimeoutError
-            return original(self, positions)
+            return original(self, *args, **kwargs)
 
         # App 0 comes from the memo, app 1 builds, app 2 times out.
         monkeypatch.setattr(_Problem, "app_chains", second_times_out)
@@ -348,6 +349,47 @@ class TestDomainMemo:
         assert len(count_chains) == len(inst.apps)
         assert solve_exact(inst) == first
         assert len(count_chains) == 2 * len(inst.apps)
+
+
+def threshold_for(limit):
+    """A qos_threshold whose delay limit (threshold + FEAS_TOL) is exactly ``limit``, or None."""
+    t = limit - FEAS_TOL
+    return next((c for c in (t, math.nextafter(t, -math.inf), math.nextafter(t, math.inf))
+                 if c > 0 and c + FEAS_TOL == limit), None)
+
+
+class TestThresholdFilter:
+    """A sweep keeps each app's unpruned chains and filters them by final
+    delay per threshold; the filter must give the pruned enumeration's list."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(n_fog=st.integers(2, 6), n_apps=st.integers(1, 3), max_qos=st.sampled_from([1.5, 3.0]),
+           seed=st.integers(0, 2**32 - 1), drop_security=st.booleans())
+    @example(n_fog=6, n_apps=3, max_qos=3.0, seed=4243, drop_security=True)
+    def test_filtered_unpruned_list_is_the_pruned_one(self, n_fog, n_apps, max_qos, seed, drop_security):
+        # The packing_search layout: random fog positions and ranges.
+        inst = generate_instance(ScenarioConfig(n_fog=n_fog, n_apps=n_apps, max_qos=max_qos, seed=seed,
+                                                fog_positions=None, tx_ranges=None))
+        for relax in (Relaxations(drop_security=drop_security),
+                      Relaxations(drop_qos=True, drop_security=drop_security)):
+            prob = _Problem(inst, relax)
+            assert _Problem(inst, relax, domains={}).app_combos == prob.app_combos
+            for app, group in zip(inst.apps, prob.app_positions):
+                unpruned = prob.app_chains(group, float("inf"))
+                delays = sorted({delay for _cost, delay, _combo in unpruned})
+                # A chain's delay exactly, one ulp either side, and the app's own limit.
+                limits = {app.qos_threshold + FEAS_TOL}
+                for delay in delays[::max(1, len(delays) // 6)] + delays[-1:]:
+                    limits |= {math.nextafter(delay, -math.inf), delay, math.nextafter(delay, math.inf)}
+                memo = {}  # one memo across the thresholds, as in a sweep's seed
+                for limit in sorted(limits):
+                    pruned = prob.app_chains(group, limit)
+                    assert [c for c in unpruned if c[1] <= limit] == pruned, limit
+                    threshold = threshold_for(limit)
+                    if threshold is not None and not relax.drop_qos:  # the sweep's own filter
+                        one = dataclasses.replace(inst, apps=(dataclasses.replace(app, qos_threshold=threshold),))
+                        assert (_Problem(one, relax, domains=memo).app_combos
+                                == [[(cost, combo) for cost, _delay, combo in pruned]]), limit
 
 
 def reference_chains(prob, app_idx, relax):

@@ -18,7 +18,7 @@ import time
 from collections.abc import Iterable
 from dataclasses import dataclass, field, fields, replace
 from functools import reduce
-from operator import add
+from operator import add, attrgetter
 from pathlib import Path
 from typing import Any
 
@@ -178,6 +178,9 @@ class SweepRow:
 # average the measured columns, which start at cost_processing.
 CSV_COLUMNS = [f.name for f in fields(SweepRow) if f.name != "solve_ms"]
 _MEAN_FIELDS = CSV_COLUMNS[CSV_COLUMNS.index("cost_processing"):]
+_CSV_VALUES = attrgetter(*CSV_COLUMNS)
+_FLAGS_AT = slice(CSV_COLUMNS.index("drop_qos"), CSV_COLUMNS.index("drop_security") + 1)
+_FLAG = {False: "false", True: "true"}
 
 
 def cell_label(cell: Cell, seed: int | str) -> str:
@@ -268,23 +271,19 @@ def aggregate_rows(rows: list[SweepRow]) -> list[SweepRow]:
     return out
 
 
-def _render(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def to_csv(rows: list[SweepRow]) -> str:
-    """Render rows in the fixed column order; byte-stable across runs."""
+    """Render rows in the fixed column order; byte-stable across runs.
+
+    ``csv`` writes None as an empty field, floats by ``repr`` and ints and
+    strings by ``str``; only the relaxation flags are spelled out.
+    """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for row in rows:
-        writer.writerow([_render(getattr(row, c)) for c in CSV_COLUMNS])
+        values = list(_CSV_VALUES(row))
+        values[_FLAGS_AT] = _FLAG[row.drop_qos], _FLAG[row.drop_security]
+        writer.writerow(values)
     return buf.getvalue()
 
 

@@ -17,12 +17,16 @@ construction and name LP rows only:
     eq14          each internal edge mapped to exactly one node pair
 
 Capacity and delay bounds are non-strict: boundary-tight placements are
-feasible.  All evaluation helpers here are pure and independent of the
-solver's incremental bookkeeping, so they double as its checking oracle.
+feasible.  All evaluation helpers here are pure.  The feasibility checks
+are independent of the solver's incremental bookkeeping, so they double as
+its checking oracle; the per-app cost and delay steps are the ones the
+solver costs its reports with, so a report equals ``eval_cost`` and
+``eval_delay`` of its placement bit for bit.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .model import Application, Instance, Placement, ResourceNode, placement_is_consistent
@@ -274,23 +278,42 @@ def objective_value(model: IlpModel, vec: dict[str, float]) -> float:
     return sum(coeff * vec.get(name, 0.0) for name, coeff in model.objective.items())
 
 
+def _add_app_cost(inst: Instance, sums: tuple[float, ...], app: Application,
+                  hosts: Sequence[int]) -> tuple[float, ...]:
+    """``sums``, the five terms in ``CostBreakdown``'s field order, plus the
+    terms of ``app`` with module j on node index ``hosts[j]``.
+
+    Each term is a left fold over the apps in order, so the sums after k
+    apps are ``eval_cost`` of those k apps; the solver folds it app by app.
+    """
+    processing, storage, sensor, inter, user = sums
+    nodes, bw = inst.nodes, inst.links.bw_cost
+    sensor += app.input_traffic * nodes[hosts[0]].sensor_bw_cost
+    user += app.output_traffic * nodes[hosts[-1]].user_bw_cost
+    for mod, k in zip(app.modules, hosts):
+        processing += mod.exec_delay * nodes[k].proc_cost
+        storage += mod.stor_req * nodes[k].stor_cost
+    for traffic, u, v in zip(app.inter_traffic, hosts, hosts[1:]):
+        inter += traffic * bw[u][v]
+    return processing, storage, sensor, inter, user
+
+
+def _comm_delay(inst: Instance, hosts: Sequence[int]) -> float:
+    """An app's communication delay with module j on node index ``hosts[j]``."""
+    comm = inst.nodes[hosts[0]].sensor_delay + inst.nodes[hosts[-1]].user_delay
+    for u, v in zip(hosts, hosts[1:]):
+        comm += inst.links.delay[u][v]
+    return comm
+
+
 def eval_cost(inst: Instance, p: Placement) -> CostBreakdown:
     """Cost of a consistent placement, split into the five objective terms."""
     if not placement_is_consistent(inst, p):
         raise ValueError("placement is not consistent with the instance")
-    processing = storage = sensor = inter = user = 0.0
-    nodes, bw = inst.nodes, inst.links.bw_cost
+    sums = (0.0,) * 5
     for app in inst.apps:
-        hosts = [inst.node_index[h] for h in p.hosts(app)]
-        sensor += app.input_traffic * nodes[hosts[0]].sensor_bw_cost
-        user += app.output_traffic * nodes[hosts[-1]].user_bw_cost
-        for mod, k in zip(app.modules, hosts):
-            processing += mod.exec_delay * nodes[k].proc_cost
-            storage += mod.stor_req * nodes[k].stor_cost
-        for traffic, u, v in zip(app.inter_traffic, hosts, hosts[1:]):
-            inter += traffic * bw[u][v]
-    return CostBreakdown(processing=processing, storage=storage,
-                         sensor_comm=sensor, inter_comm=inter, user_comm=user)
+        sums = _add_app_cost(inst, sums, app, [inst.node_index[h] for h in p.hosts(app)])
+    return CostBreakdown(*sums)
 
 
 def eval_delay(inst: Instance, p: Placement, app: Application) -> tuple[float, float]:
@@ -298,11 +321,7 @@ def eval_delay(inst: Instance, p: Placement, app: Application) -> tuple[float, f
 
     Raises ValueError when some module of the app is not placed.
     """
-    hosts = [inst.node_index[h] for h in p.hosts(app)]
-    comm = inst.nodes[hosts[0]].sensor_delay + inst.nodes[hosts[-1]].user_delay
-    for u, v in zip(hosts, hosts[1:]):
-        comm += inst.links.delay[u][v]
-    return comm, app.exec_total
+    return _comm_delay(inst, [inst.node_index[h] for h in p.hosts(app)]), app.exec_total
 
 
 def check_feasibility(inst: Instance, p: Placement, relax: Relaxations = Relaxations()) -> list[Violation]:

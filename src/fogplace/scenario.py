@@ -46,7 +46,7 @@ from __future__ import annotations
 import functools
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Mapping
 
 from .instance_io import require_keys, strict_float, strict_int
@@ -401,9 +401,14 @@ def _draw_app(cfg: ScenarioConfig, seed: int, app_idx: int, forced_high: bool) -
         input_traffic=_uniform(cfg.input_traffic_range, u[3 * n]),
         inter_traffic=tuple([t_lo + t_span * x for x in u[3 * n + 1:4 * n]]),
         output_traffic=_uniform(cfg.output_traffic_range, u[4 * n]),
-        qos_threshold=cfg.min_qos + u[4 * n + 1] * (cfg.max_qos - cfg.min_qos),
+        qos_threshold=_qos_threshold(cfg, u),
         security_req=sec,
     )
+
+
+def _qos_threshold(cfg: ScenarioConfig, u: array) -> float:
+    """The QoS threshold an app's block ``u`` gives under ``cfg``."""
+    return cfg.min_qos + u[4 * cfg.modules_per_app + 1] * (cfg.max_qos - cfg.min_qos)
 
 
 def generate_instance(cfg: ScenarioConfig) -> Instance:
@@ -419,6 +424,7 @@ def _generate(cfg: ScenarioConfig, seed: int, drawn: dict | None = None) -> Inst
     ``drawn`` is a sweep's memo of one seed: its rated infrastructure, which
     every instance shares, and its apps, keyed by what else may vary between
     its cells.  Within a ``run_sweep`` call the rest of the config is fixed.
+    An app is drawn once; another ``max_qos`` rescales its QoS variate only.
     """
     drawn = {} if drawn is None else drawn
     if "infra" not in drawn:
@@ -429,9 +435,15 @@ def _generate(cfg: ScenarioConfig, seed: int, drawn: dict | None = None) -> Inst
     forced = 0 if cfg.alpha is None else math.ceil(cfg.alpha * cfg.n_apps)
     apps = []
     for i in range(cfg.n_apps):
-        key = (i, cfg.max_qos, cfg.alpha is None, i < forced)
+        draw_key = (i, cfg.alpha is None, i < forced)  # all the draw depends on but max_qos
+        key = draw_key + (cfg.max_qos,)
         if key not in drawn:
-            drawn[key] = _draw_app(cfg, seed, i, forced_high=(i < forced))
+            first = drawn.get(draw_key)  # the app as drawn under another max_qos
+            if first is None:
+                drawn[draw_key] = drawn[key] = _draw_app(cfg, seed, i, forced_high=(i < forced))
+            else:
+                u = _draws(seed, _STREAM_APP, i, 4 * cfg.modules_per_app + 3)
+                drawn[key] = replace(first, qos_threshold=_qos_threshold(cfg, u))
         apps.append(drawn[key])
     return drawn["infra"].with_apps(tuple(apps))
 

@@ -32,13 +32,27 @@ exceeds the app's limit is dropped with its whole subtree
 search alike; the enumeration reads the clock every 4096 chain extensions.
 
 An app's slots and chains form its domain.  It holds no app index and no
-threshold: the delay limits live in ``_Problem.app_limits``, which the
-enumeration and the search read.  A library call builds every domain
-afresh and enumerates it pruned at the app's limit.  A sweep keeps each
-domain across the cells of one seed, keyed by all of the app but its
-threshold, with every chain unpruned and its final delay; each cell keeps
-the chains within its limit.  A chain's delay never falls as it grows, so
+threshold: the app's delay limit is applied as the app joins a prefix
+(below), and the search reads it per position.  A library call builds
+every domain afresh and enumerates it pruned at the app's limit.  A sweep
+keeps each domain across the cells of one seed, keyed by all of the app
+but its threshold, with every chain unpruned and its final delay; each
+cell keeps the chains within its limit.  A chain's delay never falls as it grows, so
 that filter gives the pruned list: the same floats in the same order.
+
+Preprocessing and greedy run app by app into a ``_Prefix``: each app's
+slots (each holding the app's ``min_cost`` sum from it to the last), its
+chains within its limit and their minimum, the flattened positions with
+their limits, and greedy's incumbent after the app (node indices,
+per-node loads, the five cost sums of ``ilp._add_app_cost``, each app's
+delays and the placement items) or the mark that greedy failed.  None of
+it depends on a later app.  The completion bound is the only cross-app
+suffix quantity; each solve computes it afresh.  A library call extends
+one state in place and keeps nothing.  A sweep keeps the state of every
+app prefix it builds, keyed by the relaxation and the identity of each
+app in order, and a solve extends the longest stored prefix of its apps.
+When the search finds nothing cheaper than greedy, the report is greedy's
+state; a cheaper assignment is costed by the same per-app step.
 
 The enumeration and the search extend a chain onto host ``k`` by one rule.
 The position picks ``base, t, bw``: ``(exec_total, sensor_delay, zeros)`` on
@@ -63,7 +77,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from operator import itemgetter
 
-from .ilp import FEAS_TOL, CostBreakdown, Relaxations, _hosting_costs, check_feasibility, eval_cost, eval_delay
+from .ilp import (FEAS_TOL, CostBreakdown, Relaxations, _add_app_cost, _comm_delay, _hosting_costs,
+                  check_feasibility, eval_cost, eval_delay)
 from .model import Application, Instance, Placement
 
 BRUTEFORCE_MAX_MODULES = 12
@@ -126,16 +141,58 @@ class _Position:
     min_cost: float  # cheapest static cost over the candidates
     root: tuple[float, list[float], list[float]] | None  # (exec_total, sensor_delay, zeros) if first
     user: list[float]  # user_delay on the last module, zeros elsewhere
+    intra: float = 0.0  # the min_cost sum from this slot to the app's last
+
+
+@dataclass(slots=True)
+class _Prefix:
+    """Preprocessing and greedy over a run of apps, extended one app at a
+    time; nothing here depends on a later app (see the module notes).
+    Greedy's ``assignment`` is None once some app found no chain that fits;
+    ``sums`` are the five cost terms in ``CostBreakdown``'s field order."""
+
+    app_positions: list[list[_Position]] = field(default_factory=list)
+    app_combos: list[list[tuple[float, tuple[int, ...]]]] = field(default_factory=list)
+    app_min: list[float | None] = field(default_factory=list)  # None: unplaceable even alone
+    positions: list[_Position] = field(default_factory=list)
+    qos_limits: list[float] = field(default_factory=list)  # per position, its app's delay limit
+    assignment: list[int] | None = field(default_factory=list)  # node indices
+    sums: tuple[float, ...] = (0.0,) * 5
+    delays: dict[str, tuple[float, float]] = field(default_factory=dict)  # app id -> (comm, exec)
+    items: list[tuple[tuple[str, int], str]] = field(default_factory=list)  # ((app id, j), node id)
+    used: tuple[list[float], ...] = ()  # greedy's per-node (proc, mem, stor) loads
+    tried: int = 0  # chains greedy tried
+
+    def copy(self) -> _Prefix:
+        return _Prefix(self.app_positions.copy(), self.app_combos.copy(), self.app_min.copy(),
+                       self.positions.copy(), self.qos_limits.copy(),
+                       None if self.assignment is None else self.assignment.copy(), self.sums,
+                       self.delays.copy(), self.items.copy(), tuple(load.copy() for load in self.used),
+                       self.tried)
+
+    def place(self, inst: Instance, node_ids: list[str], app: Application, hosts: tuple[int, ...]) -> None:
+        """Add ``app``'s modules on node indices ``hosts`` to the assignment and its costing."""
+        self.assignment += hosts
+        self.sums = _add_app_cost(inst, self.sums, app, hosts)
+        self.delays[app.id] = (_comm_delay(inst, hosts), app.exec_total)
+        self.items += [((app.id, j), node_ids[k]) for j, k in enumerate(hosts)]
+
+    def report(self, status: SolveStatus, relax: Relaxations, stats: SearchStats) -> SolveReport:
+        return SolveReport(status=status, relax=relax, placement=Placement(dict(self.items)),
+                           cost=CostBreakdown(*self.sums), per_app_delay=dict(self.delays),
+                           search_stats=stats)
 
 
 class _Problem:
-    """Dense arrays, per-app chain lists and bounds shared by the solvers.
+    """Dense arrays, per-app chain lists, bounds and the greedy incumbent
+    shared by the solvers.
 
     Raises ``TimeoutError`` when ``deadline`` (a ``time.monotonic()`` value)
     passes during the per-app enumeration.  ``domains``, a dict the caller
-    owns, keeps each app's domain (see the module notes) and each app
-    object's chains within its limit for later builds on the same
-    infrastructure; a build that times out adds nothing to it.
+    owns, keeps the node arrays, each app's domain, each app object's chains
+    within its limit and each app prefix's state (see the module notes) for
+    later builds on the same infrastructure; a build that times out adds
+    nothing to it.
     """
 
     def __init__(self, inst: Instance, relax: Relaxations, deadline: float | None = None,
@@ -143,52 +200,39 @@ class _Problem:
         self.inst = inst
         self.deadline = deadline
         self.extensions_seen = 0
-        nodes = inst.nodes
-        self.n_nodes = len(nodes)
-        self.node_ids = [n.id for n in nodes]
-        self.proc_cap = [n.proc_capacity for n in nodes]
-        self.mem_cap = [n.mem_capacity for n in nodes]
-        self.stor_cap = [n.stor_capacity for n in nodes]
-        self.sensor_delay = [n.sensor_delay for n in nodes]
-        self.user_delay = [n.user_delay for n in nodes]
-        ratings = None if relax.drop_security else [inst.ratings[n.id] for n in nodes]
-        infra = (nodes, inst.links, inst.farm)  # the farm fixes the ratings
-        if domains is not None and domains.get("infra", infra) != infra:
-            domains = None  # another infrastructure's memo
+        infra = (inst.nodes, inst.links, inst.farm)  # the farm fixes the ratings
+        nodes = domains.get("nodes") if domains else None
+        if nodes is not None and nodes[0] != infra:
+            nodes = domains = None  # another infrastructure's memo
         built: dict = {}
+        if nodes is None:  # the node arrays, in node order
+            nodes = built["nodes"] = (infra, *([getattr(n, name) for n in inst.nodes] for name in (
+                "id", "proc_capacity", "mem_capacity", "stor_capacity", "sensor_delay", "user_delay")))
+        (_infra, self.node_ids, self.proc_cap, self.mem_cap, self.stor_cap,
+         self.sensor_delay, self.user_delay) = nodes
+        self.n_nodes = len(self.node_ids)
+        ratings = None if relax.drop_security else [inst.ratings[node_id] for node_id in self.node_ids]
 
-        # app_positions[i]: app i's module slots in chain order; positions: all, app by app.
-        # app_combos[i]: app i's chains (``app_chains``) within its delay
-        # limit app_limits[i].  Their minima (capacity between apps ignored)
-        # feed the cross-app part of the completion bound; ``None`` marks an
-        # app that cannot be placed even alone, which proves the instance
-        # infeasible.
-        self.app_limits = [float("inf") if relax.drop_qos else app.qos_threshold + FEAS_TOL
-                           for app in inst.apps]
-        self.app_positions: list[list[_Position]] = []
-        self.app_combos: list[list[tuple[float, tuple[int, ...]]]] = []
-        for app, limit in zip(inst.apps, self.app_limits):
-            key = (id(app), relax.drop_qos, relax.drop_security)  # the entry keeps the app alive
-            entry = domains.get(key) if domains else None
-            if entry is None:
-                # All of the app but its id and threshold, hashed once per app object.
-                shared = None if domains is None else (
-                    app.modules, app.input_traffic, app.inter_traffic, app.output_traffic,
-                    app.security_req, relax.drop_security)
-                domain = domains.get(shared) if domains else None
-                if domain is None:
-                    group = self.app_slots(app, ratings)
-                    domain = built[shared] = (group, self.app_chains(
-                        group, limit if shared is None else float("inf")))
-                entry = built[key] = (app, domain[0], [(cost, combo) for cost, delay, combo in domain[1]
-                                                       if delay <= limit])
-            self.app_positions.append(entry[1])
-            self.app_combos.append(entry[2])
+        # The longest stored prefix of the apps, extended by the rest.
+        key, start = (relax.drop_qos, relax.drop_security), 0
+        for app in inst.apps if domains else ():
+            longer = key + (id(app),)
+            if longer not in domains:
+                break
+            key, start = longer, start + 1
+        state = domains[key] if start else _Prefix(used=tuple([0.0] * self.n_nodes for _ in range(3)))
+        for app in inst.apps[start:]:
+            if domains is not None:  # a stored state stays as it is
+                state = state.copy()
+            self.extend(state, app, relax, ratings, domains, built)
+            if domains is not None:
+                key += (id(app),)
+                built[key] = state
         if domains is not None:  # only a completed build adds to the memo
             domains.update(built)
-            domains["infra"] = infra
-        self.positions = [pos for group in self.app_positions for pos in group]
-        self.app_min = [combos[0][0] if combos else None for combos in self.app_combos]
+        self.prefix = state
+        self.app_positions, self.app_combos, self.app_min = state.app_positions, state.app_combos, state.app_min
+        self.positions, self.qos_limits = state.positions, state.qos_limits
 
         # tail_bound[m]: lower bound on the cost of placing positions m.. end,
         # combining the per-module minima of the current app's remaining
@@ -197,16 +241,55 @@ class _Problem:
         if all(v is not None for v in self.app_min):
             m = len(self.positions)
             later = 0.0  # the standalone minima of the apps after app i
-            for i in range(len(inst.apps) - 1, -1, -1):
-                intra = 0.0
+            for i in range(len(self.app_positions) - 1, -1, -1):
                 for pos in reversed(self.app_positions[i]):
                     m -= 1
-                    intra += pos.min_cost
-                    self.tail_bound[m] = intra + later
+                    self.tail_bound[m] = pos.intra + later
                 later += self.app_min[i]
                 # At an app boundary the whole-chain standalone minimum
                 # (link costs included) is valid and at least as tight.
                 self.tail_bound[m] = max(self.tail_bound[m], later)
+
+    def extend(self, state: _Prefix, app: Application, relax: Relaxations, ratings: list | None,
+               domains: dict | None, built: dict) -> None:
+        """Add ``app`` to ``state``: its domain, from ``domains`` or built
+        into ``built``, and greedy's choice for it."""
+        limit = float("inf") if relax.drop_qos else app.qos_threshold + FEAS_TOL
+        key = (id(app), relax.drop_qos, relax.drop_security)  # the entry keeps the app alive
+        entry = domains.get(key) if domains else None
+        if entry is None:
+            # All of the app but its id and threshold, hashed once per app object.
+            shared = None if domains is None else (
+                app.modules, app.input_traffic, app.inter_traffic, app.output_traffic,
+                app.security_req, relax.drop_security)
+            domain = domains.get(shared) if domains else None
+            if domain is None:
+                group = self.app_slots(app, ratings)
+                domain = built[shared] = (group, self.app_chains(
+                    group, limit if shared is None else float("inf")))
+            entry = built[key] = (app, domain[0], [(cost, combo) for cost, delay, combo in domain[1]
+                                                   if delay <= limit])
+        _app, group, combos = entry
+        state.app_positions.append(group)
+        state.app_combos.append(combos)
+        state.app_min.append(combos[0][0] if combos else None)
+        state.positions += group
+        state.qos_limits += [limit] * len(group)
+
+        # Greedy: the cheapest chain that fits the capacity earlier apps left.
+        if state.assignment is None:
+            return
+        state.tried += len(combos)
+        chosen = next((combo for _cost, combo in combos if self.fits(group, combo, state.used)), None)
+        if chosen is None:
+            state.assignment = None
+            return
+        used_proc, used_mem, used_stor = state.used
+        for pos, k in zip(group, chosen):
+            used_proc[k] += pos.proc
+            used_mem[k] += pos.mem
+            used_stor[k] += pos.stor
+        state.place(self.inst, self.node_ids, app, chosen)
 
     def app_slots(self, app: Application, ratings: list | None) -> list[_Position]:
         """An app's module slots; ``ratings`` None admits every node."""
@@ -227,6 +310,10 @@ class _Problem:
                 root=(app.exec_total, self.sensor_delay, zeros) if j == 0 else None,
                 user=self.user_delay if j == app.n_modules - 1 else zeros,
             ))
+        intra = 0.0
+        for pos in reversed(group):
+            intra += pos.min_cost
+            pos.intra = intra
         return group
 
     def app_chains(self, positions: list[_Position],
@@ -280,41 +367,22 @@ class _Problem:
                        or used_stor[k] + stor > self.stor_cap[k] + FEAS_TOL
                        for k, (proc, mem, stor) in load.items())
 
-    def placement_of(self, assignment: list[int]) -> Placement:
-        keys = [(app.id, j) for app in self.inst.apps for j in range(app.n_modules)]
-        return Placement({key: self.node_ids[k] for key, k in zip(keys, assignment)})
+    def costed(self, assignment: list[int]) -> _Prefix:
+        """``assignment`` placed and costed app by app, as greedy's own is."""
+        out, m = _Prefix(), 0
+        for app, group in zip(self.inst.apps, self.app_positions):
+            out.place(self.inst, self.node_ids, app, tuple(assignment[m:m + len(group)]))
+            m += len(group)
+        return out
 
 
 def _finish_report(inst: Instance, relax: Relaxations, status: SolveStatus,
-                   placement: Placement | None, stats: SearchStats,
-                   cost: CostBreakdown | None = None) -> SolveReport:
+                   placement: Placement | None, stats: SearchStats) -> SolveReport:
     if placement is None:
         return SolveReport(status=status, relax=relax, search_stats=stats)
     delays = {a.id: eval_delay(inst, placement, a) for a in inst.apps}
     return SolveReport(status=status, relax=relax, placement=placement,
-                       cost=eval_cost(inst, placement) if cost is None else cost,
-                       per_app_delay=delays, search_stats=stats)
-
-
-def _greedy(prob: _Problem, stats: SearchStats) -> list[int] | None:
-    """Give each app in turn the cheapest of its standalone-feasible chains
-    that fits the capacity earlier apps left; None when some app gets none.
-
-    Adds every chain of each app tried to ``stats.nodes_explored``.
-    """
-    used = used_proc, used_mem, used_stor = tuple([0.0] * prob.n_nodes for _ in range(3))
-    assignment: list[int] = []
-    for positions, combos in zip(prob.app_positions, prob.app_combos):
-        stats.nodes_explored += len(combos)
-        chosen = next((combo for _cost, combo in combos if prob.fits(positions, combo, used)), None)
-        if chosen is None:
-            return None
-        for pos, k in zip(positions, chosen):
-            used_proc[k] += pos.proc
-            used_mem[k] += pos.mem
-            used_stor[k] += pos.stor
-        assignment.extend(chosen)
-    return assignment
+                       cost=eval_cost(inst, placement), per_app_delay=delays, search_stats=stats)
 
 
 def solve_exact(inst: Instance, relax: Relaxations = Relaxations(),
@@ -325,27 +393,25 @@ def solve_exact(inst: Instance, relax: Relaxations = Relaxations(),
     in input order, so identical inputs produce identical reports.  The time
     limit covers preprocessing and search; hitting it returns the best
     incumbent found (if any) with status TIME_LIMIT.  ``_domains`` is the
-    sweep's per-seed memo of ``_Problem``'s per-app domains.
+    sweep's per-seed memo of ``_Problem``'s node arrays, per-app domains and
+    app-prefix states.
     """
     deadline = None if opts.time_limit is None else time.monotonic() + opts.time_limit
     stats = SearchStats()
     try:
         prob = _Problem(inst, relax, deadline, _domains)
     except TimeoutError:
-        return _finish_report(inst, relax, SolveStatus.TIME_LIMIT, None, stats)
+        return SolveReport(status=SolveStatus.TIME_LIMIT, relax=relax, search_stats=stats)
 
     if any(v is None for v in prob.app_min):
-        return _finish_report(inst, relax, SolveStatus.INFEASIBLE, None, stats)
+        return SolveReport(status=SolveStatus.INFEASIBLE, relax=relax, search_stats=stats)
 
-    greedy = best_assignment = _greedy(prob, SearchStats())
-    greedy_placement = greedy_cost = None
-    if greedy is not None:
-        greedy_placement = prob.placement_of(greedy)
-        greedy_cost = eval_cost(inst, greedy_placement)
-    best_cost = float("inf") if greedy_cost is None else greedy_cost.total
+    greedy = prob.prefix
+    best_assignment = greedy.assignment
+    best_cost = float("inf") if best_assignment is None else CostBreakdown(*greedy.sums).total
 
     positions = prob.positions
-    qos_limits = [limit for limit, group in zip(prob.app_limits, prob.app_positions) for _pos in group]
+    qos_limits = prob.qos_limits
     tail_bound = prob.tail_bound
     proc_cap, mem_cap, stor_cap = prob.proc_cap, prob.mem_cap, prob.stor_cap
     t, bw = inst.links.delay, inst.links.bw_cost
@@ -400,9 +466,11 @@ def solve_exact(inst: Instance, relax: Relaxations = Relaxations(),
         status = SolveStatus.INFEASIBLE if best_assignment is None else SolveStatus.OPTIMAL
     except TimeoutError:
         status = SolveStatus.TIME_LIMIT
-    if best_assignment is greedy:  # none, or nothing cheaper: greedy's costing stands
-        return _finish_report(inst, relax, status, greedy_placement, stats, greedy_cost)
-    return _finish_report(inst, relax, status, prob.placement_of(best_assignment), stats)
+    if best_assignment is None:
+        return SolveReport(status=status, relax=relax, search_stats=stats)
+    if best_assignment is not greedy.assignment:  # the search found something cheaper
+        greedy = prob.costed(best_assignment)
+    return greedy.report(status, relax, stats)
 
 
 def solve_bruteforce(inst: Instance, relax: Relaxations = Relaxations()) -> SolveReport:
@@ -446,8 +514,7 @@ def solve_greedy(inst: Instance, relax: Relaxations = Relaxations()) -> SolveRep
     INFEASIBLE from the exact solver, is not a proof.
     """
     prob = _Problem(inst, relax)
-    stats = SearchStats()
-    assignment = _greedy(prob, stats)
-    if assignment is None:
+    stats = SearchStats(nodes_explored=prob.prefix.tried)
+    if prob.prefix.assignment is None:
         return SolveReport(status=SolveStatus.HEURISTIC_FAILED, relax=relax, search_stats=stats)
-    return _finish_report(inst, relax, SolveStatus.FEASIBLE, prob.placement_of(assignment), stats)
+    return prob.prefix.report(SolveStatus.FEASIBLE, relax, stats)

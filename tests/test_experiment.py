@@ -23,7 +23,7 @@ from fogplace.experiment import (
     to_csv,
 )
 from fogplace.scenario import ScenarioConfig, generate_instance, validate_config
-from fogplace.solver import solve_exact
+from fogplace.solver import SolveStatus, solve_exact, solve_greedy
 
 
 TINY_GRID = SweepGrid("tiny", (
@@ -199,15 +199,26 @@ CUSTOM_CFG = ScenarioConfig(n_fog=3, fog_positions=None, tx_ranges=None,
                             exec_delay_overrides=((0, 1, 0.05), (2, 0, 0.3)))
 
 
+# App prefixes visited out of order (7, 3, 5, 1 apps) under two thresholds,
+# two security mixes and every relaxation, on tight fog capacity: seed 0
+# has cells where greedy fails at an inner app and where the search beats
+# greedy (``test_prefix_grid_reaches_greedy_failure_and_search_win``).
+PREFIX_GRID = grid_from_lists("prefixes", [7, 3, 5, 1], [1.5, 3.0], [None, 0.5],
+                              [Relaxations(q, s) for q in (False, True) for s in (False, True)])
+PREFIX_CFG = ScenarioConfig(n_fog=3, fog_positions=None, tx_ranges=None, fog_proc_capacity=6.0)
+
+
 @pytest.mark.parametrize("grid, seeds, base_cfg, statuses", [
     (preset_grid("fig4"), [0, 1], ScenarioConfig(), {"optimal"}),
     (preset_grid("fig5"), [0, 1], ScenarioConfig(), {"optimal", "infeasible"}),
     (preset_grid("fig7"), [0, 1], ScenarioConfig(), {"optimal"}),
     (CUSTOM_GRID, [5, -1, 6], CUSTOM_CFG, {"optimal", "error:ValueError"}),
-], ids=["fig4", "fig5", "fig7", "custom"])
+    (PREFIX_GRID, [0], PREFIX_CFG, {"optimal", "infeasible"}),
+], ids=["fig4", "fig5", "fig7", "custom", "prefixes"])
 def test_sweep_rows_match_fresh_solves(grid, seeds, base_cfg, statuses, tmp_path):
-    # The sweep reuses app draws and solver domains within a seed; every
-    # row and dumped report must be what a fresh generate and solve give.
+    # The sweep reuses app draws, solver domains and app-prefix states
+    # within a seed; every row and dumped report must be what a fresh
+    # generate and solve give.
     rows = run_sweep(grid, seeds, base_cfg, dump_dir=tmp_path / "sweep")
     (tmp_path / "fresh").mkdir()
     measured = CSV_COLUMNS[CSV_COLUMNS.index("status"):]
@@ -224,6 +235,20 @@ def test_sweep_rows_match_fresh_solves(grid, seeds, base_cfg, statuses, tmp_path
     assert dumped == sorted(p.name for p in (tmp_path / "fresh").iterdir())
     for name in dumped:
         assert (tmp_path / "sweep" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+
+
+def test_prefix_grid_reaches_greedy_failure_and_search_win():
+    def instance(n_apps, alpha):
+        return generate_instance(replace(PREFIX_CFG, n_apps=n_apps, max_qos=1.5, alpha=alpha, seed=0))
+
+    # Greedy places the first three apps and fails at the fourth of seven;
+    # the exact search still finds a placement.
+    inst, relax = instance(7, 0.5), Relaxations(drop_qos=True)
+    assert solve_greedy(inst.with_apps(inst.apps[:3]), relax).status is SolveStatus.FEASIBLE
+    assert solve_greedy(inst.with_apps(inst.apps[:4]), relax).status is SolveStatus.HEURISTIC_FAILED
+    assert solve_exact(inst, relax).status is SolveStatus.OPTIMAL
+    inst = instance(7, None)
+    assert solve_exact(inst).cost.total < solve_greedy(inst).cost.total
 
 
 def test_each_seed_shares_its_infrastructure_and_domains_with_itself_only(monkeypatch):
@@ -260,13 +285,18 @@ def test_each_seed_shares_its_infrastructure_and_domains_with_itself_only(monkey
 REFERENCE = Path(__file__).resolve().parents[1] / "benchmarks" / "reference.json"
 
 
-@pytest.mark.parametrize("preset", ["fig4", "fig5", "fig7"])
-def test_desk_sweep_csv_matches_benchmark_reference(preset):
+@pytest.mark.parametrize("preset, draws", [("fig4", 140), ("fig5", 280), ("fig7", 160)])
+def test_desk_sweep_csv_matches_benchmark_reference(preset, draws, monkeypatch):
     # The benchmark's desk_sweep pass: every drawn instance, status, cost,
     # tier count and search counter over seeds 0-19 is pinned by its digest.
+    # Each seed draws an app once per security kind, whatever its max_qos:
+    # 580 draws a pass, 29 a seed.
     expected = json.loads(REFERENCE.read_text(encoding="utf-8"))["desk_sweep"]["csv_sha256"][preset]
+    drawn, draw_app = [], scenario._draw_app
+    monkeypatch.setattr(scenario, "_draw_app", lambda *args, **kw: drawn.append(args) or draw_app(*args, **kw))
     csv_text = to_csv(run_sweep(preset_grid(preset), list(range(20))))
     assert hashlib.sha256(csv_text.encode("utf-8")).hexdigest() == expected
+    assert len(drawn) == draws
 
 
 class TestCheckTrends:

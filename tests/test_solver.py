@@ -10,9 +10,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from fogplace import solver
 from fogplace.experiment import preset_grid, run_sweep, to_csv
-from fogplace.ilp import FEAS_TOL, Relaxations, check_feasibility, eval_cost
+from fogplace.ilp import FEAS_TOL, Relaxations, check_feasibility, eval_cost, eval_delay
 from fogplace.instance_io import report_to_dict
-from fogplace.model import AppModule, SecurityLevel
+from fogplace.model import AppModule, Placement, SecurityLevel
 from fogplace.scenario import ScenarioConfig, generate_instance
 from fogplace.solver import (
     SolveOptions,
@@ -165,9 +165,10 @@ class TestSolveExact:
         assert report.status is SolveStatus.TIME_LIMIT
         assert report.placement is None
 
-    def test_costs_the_incumbent_once(self, monkeypatch):
-        # When the search finds nothing cheaper than greedy, greedy's costing
-        # is the report's: one eval_cost call per solve.
+    def test_costs_the_incumbent_without_eval_cost(self, monkeypatch):
+        # When the search finds nothing cheaper than greedy, greedy's own
+        # costing on node indices is the report's: no eval_cost call, and
+        # the same floats as eval_cost of the placement.
         instances = [generate_instance(tiny_cfg(seed)) for seed in range(6)]
         greedy = [solve_greedy(inst).placement for inst in instances]
         calls = []
@@ -182,7 +183,8 @@ class TestSolveExact:
             calls.clear()
             report = solve_exact(inst)
             if report.status is SolveStatus.OPTIMAL and report.placement == placement:
-                assert len(calls) == 1
+                assert calls == []
+                assert vars(report.cost) == vars(eval_cost(inst, report.placement))
                 checked += 1
         assert checked >= 3
 
@@ -351,6 +353,64 @@ class TestDomainMemo:
         assert len(count_chains) == 2 * len(inst.apps)
 
 
+class TestPrefixMemo:
+    @pytest.fixture
+    def extended(self, monkeypatch):
+        apps = []
+        original = _Problem.extend
+
+        def counting(self, state, app, *args):
+            apps.append(app)
+            return original(self, state, app, *args)
+
+        monkeypatch.setattr(_Problem, "extend", counting)
+        return apps
+
+    def test_sweep_adds_each_cell_s_new_app_only(self, extended):
+        # fig4's cells grow one app at a time under each threshold.
+        run_sweep(preset_grid("fig4"), [0])
+        assert len(extended) == len(preset_grid("fig4").cells)
+
+    def test_shorter_prefixes_come_from_the_memo(self, extended):
+        inst = generate_instance(ScenarioConfig(n_apps=7, seed=2))
+        memo = {}
+        for n_apps in (7, 3, 5, 1):
+            sub = inst.with_apps(inst.apps[:n_apps])
+            expected = solve_exact(sub)
+            extended.clear()
+            assert solve_exact(sub, _domains=memo) == expected
+            assert len(extended) == (7 if n_apps == 7 else 0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(n_fog=st.integers(2, 6), n_apps=st.integers(1, 6), first=st.integers(0, 6),
+           max_qos=st.sampled_from([1.5, 3.0]), seed=st.integers(0, 2**32 - 1),
+           drop_qos=st.booleans(), drop_security=st.booleans())
+    def test_prefix_incumbents_are_library_greedy(self, n_fog, n_apps, first, max_qos, seed,
+                                                  drop_qos, drop_security):
+        # The packing_search layout: random fog positions and ranges.  A
+        # shorter build first, so that the full one extends a stored prefix.
+        inst = generate_instance(ScenarioConfig(n_fog=n_fog, n_apps=n_apps, max_qos=max_qos, seed=seed,
+                                                fog_positions=None, tx_ranges=None))
+        relax = Relaxations(drop_qos=drop_qos, drop_security=drop_security)
+        memo = {}
+        _Problem(inst.with_apps(inst.apps[:first]), relax, domains=memo)
+        _Problem(inst, relax, domains=memo)
+        key = (drop_qos, drop_security)
+        for j, app in enumerate(inst.apps, 1):
+            key += (id(app),)
+            state, sub = memo[key], inst.with_apps(inst.apps[:j])
+            library = solve_greedy(sub, relax)
+            assert state.tried == library.search_stats.nodes_explored
+            if state.assignment is None:
+                assert library.status is SolveStatus.HEURISTIC_FAILED
+                continue
+            report = state.report(SolveStatus.FEASIBLE, relax, library.search_stats)
+            assert report.placement == library.placement
+            assert vars(report.cost) == vars(library.cost) == vars(eval_cost(sub, report.placement))
+            assert report.per_app_delay == library.per_app_delay == {
+                a.id: eval_delay(sub, report.placement, a) for a in sub.apps}
+
+
 def threshold_for(limit):
     """A qos_threshold whose delay limit (threshold + FEAS_TOL) is exactly ``limit``, or None."""
     t = limit - FEAS_TOL
@@ -475,7 +535,7 @@ def reference_greedy(inst, relax):
     prob = _Problem(inst, relax)
     used = {k: [0.0, 0.0, 0.0] for k in range(prob.n_nodes)}
     caps = list(zip(prob.proc_cap, prob.mem_cap, prob.stor_cap))
-    assignment, explored = [], 0
+    assign, explored = {}, 0
     for i, app in enumerate(inst.apps):
         positions = prob.app_positions[i]
         best = None
@@ -504,8 +564,8 @@ def reference_greedy(inst, relax):
         for k, load in best[2].items():
             for r in range(3):
                 used[k][r] += load[r]
-        assignment.extend(best[1])
-    return prob.placement_of(assignment), explored
+        assign.update(((app.id, j), prob.node_ids[k]) for j, k in enumerate(best[1]))
+    return Placement(assign), explored
 
 
 class TestGreedy:

@@ -263,10 +263,9 @@ def build_model(inst: Instance, relax: Relaxations = Relaxations()) -> IlpModel:
 
 def placement_to_vector(inst: Instance, p: Placement) -> dict[str, float]:
     """Encode a consistent placement as a 0/1 assignment of model variables."""
-    node_pos = {n.id: k for k, n in enumerate(inst.nodes)}
     vec: dict[str, float] = {}
     for i, app in enumerate(inst.apps):
-        hosts = [node_pos[h] for h in p.hosts(app)]
+        hosts = [inst.node_index[h] for h in p.hosts(app)]
         for j, k in enumerate(hosts):
             vec[x_name(i, j, k)] = 1.0
         for j, (u, v) in enumerate(zip(hosts, hosts[1:])):

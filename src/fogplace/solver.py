@@ -31,28 +31,24 @@ exceeds the app's limit is dropped with its whole subtree
 (resource-constrained labelling).  ``time_limit`` bounds preprocessing and
 search alike; the enumeration reads the clock every 4096 chain extensions.
 
-An app's slots and chains form its domain.  It holds no app index and no
-threshold: the app's delay limit is applied as the app joins a prefix
-(below), and the search reads it per position.  A library call builds
-every domain afresh and enumerates it pruned at the app's limit.  A sweep
-keeps each domain across the cells of one seed, keyed by all of the app
-but its threshold, with every chain unpruned and its final delay; each
-cell keeps the chains within its limit.  A chain's delay never falls as it grows, so
-that filter gives the pruned list: the same floats in the same order.
-
-Preprocessing and greedy run app by app into a ``_Prefix``: each app's
-slots (each holding the app's ``min_cost`` sum from it to the last), its
-chains within its limit and their minimum, the flattened positions with
-their limits, and greedy's incumbent after the app (node indices,
-per-node loads, the five cost sums of ``ilp._add_app_cost``, each app's
-delays and the placement items) or the mark that greedy failed.  None of
-it depends on a later app.  The completion bound is the only cross-app
-suffix quantity; each solve computes it afresh.  A library call extends
-one state in place and keeps nothing.  A sweep keeps the state of every
-app prefix it builds, keyed by the relaxation and the identity of each
-app in order, and a solve extends the longest stored prefix of its apps.
-When the search finds nothing cheaper than greedy, the report is greedy's
-state; a cheaper assignment is costed by the same per-app step.
+An app's slots and chains form its domain; it holds no app index and no
+threshold.  Preprocessing and greedy run app by app, each app a ``_Step``
+joined onto the step of the apps before it: its slots (each holding the
+app's ``min_cost`` sum from it to the last), its chains within its delay
+limit, the flattened positions with their limits, and greedy's incumbent
+after it (node loads, the five cost sums of ``ilp._add_app_cost``,
+placement items, each app's delays) or the mark that greedy failed.  No
+step depends on a later app or changes once built; each solve computes the
+completion bound, the only cross-app suffix quantity, afresh.  A library
+call enumerates its domains pruned at each app's limit and keeps nothing.
+A sweep keeps, per seed, each domain keyed by all of the app but its
+threshold, with every chain unpruned and its final delay and the chains
+within each limit met (a chain's delay never falls as it grows, so that
+filter gives the pruned list, float for float), and per relaxation a trie
+of steps, a step's children keyed by their app's identity.  A solve walks
+down the trie as far as its apps go and joins the steps it adds once all
+are built.  The report is greedy's when the search finds nothing cheaper; a
+cheaper assignment is costed by the same per-app step.
 
 The enumeration and the search extend a chain onto host ``k`` by one rule.
 The position picks ``base, t, bw``: ``(exec_total, sensor_delay, zeros)`` on
@@ -145,42 +141,25 @@ class _Position:
 
 
 @dataclass(slots=True)
-class _Prefix:
-    """Preprocessing and greedy over a run of apps, extended one app at a
-    time; nothing here depends on a later app (see the module notes).
-    Greedy's ``assignment`` is None once some app found no chain that fits;
-    ``sums`` are the five cost terms in ``CostBreakdown``'s field order."""
+class _Step:
+    """One app joined onto the step of the apps before it; a relaxation's
+    root step has no app (see the module notes).  Only ``children``
+    (``id(app)`` -> step) changes once a step is built, and a child holds its
+    app, so that id stays valid.  No step refers to its parent.  ``used`` is
+    None once greedy found no chain that fits for some app; ``sums`` are the
+    five cost terms in ``CostBreakdown``'s field order."""
 
-    app_positions: list[list[_Position]] = field(default_factory=list)
-    app_combos: list[list[tuple[float, tuple[int, ...]]]] = field(default_factory=list)
-    app_min: list[float | None] = field(default_factory=list)  # None: unplaceable even alone
-    positions: list[_Position] = field(default_factory=list)
-    qos_limits: list[float] = field(default_factory=list)  # per position, its app's delay limit
-    assignment: list[int] | None = field(default_factory=list)  # node indices
-    sums: tuple[float, ...] = (0.0,) * 5
-    delays: dict[str, tuple[float, float]] = field(default_factory=dict)  # app id -> (comm, exec)
-    items: list[tuple[tuple[str, int], str]] = field(default_factory=list)  # ((app id, j), node id)
-    used: tuple[list[float], ...] = ()  # greedy's per-node (proc, mem, stor) loads
-    tried: int = 0  # chains greedy tried
-
-    def copy(self) -> _Prefix:
-        return _Prefix(self.app_positions.copy(), self.app_combos.copy(), self.app_min.copy(),
-                       self.positions.copy(), self.qos_limits.copy(),
-                       None if self.assignment is None else self.assignment.copy(), self.sums,
-                       self.delays.copy(), self.items.copy(), tuple(load.copy() for load in self.used),
-                       self.tried)
-
-    def place(self, inst: Instance, node_ids: list[str], app: Application, hosts: tuple[int, ...]) -> None:
-        """Add ``app``'s modules on node indices ``hosts`` to the assignment and its costing."""
-        self.assignment += hosts
-        self.sums = _add_app_cost(inst, self.sums, app, hosts)
-        self.delays[app.id] = (_comm_delay(inst, hosts), app.exec_total)
-        self.items += [((app.id, j), node_ids[k]) for j, k in enumerate(hosts)]
-
-    def report(self, status: SolveStatus, relax: Relaxations, stats: SearchStats) -> SolveReport:
-        return SolveReport(status=status, relax=relax, placement=Placement(dict(self.items)),
-                           cost=CostBreakdown(*self.sums), per_app_delay=dict(self.delays),
-                           search_stats=stats)
+    app: Application | None
+    group: list[_Position]  # the app's slots
+    combos: list[tuple[float, tuple[int, ...]]]  # its chains within its limit, cheapest first
+    positions: tuple[_Position, ...]  # every slot so far, flattened
+    qos_limits: tuple[float, ...]  # per position, its app's delay limit
+    used: tuple[tuple[float, ...], ...] | None  # greedy's per-node (proc, mem, stor) loads
+    sums: tuple[float, ...]
+    items: tuple[tuple[tuple[str, int], str], ...]  # greedy's ((app id, j), node id)
+    delays: tuple[tuple[str, tuple[float, float]], ...]  # greedy's (app id, (comm, exec))
+    tried: int  # chains greedy tried
+    children: dict[int, _Step] = field(default_factory=dict)
 
 
 class _Problem:
@@ -189,10 +168,10 @@ class _Problem:
 
     Raises ``TimeoutError`` when ``deadline`` (a ``time.monotonic()`` value)
     passes during the per-app enumeration.  ``domains``, a dict the caller
-    owns, keeps the node arrays, each app's domain, each app object's chains
-    within its limit and each app prefix's state (see the module notes) for
-    later builds on the same infrastructure; a build that times out adds
-    nothing to it.
+    owns, keeps the node arrays, each app's domain and each relaxation's
+    trie of steps (see the module notes) for later builds on the same
+    infrastructure; a build that times out adds no domain or step to it.
+    ``last`` is the step of all the apps.
     """
 
     def __init__(self, inst: Instance, relax: Relaxations, deadline: float | None = None,
@@ -213,83 +192,102 @@ class _Problem:
         self.n_nodes = len(self.node_ids)
         ratings = None if relax.drop_security else [inst.ratings[node_id] for node_id in self.node_ids]
 
-        # The longest stored prefix of the apps, extended by the rest.
-        key, start = (relax.drop_qos, relax.drop_security), 0
-        for app in inst.apps if domains else ():
-            longer = key + (id(app),)
-            if longer not in domains:
+        # Down the trie as far as the stored steps go, then new steps.
+        key = (relax.drop_qos, relax.drop_security)
+        path = [domains.get(key) if domains else None]
+        if path[0] is None:
+            idle = (0.0,) * self.n_nodes
+            path[0] = built[key] = _Step(None, [], [], (), (), (idle,) * 3, (0.0,) * 5, (), (), 0)
+        for app in inst.apps:
+            step = path[-1].children.get(id(app))
+            if step is None:
                 break
-            key, start = longer, start + 1
-        state = domains[key] if start else _Prefix(used=tuple([0.0] * self.n_nodes for _ in range(3)))
-        for app in inst.apps[start:]:
-            if domains is not None:  # a stored state stays as it is
-                state = state.copy()
-            self.extend(state, app, relax, ratings, domains, built)
-            if domains is not None:
-                key += (id(app),)
-                built[key] = state
-        if domains is not None:  # only a completed build adds to the memo
+            path.append(step)
+        stored = len(path)
+        for app in inst.apps[stored - 1:]:
+            path.append(self.extend(path[-1], app, relax, ratings, domains, built))
+        if domains is not None:  # only a completed build joins the memo
             domains.update(built)
-        self.prefix = state
-        self.app_positions, self.app_combos, self.app_min = state.app_positions, state.app_combos, state.app_min
-        self.positions, self.qos_limits = state.positions, state.qos_limits
+            for parent, step in zip(path[stored - 1:], path[stored:]):
+                parent.children[id(step.app)] = step
+        self.last = path[-1]
+        self.positions, self.qos_limits = self.last.positions, self.last.qos_limits
+        self.app_positions = [step.group for step in path[1:]]
+        self.app_combos = [step.combos for step in path[1:]]
 
         # tail_bound[m]: lower bound on the cost of placing positions m.. end,
         # combining the per-module minima of the current app's remaining
         # modules with the standalone minima of every later app.
         self.tail_bound = [0.0] * (len(self.positions) + 1)
-        if all(v is not None for v in self.app_min):
+        if all(self.app_combos):
             m = len(self.positions)
             later = 0.0  # the standalone minima of the apps after app i
-            for i in range(len(self.app_positions) - 1, -1, -1):
-                for pos in reversed(self.app_positions[i]):
+            for group, combos in zip(reversed(self.app_positions), reversed(self.app_combos)):
+                for pos in reversed(group):
                     m -= 1
                     self.tail_bound[m] = pos.intra + later
-                later += self.app_min[i]
+                later += combos[0][0]
                 # At an app boundary the whole-chain standalone minimum
                 # (link costs included) is valid and at least as tight.
                 self.tail_bound[m] = max(self.tail_bound[m], later)
 
-    def extend(self, state: _Prefix, app: Application, relax: Relaxations, ratings: list | None,
-               domains: dict | None, built: dict) -> None:
-        """Add ``app`` to ``state``: its domain, from ``domains`` or built
-        into ``built``, and greedy's choice for it."""
+    def extend(self, prev: _Step, app: Application, relax: Relaxations, ratings: list | None,
+               domains: dict | None, built: dict) -> _Step:
+        """``app``'s step after ``prev``: its domain, from ``domains`` or
+        built into ``built``, and greedy's choice for it."""
         limit = float("inf") if relax.drop_qos else app.qos_threshold + FEAS_TOL
-        key = (id(app), relax.drop_qos, relax.drop_security)  # the entry keeps the app alive
-        entry = domains.get(key) if domains else None
-        if entry is None:
-            # All of the app but its id and threshold, hashed once per app object.
-            shared = None if domains is None else (
-                app.modules, app.input_traffic, app.inter_traffic, app.output_traffic,
-                app.security_req, relax.drop_security)
-            domain = domains.get(shared) if domains else None
-            if domain is None:
-                group = self.app_slots(app, ratings)
-                domain = built[shared] = (group, self.app_chains(
-                    group, limit if shared is None else float("inf")))
-            entry = built[key] = (app, domain[0], [(cost, combo) for cost, delay, combo in domain[1]
-                                                   if delay <= limit])
-        _app, group, combos = entry
-        state.app_positions.append(group)
-        state.app_combos.append(combos)
-        state.app_min.append(combos[0][0] if combos else None)
-        state.positions += group
-        state.qos_limits += [limit] * len(group)
+        shared = None if domains is None else (  # all of the app but its id and threshold
+            app.modules, app.input_traffic, app.inter_traffic, app.output_traffic,
+            app.security_req, relax.drop_security)
+        domain = domains.get(shared) if domains else None
+        if domain is None:
+            group = self.app_slots(app, ratings)
+            domain = built[shared] = (group, self.app_chains(
+                group, limit if shared is None else float("inf")), {})
+        group, chains, by_limit = domain
+        combos = by_limit.get(limit)
+        if combos is None:
+            combos = by_limit[limit] = [(cost, combo) for cost, delay, combo in chains if delay <= limit]
 
         # Greedy: the cheapest chain that fits the capacity earlier apps left.
-        if state.assignment is None:
-            return
-        state.tried += len(combos)
-        chosen = next((combo for _cost, combo in combos if self.fits(group, combo, state.used)), None)
-        if chosen is None:
-            state.assignment = None
-            return
-        used_proc, used_mem, used_stor = state.used
-        for pos, k in zip(group, chosen):
-            used_proc[k] += pos.proc
-            used_mem[k] += pos.mem
-            used_stor[k] += pos.stor
-        state.place(self.inst, self.node_ids, app, chosen)
+        used, sums, items, delays, tried = prev.used, prev.sums, prev.items, prev.delays, prev.tried
+        if used is not None:
+            tried += len(combos)
+            chosen = next((combo for _cost, combo in combos if self.fits(group, combo, used)), None)
+            if chosen is None:
+                used = None
+            else:
+                proc, mem, stor = (list(load) for load in used)
+                for pos, k in zip(group, chosen):
+                    proc[k] += pos.proc
+                    mem[k] += pos.mem
+                    stor[k] += pos.stor
+                used = (tuple(proc), tuple(mem), tuple(stor))
+                sums, items, delays = self.add_app(app, chosen, sums, items, delays)
+        return _Step(app, group, combos, prev.positions + tuple(group),
+                     prev.qos_limits + (limit,) * len(group), used, sums, items, delays, tried)
+
+    def add_app(self, app: Application, hosts: tuple[int, ...], sums: tuple[float, ...],
+                items: tuple, delays: tuple) -> tuple[tuple, tuple, tuple]:
+        """A costing's sums, placement items and delays with ``app``'s
+        modules added on node indices ``hosts``."""
+        return (_add_app_cost(self.inst, sums, app, hosts),
+                items + tuple(((app.id, j), self.node_ids[k]) for j, k in enumerate(hosts)),
+                delays + ((app.id, (_comm_delay(self.inst, hosts), app.exec_total)),))
+
+    def report(self, status: SolveStatus, relax: Relaxations, stats: SearchStats,
+               assignment: list[int] | None = None) -> SolveReport:
+        """The report of node indices ``assignment``, by default greedy's,
+        costed app by app as greedy's is."""
+        sums, items, delays = self.last.sums, self.last.items, self.last.delays
+        if assignment is not None:
+            sums, items, delays, m = (0.0,) * 5, (), (), 0
+            for app, group in zip(self.inst.apps, self.app_positions):
+                hosts = tuple(assignment[m:m + len(group)])
+                sums, items, delays = self.add_app(app, hosts, sums, items, delays)
+                m += len(group)
+        return SolveReport(status=status, relax=relax, placement=Placement(dict(items)),
+                           cost=CostBreakdown(*sums), per_app_delay=dict(delays), search_stats=stats)
 
     def app_slots(self, app: Application, ratings: list | None) -> list[_Position]:
         """An app's module slots; ``ratings`` None admits every node."""
@@ -367,14 +365,6 @@ class _Problem:
                        or used_stor[k] + stor > self.stor_cap[k] + FEAS_TOL
                        for k, (proc, mem, stor) in load.items())
 
-    def costed(self, assignment: list[int]) -> _Prefix:
-        """``assignment`` placed and costed app by app, as greedy's own is."""
-        out, m = _Prefix(), 0
-        for app, group in zip(self.inst.apps, self.app_positions):
-            out.place(self.inst, self.node_ids, app, tuple(assignment[m:m + len(group)]))
-            m += len(group)
-        return out
-
 
 def _finish_report(inst: Instance, relax: Relaxations, status: SolveStatus,
                    placement: Placement | None, stats: SearchStats) -> SolveReport:
@@ -394,7 +384,7 @@ def solve_exact(inst: Instance, relax: Relaxations = Relaxations(),
     limit covers preprocessing and search; hitting it returns the best
     incumbent found (if any) with status TIME_LIMIT.  ``_domains`` is the
     sweep's per-seed memo of ``_Problem``'s node arrays, per-app domains and
-    app-prefix states.
+    step tries.
     """
     deadline = None if opts.time_limit is None else time.monotonic() + opts.time_limit
     stats = SearchStats()
@@ -403,12 +393,12 @@ def solve_exact(inst: Instance, relax: Relaxations = Relaxations(),
     except TimeoutError:
         return SolveReport(status=SolveStatus.TIME_LIMIT, relax=relax, search_stats=stats)
 
-    if any(v is None for v in prob.app_min):
+    if not all(prob.app_combos):
         return SolveReport(status=SolveStatus.INFEASIBLE, relax=relax, search_stats=stats)
 
-    greedy = prob.prefix
-    best_assignment = greedy.assignment
-    best_cost = float("inf") if best_assignment is None else CostBreakdown(*greedy.sums).total
+    greedy = prob.last.used is not None
+    best_assignment = None  # the search's, once it beats greedy
+    best_cost = CostBreakdown(*prob.last.sums).total if greedy else float("inf")
 
     positions = prob.positions
     qos_limits = prob.qos_limits
@@ -463,14 +453,13 @@ def solve_exact(inst: Instance, relax: Relaxations = Relaxations(),
 
     try:
         dfs(0, 0.0)
-        status = SolveStatus.INFEASIBLE if best_assignment is None else SolveStatus.OPTIMAL
+        status = SolveStatus.OPTIMAL if greedy or best_assignment is not None else SolveStatus.INFEASIBLE
     except TimeoutError:
         status = SolveStatus.TIME_LIMIT
-    if best_assignment is None:
+    del dfs  # it refers to itself through its closure cell, a cycle only the GC would free
+    if not greedy and best_assignment is None:
         return SolveReport(status=status, relax=relax, search_stats=stats)
-    if best_assignment is not greedy.assignment:  # the search found something cheaper
-        greedy = prob.costed(best_assignment)
-    return greedy.report(status, relax, stats)
+    return prob.report(status, relax, stats, best_assignment)
 
 
 def solve_bruteforce(inst: Instance, relax: Relaxations = Relaxations()) -> SolveReport:
@@ -514,7 +503,7 @@ def solve_greedy(inst: Instance, relax: Relaxations = Relaxations()) -> SolveRep
     INFEASIBLE from the exact solver, is not a proof.
     """
     prob = _Problem(inst, relax)
-    stats = SearchStats(nodes_explored=prob.prefix.tried)
-    if prob.prefix.assignment is None:
+    stats = SearchStats(nodes_explored=prob.last.tried)
+    if prob.last.used is None:
         return SolveReport(status=SolveStatus.HEURISTIC_FAILED, relax=relax, search_stats=stats)
-    return prob.prefix.report(SolveStatus.FEASIBLE, relax, stats)
+    return prob.report(SolveStatus.FEASIBLE, relax, stats)

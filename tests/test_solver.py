@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import itertools
 import json
@@ -18,6 +19,7 @@ from fogplace.solver import (
     SolveOptions,
     SolveStatus,
     _Problem,
+    _Step,
     solve_bruteforce,
     solve_exact,
     solve_greedy,
@@ -286,6 +288,16 @@ class TestBounds:
         assert report.search_stats.nodes_explored <= 161
 
 
+def trie_of(memo):
+    """Each step reachable from the memo's roots, by identity, with its children's."""
+    steps, stack = {}, [value for value in memo.values() if isinstance(value, _Step)]
+    while stack:
+        step = stack.pop()
+        steps[id(step)] = {key: id(child) for key, child in step.children.items()}
+        stack += step.children.values()
+    return steps
+
+
 class TestDomainMemo:
     @pytest.fixture
     def count_chains(self, monkeypatch):
@@ -327,7 +339,7 @@ class TestDomainMemo:
         inst = generate_instance(ScenarioConfig(n_apps=3, seed=0))
         memo = {}
         _Problem(dataclasses.replace(inst, apps=inst.apps[:1]), Relaxations(), domains=memo)
-        before = dict(memo)
+        before, before_trie = dict(memo), trie_of(memo)
         calls = []
         original = _Problem.app_chains
 
@@ -344,6 +356,7 @@ class TestDomainMemo:
         assert len(calls) == 2
         assert memo.keys() == before.keys()
         assert all(memo[key] is before[key] for key in before)
+        assert trie_of(memo) == before_trie  # no new step joined a stored one
 
     def test_library_calls_build_every_domain(self, count_chains):
         inst = generate_instance(ScenarioConfig(n_apps=5, seed=1))
@@ -395,20 +408,39 @@ class TestPrefixMemo:
         memo = {}
         _Problem(inst.with_apps(inst.apps[:first]), relax, domains=memo)
         _Problem(inst, relax, domains=memo)
-        key = (drop_qos, drop_security)
+        step = memo[(drop_qos, drop_security)]
         for j, app in enumerate(inst.apps, 1):
-            key += (id(app),)
-            state, sub = memo[key], inst.with_apps(inst.apps[:j])
+            step, sub = step.children[id(app)], inst.with_apps(inst.apps[:j])
+            prob = _Problem(sub, relax, domains=memo)
+            assert prob.last is step
             library = solve_greedy(sub, relax)
-            assert state.tried == library.search_stats.nodes_explored
-            if state.assignment is None:
+            assert step.tried == library.search_stats.nodes_explored
+            if step.used is None:
                 assert library.status is SolveStatus.HEURISTIC_FAILED
                 continue
-            report = state.report(SolveStatus.FEASIBLE, relax, library.search_stats)
+            report = prob.report(SolveStatus.FEASIBLE, relax, library.search_stats)
             assert report.placement == library.placement
             assert vars(report.cost) == vars(library.cost) == vars(eval_cost(sub, report.placement))
             assert report.per_app_delay == library.per_app_delay == {
                 a.id: eval_delay(sub, report.placement, a) for a in sub.apps}
+
+    def test_sweep_and_timed_out_solve_leave_no_cyclic_garbage(self):
+        # Garbage that only the cyclic GC frees keeps each solve's search
+        # lists alive until a collection runs, and every collection walks
+        # the memos.  f3_n20_q1.5_s438 takes seconds to prove optimal.
+        inst = generate_instance(ScenarioConfig(n_fog=3, n_apps=20, max_qos=1.5, seed=438,
+                                                fog_positions=None, tx_ranges=None))
+        gc.collect()
+        gc.disable()
+        try:
+            run_sweep(preset_grid("fig4"), [0, 1])
+            swept = gc.collect()
+            report = solve_exact(inst, opts=SolveOptions(time_limit=0.05))
+            solved = gc.collect()
+        finally:
+            gc.enable()
+        assert report.status is SolveStatus.TIME_LIMIT
+        assert (swept, solved) == (0, 0)
 
 
 def threshold_for(limit):

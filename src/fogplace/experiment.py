@@ -110,6 +110,9 @@ def grid_from_dict(doc: Any) -> tuple[SweepGrid, list[int], ScenarioConfig]:
         if not isinstance(doc["cells"], Iterable):
             raise ValueError(f"grid config: cells must be a list of objects, got {doc['cells']!r}")
         cells = tuple(_cell_from_dict(c, f"grid config: cells[{i}]") for i, c in enumerate(doc["cells"]))
+        for i, cell in enumerate(cells):  # a repeat would share its mean row and report file names
+            if (first := cells.index(cell)) < i:
+                raise ValueError(f"grid config: cells[{i}] repeats cells[{first}]")
         grid = SweepGrid(name=str(doc.get("name", "custom")), cells=cells)
     else:
         raise ValueError("grid config needs either 'preset' or 'cells'")

@@ -388,15 +388,6 @@ def check_feasibility(inst: Instance, p: Placement, relax: Relaxations = Relaxat
     return out
 
 
-def _format_coeff(value: float, first: bool) -> str:
-    if value < 0:
-        sign = "- "
-    else:
-        sign = "" if first else "+ "
-    mag = abs(value)
-    return f"{sign}{mag!r}"
-
-
 def export_lp(model: IlpModel) -> str:
     """Render the model in LP interchange text format.
 
@@ -406,39 +397,26 @@ def export_lp(model: IlpModel) -> str:
     variable order.
     """
     var_order = {name: pos for pos, name in enumerate(model.variables)}
-    lines: list[str] = ["\\ module placement model", "Minimize"]
 
-    obj_terms = [(var_order[name], name, coeff) for name, coeff in model.objective.items()]
-    obj_terms.sort()
-    if obj_terms:
-        parts = [_format_coeff(c, idx == 0) + " " + n for idx, (_, n, c) in enumerate(obj_terms)]
-    else:
-        parts = ["0 " + model.variables[0]] if model.variables else ["0"]
-    lines.append(" obj: " + _wrap_terms(parts))
+    def expression(coeffs: dict[str, float], limit: int = 200) -> str:
+        # Terms in variable order.  LP readers cap line length, so a long
+        # expression continues on indented lines.  An empty one reads
+        # "0 <first variable>", or "0" when the model has no variables.
+        terms = sorted((var_order[name], name, c) for name, c in coeffs.items())
+        if not terms:
+            return "0 " + model.variables[0] if model.variables else "0"
+        parts = [("- " if c < 0 else "+ " if pos else "") + f"{abs(c)!r} {name}"
+                 for pos, (_, name, c) in enumerate(terms)]
+        out = parts[:1]
+        for part in parts[1:]:
+            if len(out[-1]) + len(part) + 1 > limit:
+                out.append("   " + part)
+            else:
+                out[-1] += " " + part
+        return "\n".join(out)
 
-    lines.append("Subject To")
-    for row in model.constraints:
-        terms = sorted((var_order[n], n, c) for n, c in row.coeffs.items())
-        parts = [_format_coeff(c, idx == 0) + " " + n for idx, (_, n, c) in enumerate(terms)]
-        body = _wrap_terms(parts) if parts else "0 " + model.variables[0]
-        lines.append(f" {row.name}: {body} {row.sense} {row.rhs!r}")
-
-    lines.append("Binary")
-    for name in model.variables:
-        lines.append(f" {name}")
-    lines.append("End")
+    lines = ["\\ module placement model", "Minimize", " obj: " + expression(model.objective), "Subject To"]
+    lines += [f" {row.name}: {expression(row.coeffs)} {row.sense} {row.rhs!r}" for row in model.constraints]
+    lines += ["Binary", *(f" {name}" for name in model.variables), "End"]
     return "\n".join(lines) + "\n"
 
-
-def _wrap_terms(parts: list[str], limit: int = 200) -> str:
-    # LP readers cap line length; continue long expressions on indented lines.
-    lines: list[str] = []
-    current = ""
-    for part in parts:
-        if current and len(current) + len(part) + 1 > limit:
-            lines.append(current)
-            current = "   " + part
-        else:
-            current = part if not current else current + " " + part
-    lines.append(current)
-    return "\n".join(lines)

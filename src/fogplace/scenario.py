@@ -37,8 +37,10 @@ A variate ``u`` maps onto a range (lo, hi) as ``lo + (hi - lo) * u``,
 numpy's own formula for ``Generator.uniform``, so the values are the ones
 numpy's scalar calls would draw.  numpy is the reference in the tests, not
 a dependency.  ``_draws`` is memoized in a bounded LRU cache of compact
-``array('d')`` blocks (1024 streams, well under 1 MB), because a sweep
-redraws the same (seed, app) stream in many cells.
+``array('d')`` blocks (1024 streams, well under 1 MB).  A sweep's per-seed
+memo draws each app once, so the cache serves the second read of an app's
+block when another ``max_qos`` rescales its threshold, fig5's forced and
+unforced draws of one stream, and repeated sweeps in one process.
 """
 
 from __future__ import annotations
@@ -323,19 +325,19 @@ def _uniform(bounds: tuple[float, float], u: float) -> float:
 
 
 def _build_nodes(cfg: ScenarioConfig, seed: int) -> list[ResourceNode]:
-    nodes = [ResourceNode(
-        id="cloud",
-        tier=Tier.CLOUD,
-        proc_capacity=cfg.cloud_proc_capacity,
-        mem_capacity=cfg.cloud_mem_capacity,
-        stor_capacity=cfg.cloud_stor_capacity,
-        proc_cost=cfg.cloud_proc_cost,
-        stor_cost=cfg.cloud_stor_cost,
-        sensor_bw_cost=cfg.cloud_comm_cost,
-        user_bw_cost=cfg.cloud_comm_cost,
-        sensor_delay=cfg.cloud_access_delay,
-        user_delay=cfg.cloud_access_delay,
-    )]
+    def tier_fields(tier: Tier) -> dict[str, Any]:  # a node's tier and its nine tier-priced fields
+        prefix = tier.value + "_"
+
+        def price(kind: str) -> float:  # e.g. kind "comm_cost": cloud_comm_cost or fog_comm_cost
+            return getattr(cfg, prefix + kind)
+        return dict(tier=tier, proc_capacity=price("proc_capacity"), mem_capacity=price("mem_capacity"),
+                    stor_capacity=price("stor_capacity"), proc_cost=price("proc_cost"),
+                    stor_cost=price("stor_cost"), sensor_bw_cost=price("comm_cost"),
+                    user_bw_cost=price("comm_cost"), sensor_delay=price("access_delay"),
+                    user_delay=price("access_delay"))
+
+    nodes = [ResourceNode(id="cloud", **tier_fields(Tier.CLOUD))]
+    fog = tier_fields(Tier.FOG)
     for f in range(cfg.n_fog):
         if cfg.fog_positions is not None:
             position = cfg.fog_positions[f]
@@ -343,21 +345,7 @@ def _build_nodes(cfg: ScenarioConfig, seed: int) -> list[ResourceNode]:
             x, y = _draws(seed, _STREAM_INFRA, f, 2)
             position = (_uniform((0.0, cfg.farm_width), x), _uniform((0.0, cfg.farm_height), y))
         tx = cfg.tx_ranges[f] if cfg.tx_ranges is not None else cfg.default_tx_range
-        nodes.append(ResourceNode(
-            id=f"fog{f + 1}",
-            tier=Tier.FOG,
-            proc_capacity=cfg.fog_proc_capacity,
-            mem_capacity=cfg.fog_mem_capacity,
-            stor_capacity=cfg.fog_stor_capacity,
-            proc_cost=cfg.fog_proc_cost,
-            stor_cost=cfg.fog_stor_cost,
-            sensor_bw_cost=cfg.fog_comm_cost,
-            user_bw_cost=cfg.fog_comm_cost,
-            sensor_delay=cfg.fog_access_delay,
-            user_delay=cfg.fog_access_delay,
-            position=position,
-            tx_range=tx,
-        ))
+        nodes.append(ResourceNode(id=f"fog{f + 1}", **fog, position=position, tx_range=tx))
     return nodes
 
 
@@ -448,6 +436,13 @@ def _generate(cfg: ScenarioConfig, seed: int, drawn: dict | None = None) -> Inst
     return drawn["infra"].with_apps(tuple(apps))
 
 
+def _entries(value: Any, n: int | None = None) -> list | tuple:
+    """``value`` if it is a list, of exactly ``n`` entries when n is given."""
+    if not isinstance(value, (list, tuple)) or n is not None and len(value) != n:
+        raise TypeError(f"expected a list{'' if n is None else f' of {n} entries'}, got {value!r}")
+    return value
+
+
 def config_from_dict(d: Mapping[str, Any]) -> ScenarioConfig:
     """Build a config from a (possibly partial) mapping.
 
@@ -459,21 +454,22 @@ def config_from_dict(d: Mapping[str, Any]) -> ScenarioConfig:
     for name, value in d.items():
         try:
             if name in _RANGE_FIELDS:
-                kwargs[name] = (strict_float(value[0]), strict_float(value[1]))
+                kwargs[name] = tuple(strict_float(x) for x in _entries(value, 2))
             elif name == "fog_positions":
                 kwargs[name] = None if value is None else tuple(
-                    (strict_float(p[0]), strict_float(p[1])) for p in value)
+                    tuple(strict_float(x) for x in _entries(p, 2)) for p in _entries(value))
             elif name == "tx_ranges":
-                kwargs[name] = None if value is None else tuple(strict_float(x) for x in value)
+                kwargs[name] = None if value is None else tuple(strict_float(x) for x in _entries(value))
             elif name == "exec_delay_overrides":
-                kwargs[name] = tuple((strict_int(o[0]), strict_int(o[1]), strict_float(o[2])) for o in value)
+                overrides = [_entries(o, 3) for o in _entries(value)]
+                kwargs[name] = tuple((strict_int(i), strict_int(j), strict_float(v)) for i, j, v in overrides)
             elif name == "alpha":
                 kwargs[name] = None if value is None else strict_float(value)
             elif name in ("n_fog", "n_apps", "modules_per_app", "seed"):
                 kwargs[name] = strict_int(value)
             else:
                 kwargs[name] = strict_float(value)
-        except (TypeError, ValueError, IndexError, OverflowError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"scenario config: bad {name} {value!r} ({exc})") from None
     cfg = ScenarioConfig(**kwargs)
     validate_config(cfg)

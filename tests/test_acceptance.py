@@ -8,11 +8,11 @@ run once and are shared by every criterion that reads them.
 import dataclasses
 import itertools
 import re
+import sys
 import time
+from pathlib import Path
 
-import numpy as np
 import pytest
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from fogplace.cli import main
 from fogplace.ilp import Relaxations, build_model, eval_cost, export_lp, objective_value, placement_to_vector
@@ -22,6 +22,10 @@ from fogplace.scenario import ScenarioConfig, generate_instance
 from fogplace.solver import SolveOptions, SolveStatus, solve_bruteforce, solve_exact
 
 from conftest import make_app, make_instance
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+
+import oracle  # noqa: E402
 
 SEEDS = DEFAULT_SEEDS  # 20 seeds
 COST_TOL = 1e-9
@@ -301,31 +305,29 @@ def _parse_lp(text: str):
 
 
 def test_external_milp_crosscheck():
-    """The exported LP file, solved by an independent MILP solver, reproduces
-    the in-house optimum.  (The release checklist also runs this by hand.)"""
+    """The exported LP file reads back as the program ``build_model`` holds,
+    and HiGHS on that program reproduces the in-house optimum.  (The release
+    checklist also runs this by hand.)"""
     inst = generate_instance(ScenarioConfig(n_apps=2, seed=11))
     report = solve_exact(inst)
     assert report.status is SolveStatus.OPTIMAL
-    text = export_lp(build_model(inst, Relaxations()))
+    model = build_model(inst, Relaxations())
 
-    objective, constraints, binaries = _parse_lp(text)
-    index = {name: i for i, name in enumerate(binaries)}
-    c = np.zeros(len(binaries))
-    for name, coeff in objective.items():
-        c[index[name]] = coeff
-    lcs = []
-    for _name, coeffs, sense, rhs in constraints:
-        row = np.zeros(len(binaries))
-        for name, coeff in coeffs.items():
-            row[index[name]] = coeff
-        lo, hi = {"<=": (-np.inf, rhs), ">=": (rhs, np.inf), "=": (rhs, rhs)}[sense]
-        lcs.append(LinearConstraint(row, lo, hi))
-    res = milp(c=c, constraints=lcs, integrality=np.ones(len(binaries)), bounds=Bounds(0, 1))
-    assert res.status == 0
-    gap = abs(res.fun - report.cost.total)
-    assert gap <= 1e-6 * max(1.0, abs(report.cost.total))
+    def nonzero(coeffs: dict) -> dict:  # an empty expression is written as "0 <variable>"
+        return {name: c for name, c in coeffs.items() if c != 0.0}
+
+    objective, constraints, binaries = _parse_lp(export_lp(model))
+    assert binaries == list(model.variables)
+    assert nonzero(objective) == nonzero(model.objective)
+    assert [(name, nonzero(coeffs), sense, rhs) for name, coeffs, sense, rhs in constraints] == [
+        (row.name, nonzero(row.coeffs), row.sense, row.rhs) for row in model.constraints]
+
+    status, cost = oracle.highs_verdict(inst, Relaxations())
+    assert status == "optimal"
+    gap = abs(cost - report.cost.total)
+    assert gap <= oracle.COST_RTOL * max(1.0, abs(report.cost.total))
     announce("external-milp-crosscheck",
-             f"HiGHS {res.fun:.9f} vs exact {report.cost.total:.9f}, gap {gap:.2e}")
+             f"HiGHS {cost:.9f} vs exact {report.cost.total:.9f}, gap {gap:.2e}")
 
 
 def test_experiment_determinism(tmp_path):

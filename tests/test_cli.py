@@ -11,6 +11,7 @@ import pytest
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 from fogplace.cli import (
+    EXIT_HEURISTIC_FAILED,
     EXIT_INFEASIBLE,
     EXIT_INPUT,
     EXIT_OK,
@@ -125,6 +126,14 @@ class TestGenerate:
         {"n_fog": None},
         {"seed": "x"},
         [1, 2],
+        # A pair or triple is a list of exactly that many entries.
+        {"proc_req_range": {"a": 1}},
+        {"proc_req_range": [0.1, 2.1, 99]},
+        {"fog_positions": [[50, 500, 1], [500, 500]]},
+        {"exec_delay_overrides": [[0, 0, 0.1, 5]]},
+        {"tx_ranges": {"0": 100.0}},
+        {"proc_req_range": [2, 1]},
+        {"tx_ranges": [100.0]},
     ])
     def test_malformed_config_is_input_error(self, tmp_path, capsys, doc):
         cfg = write_json(tmp_path / "cfg.json", doc)
@@ -141,6 +150,12 @@ class TestGenerate:
         assert main(["generate", "--config", str(cfg), "--out", str(out)]) == EXIT_INPUT
         assert not out.exists()
         assert named in capsys.readouterr().err
+
+    def test_negative_seed_is_input_error(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        assert main(["generate", "--seed", "-1", "--out", str(out)]) == EXIT_INPUT
+        assert not out.exists()
+        assert "seed must be" in capsys.readouterr().err
 
     def test_override_for_an_app_beyond_n_apps_is_kept(self, tmp_path):
         # A sweep varies n_apps over one base config, so an override may
@@ -220,6 +235,9 @@ class TestMalformedInstance:
         (("nodes", 1, "id"), [1], "nodes[1].id"),
         (("nodes", 0, "id"), 7, "nodes[0].id"),
         (("nodes", 1, "security_rating"), "ultra", "nodes[1].security_rating"),
+        (("nodes", 1, "tier"), "edge", "nodes[1].tier: unknown tier 'edge'"),
+        (("nodes", 1, "position"), [50.0, 500.0, 1.0], "nodes[1].position: expected [x, y]"),
+        (("links", "delay", 1), [0.5, 0.0], "links.delay[1]: expected 3 entries"),
         (("apps", 0, "security_req"), "ultra", "apps[0].security_req"),
         (("apps", 0, "security_req"), 3, "apps[0].security_req"),
     ])
@@ -257,6 +275,16 @@ class TestMalformedInstance:
         assert main([command, str(path)]) == EXIT_OK
 
 
+@pytest.mark.parametrize("command", ["generate", "experiment"])
+def test_invalid_json_is_input_error(tmp_path, capsys, command):
+    path = tmp_path / "doc.json"
+    path.write_text("{not json")
+    argv = {"generate": ["generate", "--config", str(path), "--out", str(tmp_path / "x.json")],
+            "experiment": ["experiment", str(path), "--out", str(tmp_path / "x.csv")]}[command]
+    assert main(argv) == EXIT_INPUT
+    assert "not valid JSON" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "{dir}"],
     ["rate", "{dir}"],
@@ -289,6 +317,31 @@ class TestSolve:
         assert main(["solve", str(instance_file), "--export-lp", str(lp)]) == EXIT_OK
         text = lp.read_text()
         assert "Minimize" in text and "Binary" in text and "eq9_app0_mod0" in text
+
+    # A model without apps has no variables and one without nodes has rows
+    # over none: every expression of either reads 0.
+    @pytest.mark.parametrize("apps, nodes, code", [
+        ((), None, EXIT_OK),
+        ((make_app(),), (), EXIT_INFEASIBLE),
+    ])
+    def test_export_lp_of_an_empty_model(self, tmp_path, apps, nodes, code):
+        path, lp = tmp_path / "inst.json", tmp_path / "model.lp"
+        save_instance(make_instance(apps, nodes=nodes), path)
+        assert main(["solve", str(path), "--export-lp", str(lp)]) == code
+        text = lp.read_text()
+        assert text.startswith("\\ module placement model\nMinimize\n obj: 0\nSubject To\n")
+        assert text.endswith("\nBinary\nEnd\n")
+        rows = text[text.index("Subject To\n") + 11:text.index("Binary\n")].splitlines()
+        assert rows and all(re.fullmatch(r" eq\w+: 0 (<=|>=|=) \S+", row) for row in rows)
+
+    @pytest.mark.parametrize("qos, code", [(5.0, EXIT_OK), (0.05, EXIT_HEURISTIC_FAILED)])
+    def test_greedy_solver(self, tmp_path, capsys, qos, code):
+        path, out = tmp_path / "inst.json", tmp_path / "report.json"
+        save_instance(make_instance([make_app(qos=qos)]), path)
+        assert main(["solve", str(path), "--solver", "greedy", "--out", str(out)]) == code
+        status = "feasible" if code == EXIT_OK else "heuristic_failed"
+        assert f"status: {status}" in capsys.readouterr().out
+        assert json.loads(out.read_text())["status"] == status
 
     def test_brute_matches_exact_on_one_app(self, tmp_path):
         inst = make_instance([make_app()])
@@ -381,6 +434,8 @@ class TestExperiment:
         {"preset": "fig5", "seeds": 5},
         {"preset": "fig5", "base_config": {"n_fog": None}},
         {"preset": "fig5", "base_config": [1]},
+        {"preset": "fig5", "seeds": [0], "base_config": {"proc_req_range": {"a": 1}}},
+        {"seeds": [0]},
         [1, 2],
     ])
     def test_malformed_grid_is_input_error(self, tmp_path, doc):
@@ -406,6 +461,9 @@ class TestExperiment:
         ({"preset": "fig5", "seeds": "12"}, "seeds must be a list of integers"),
         ({"preset": "fig5", "seeds": [0, 0]}, "seeds: seed 0 is repeated"),
         ({"preset": "fig5", "seeds": [3, 0, 1, 0, 3]}, "seeds: seed 3 is repeated"),
+        ({"cells": [{"n_apps": 2, "max_qos": 1.5}, {"n_apps": 1, "max_qos": 1.5},
+                    {"n_apps": 2.0, "max_qos": 1.5, "alpha": None}], "seeds": [0, 1]},
+         "cells[2] repeats cells[0]"),
     ])
     def test_unusable_cell_or_seed_names_it(self, tmp_path, capsys, doc, named):
         grid = write_json(tmp_path / "grid.json", doc)
@@ -448,8 +506,8 @@ class TestExperiment:
 
 
 def test_console_entry_point_help():
-    proc = subprocess.run([sys.executable, "-m", "fogplace.cli", "--help"],
-                          capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-m", "fogplace.cli", "--help"], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")})
     assert proc.returncode == 0
     assert "generate" in proc.stdout and "experiment" in proc.stdout
 

@@ -340,6 +340,25 @@ class TestCheckTrends:
         others = [c for c in by_name.values() if c.name != check and c.applicable]
         assert all(c.passed for c in others)
 
+    @pytest.mark.parametrize("rows, check, details", [
+        # Looser QoS puts more modules on fog than tighter QoS does.
+        ([{"max_qos": 1.5, "modules_on_fog": 1.0}, {"max_qos": 3.0, "modules_on_fog": 2.0}],
+         "mean_fog_modules_higher_under_tight_qos", "mean_fog[max_qos=1.5]=1.000, mean_fog[max_qos=3.0]=2.000"),
+        # The fully relaxed baseline leaks more than the QoS-constrained scenario.
+        ([{"drop_security": True, "drop_qos": True, "unprotected_gb": 2.0},
+          {"drop_security": True, "unprotected_gb": 1.0}],
+         "mean_unprotected_noqos_is_smallest", "mean_unprotected[noqos]=2.0000, mean_unprotected[max_qos=1.5]=1.0000"),
+    ])
+    def test_seed_mean_violation_fails_its_check(self, rows, check, details):
+        base = dict(n_apps=1, max_qos=1.5, alpha=None, drop_qos=False, drop_security=False, seed=0,
+                    status="optimal", cost_total=1.0)
+        report = check_trends([SweepRow(**{**base, **row}) for row in rows])
+        by_name = {c.name: c for c in report.checks}
+        assert by_name[check].applicable and not by_name[check].passed
+        assert by_name[check].details == details
+        assert f"[FAIL] {check}: {details}" in report.format()
+        assert [c.name for c in report.checks if c.applicable and not c.passed] == [check]
+
     def test_format_mentions_every_check(self):
         report = check_trends(run_sweep(TINY_GRID, [0]))
         text = report.format()

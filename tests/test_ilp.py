@@ -12,6 +12,7 @@ from fogplace.ilp import (
     export_lp,
     objective_value,
     placement_to_vector,
+    x_name,
 )
 from fogplace.model import Placement, SecurityLevel
 
@@ -64,6 +65,12 @@ class TestBuildModel:
     def test_assignment_row_count(self, two_app_instance):
         model = build_model(two_app_instance, RELAX_ALL)
         assert len(model.rows_tagged("eq9")) == 6
+
+    def test_one_module_delay_row_sums_both_attaches_and_exec(self):
+        inst = make_instance([make_app(n=1, exec_delay=0.1)])
+        row, = build_model(inst).rows_tagged("eq7")
+        assert row.coeffs == {x_name(0, 0, k): n.sensor_delay + n.user_delay + 0.1
+                              for k, n in enumerate(inst.nodes)}
 
     def test_unrated_instance_needs_relaxation(self, tiny_instance):
         no_range = dataclasses.replace(make_fog("f", (500.0, 500.0)), tx_range=None)
@@ -188,6 +195,14 @@ class TestCheckFeasibility:
         p = Placement({("a1", 0): "cloud", ("a1", 1): "cloud"})
         tags = {v.tag for v in check_feasibility(tiny_instance, p, RELAX_ALL)}
         assert "eq9" in tags
+
+
+    def test_missing_module_gets_no_delay_or_security_check(self):
+        # A HIGH app on the low-rated fog, far over its delay bound, were it whole.
+        inst = make_instance([make_app(security=SecurityLevel.HIGH, qos=0.01)])
+        p = Placement({("a1", 0): "fog_lo", ("a1", 1): "fog_lo"})
+        assert [(v.tag, v.indices) for v in check_feasibility(inst, p)] == [
+            ("eq9", ("a1", 2)), ("eq8", ("a1", 0, "fog_lo")), ("eq8", ("a1", 1, "fog_lo"))]
 
 
 class TestLinearization:

@@ -81,6 +81,25 @@ class TestValidateInstance:
         inst = make_instance([make_app()], nodes=nodes)
         assert validate_instance(inst) == ["user_delay: an app's delay can overflow to inf"]
 
+    @pytest.mark.parametrize("apps, nodes, farm, named", [
+        ([make_app("a1"), make_app("a1")], None, None, "duplicate application id 'a1'"),
+        ([dataclasses.replace(make_app(), modules=(), inter_traffic=())], None, None,
+         "app a1: module chain must be nonempty"),
+        ([make_app(stor=-0.5)], None, None, "app a1 module 0: stor_req must be finite and nonnegative"),
+        ([make_app(input_traffic=-0.1)], None, None, "app a1: input_traffic must be finite and nonnegative"),
+        ([make_app(inter=(0.3, -0.2))], None, None, "app a1: inter_traffic[1] must be finite and nonnegative"),
+        ([make_app(qos=0.0)], None, None, "app a1: qos_threshold must be finite and > 0"),
+        ([make_app()], (make_cloud(),), FarmGeometry(0.0, 100.0), "farm rectangle must have positive size"),
+        ([make_app()], (make_cloud(), make_fog("f1", None)), None, "node f1: fog node needs a position"),
+        ([make_app()], (make_cloud(), make_fog("f1", (500.0, 500.0), tx_range=None)), None,
+         "node f1: fog node needs a transmission range"),
+        ([make_app()], (make_cloud(), make_fog("f1", (500.0, 500.0), tx_range=0.0)), None,
+         "node f1: tx_range must be finite and > 0"),
+    ])
+    def test_app_and_node_fields_flagged(self, apps, nodes, farm, named):
+        inst = make_instance(apps, nodes=nodes, farm=farm, rated=False)
+        assert named in "\n".join(validate_instance(inst))
+
     def test_duplicate_node_ids(self):
         nodes = (make_cloud(), make_fog("f1", (500.0, 500.0)), make_fog("f1", (400.0, 400.0)))
         inst = make_instance([make_app()], nodes=nodes, rated=False)

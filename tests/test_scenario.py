@@ -293,6 +293,10 @@ class TestConfigIO:
             fog_positions=((100.0, 200.0), (300.0, 400.0)), tx_ranges=(80.0, 120.0),
             proc_req_range=(0.2, 1.5))
 
+    def test_integral_float_reads_as_int(self):
+        c = config_from_dict({"n_apps": 3.0, "seed": 2.0})
+        assert (c.n_apps, c.seed) == (3, 2) and type(c.n_apps) is type(c.seed) is int
+
     def test_partial_config_uses_defaults(self):
         c = config_from_dict({"n_apps": 4, "max_qos": 3.0})
         assert c.n_apps == 4 and c.max_qos == 3.0

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -65,6 +66,25 @@ def test_export_lp_bytes_pinned(tmp_path, flags):
     assert main(["generate", "--seed", "0", "--out", str(inst)]) == EXIT_OK
     assert main(["solve", str(inst), *flags, "--export-lp", str(lp)]) == EXIT_OK
     assert sha(lp) == EXPORT_LP_SEED0_SHA256[flags]
+
+
+# The `solve --export-lp` text of 1-, 2- and 4-module apps on fog nodes with
+# zero access delay, where the second app of each length runs its first
+# module in zero time: the delay row's first, last and only-module terms,
+# and the coefficients it leaves out for being zero.
+EXPORT_LP_MIXED_CHAINS_SHA256 = "df4f0c053218f3f019f6acf359bca4f203e14f79307c6ee83a5de1bd95cd9749"
+
+
+def test_export_lp_bytes_pinned_mixed_chains(tmp_path):
+    apps = []
+    for m in (1, 2, 4):
+        inst = generate_instance(ScenarioConfig(n_apps=2, modules_per_app=m, fog_access_delay=0.0,
+                                                exec_delay_overrides=((1, 0, 0.0),), seed=m))
+        apps += [replace(app, id=f"m{m}_{app.id}") for app in inst.apps]
+    path, lp = tmp_path / "inst.json", tmp_path / "model.lp"
+    save_instance(inst.with_apps(tuple(apps)), path)
+    assert main(["solve", str(path), "--export-lp", str(lp)]) == EXIT_OK
+    assert sha(lp) == EXPORT_LP_MIXED_CHAINS_SHA256
 
 
 # Values of the right type that no instance can hold: each once passed

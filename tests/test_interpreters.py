@@ -1,11 +1,11 @@
 """Byte-identical output under every installed CPython 3.10+.
 
 The scenario streams, the solver and the file writers are pure Python, so
-``generate``, ``solve --out`` and ``experiment`` must write the same bytes
-under any supported interpreter.  Each pyenv-installed CPython 3.1x found
-runs the three commands with the sources on ``PYTHONPATH``; the test skips
-when none is installed.  The versions directory is globbed directly, since
-pyenv shims resolve only the versions a project selects.
+``generate``, ``solve --out --export-lp`` and ``experiment`` must write the
+same bytes under any supported interpreter.  Each pyenv-installed CPython
+3.1x found runs the three commands with the sources on ``PYTHONPATH``; the
+test skips when none is installed.  The versions directory is globbed
+directly, since pyenv shims resolve only the versions a project selects.
 """
 
 import json
@@ -24,14 +24,15 @@ PYTHONS = sorted(PYENV_ROOT.glob("versions/3.1[0-9]*/bin/python"))
 
 GRID = {"cells": [{"n_apps": 3, "max_qos": 1.5}, {"n_apps": 5, "max_qos": 3.0, "alpha": 0.5}],
         "seeds": [0, 1]}
-OUTPUTS = ("inst.json", "report.json", "sweep.csv")
+OUTPUTS = ("inst.json", "report.json", "model.lp", "sweep.csv")
 
 _PROBE = """
 import sys
 from fogplace.cli import main
 grid, out = sys.argv[1:]
 assert main(["generate", "--seed", "0", "--out", out + "/inst.json"]) == 0
-assert main(["solve", out + "/inst.json", "--out", out + "/report.json"]) == 0
+assert main(["solve", out + "/inst.json", "--out", out + "/report.json",
+             "--export-lp", out + "/model.lp"]) == 0
 assert main(["experiment", grid, "--out", out + "/sweep.csv"]) == 0
 """
 
@@ -43,7 +44,8 @@ def test_outputs_identical_across_interpreters(tmp_path, capsys):
     here = tmp_path / "here"
     here.mkdir()
     assert main(["generate", "--seed", "0", "--out", str(here / "inst.json")]) == EXIT_OK
-    assert main(["solve", str(here / "inst.json"), "--out", str(here / "report.json")]) == EXIT_OK
+    assert main(["solve", str(here / "inst.json"), "--out", str(here / "report.json"),
+                 "--export-lp", str(here / "model.lp")]) == EXIT_OK
     assert main(["experiment", str(grid), "--out", str(here / "sweep.csv")]) == EXIT_OK
     capsys.readouterr()
     expected = {name: (here / name).read_bytes() for name in OUTPUTS}

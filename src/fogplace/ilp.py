@@ -4,6 +4,10 @@ Decision variables are x (module on node) and z (internal chain edge on an
 ordered physical node pair).  The quadratic coupling z = x_pred * x_succ is
 linearized into three inequalities that are exact at binary points.
 
+``build_model`` lists each index set once: (app, module), (app, edge) and
+the ordered node pairs.  Each objective part and constraint family is one
+pass over them, and drops zero coefficients the same way.
+
 Constraint rows carry stable family tags, which name the LP rows.
 Feasibility reports (``check_feasibility``) carry eq2-eq4, eq7, eq8 and eq9;
 a placement stores only module hosts, so eq11-eq14 hold for it by
@@ -139,118 +143,53 @@ def build_model(inst: Instance, relax: Relaxations = Relaxations()) -> IlpModel:
     ascending, nodes in input order.  Raises ValueError if the security
     constraint is active while some node cannot be rated (``Instance.ratings``).
     """
-    nodes = inst.nodes
-    n_nodes = len(nodes)
-    ratings = None if relax.drop_security else inst.ratings
+    nodes, links = inst.nodes, inst.links
+    ks = range(len(nodes))
+    pairs = [(u, v) for u in ks for v in ks]
+    mods = [(i, j, app, mod) for i, app in enumerate(inst.apps) for j, mod in enumerate(app.modules)]
+    edges = [(i, j, app) for i, app in enumerate(inst.apps) for j in range(app.n_modules - 1)]
 
-    variables: list[str] = []
-    objective: dict[str, float] = {}
-    for i, app in enumerate(inst.apps):
-        for j in range(app.n_modules):
-            for k, coeff in enumerate(_hosting_costs(app, j, nodes)):
-                name = x_name(i, j, k)
-                variables.append(name)
-                if coeff != 0.0:
-                    objective[name] = coeff
-    for i, app in enumerate(inst.apps):
-        for j in range(app.n_modules - 1):
-            for u in range(n_nodes):
-                for v in range(n_nodes):
-                    name = z_name(i, j, u, v)
-                    variables.append(name)
-                    coeff = app.inter_traffic[j] * inst.links.bw_cost[u][v]
-                    if coeff != 0.0:
-                        objective[name] = coeff
+    def nonzero(terms) -> dict[str, float]:
+        return {name: coeff for name, coeff in terms if coeff != 0.0}
 
-    rows: list[LinRow] = []
+    variables = [x_name(i, j, k) for i, j, _, _ in mods for k in ks]
+    variables += [z_name(i, j, u, v) for i, j, _ in edges for u, v in pairs]
+    objective = nonzero([(x_name(i, j, k), c) for i, j, app, _ in mods
+                         for k, c in enumerate(_hosting_costs(app, j, nodes))]
+                        + [(z_name(i, j, u, v), app.inter_traffic[j] * links.bw_cost[u][v])
+                           for i, j, app in edges for u, v in pairs])
 
-    for tag, req_field, cap_field in _CAPACITY:
-        for k, node in enumerate(nodes):
-            coeffs = {}
-            for i, app in enumerate(inst.apps):
-                for j, mod in enumerate(app.modules):
-                    req = getattr(mod, req_field)
-                    if req != 0.0:
-                        coeffs[x_name(i, j, k)] = req
-            rows.append(LinRow(
-                name=f"{tag}_node{k}", tag=tag, coeffs=coeffs,
-                sense="<=", rhs=getattr(node, cap_field),
-            ))
+    rows = [LinRow(f"{tag}_node{k}", tag, nonzero((x_name(i, j, k), getattr(mod, req))
+                                                  for i, j, _, mod in mods), "<=", getattr(node, cap))
+            for tag, req, cap in _CAPACITY for k, node in enumerate(nodes)]
 
     if not relax.drop_qos:
         for i, app in enumerate(inst.apps):
+            # Attach delays on the first and last module, then the module's own.
             last = app.n_modules - 1
-            coeffs: dict[str, float] = {}
-            for k, node in enumerate(nodes):
-                c = node.sensor_delay
-                if last == 0:
-                    c += node.user_delay
-                if c != 0.0:
-                    coeffs[x_name(i, 0, k)] = c
-            if last > 0:
-                for k, node in enumerate(nodes):
-                    if node.user_delay != 0.0:
-                        coeffs[x_name(i, last, k)] = node.user_delay
-            for j, mod in enumerate(app.modules):
-                if mod.exec_delay != 0.0:
-                    for k in range(len(nodes)):
-                        name = x_name(i, j, k)
-                        coeffs[name] = coeffs.get(name, 0.0) + mod.exec_delay
-            for j in range(app.n_modules - 1):
-                for u in range(n_nodes):
-                    for v in range(n_nodes):
-                        t = inst.links.delay[u][v]
-                        if t != 0.0:
-                            coeffs[z_name(i, j, u, v)] = t
-            rows.append(LinRow(
-                name=f"eq7_app{i}", tag="eq7", coeffs=coeffs,
-                sense="<=", rhs=app.qos_threshold,
-            ))
+            x_delay = [(x_name(i, j, k), (node.sensor_delay if j == 0 else 0.0)
+                        + (node.user_delay if j == last else 0.0) + mod.exec_delay)
+                       for j, mod in enumerate(app.modules) for k, node in enumerate(nodes)]
+            z_delay = [(z_name(i, j, u, v), links.delay[u][v]) for j in range(last) for u, v in pairs]
+            rows.append(LinRow(f"eq7_app{i}", "eq7", nonzero(x_delay + z_delay), "<=", app.qos_threshold))
 
-    if ratings is not None:
-        for i, app in enumerate(inst.apps):
-            for j in range(app.n_modules):
-                coeffs = {x_name(i, j, k): float(int(ratings[node.id]))
-                          for k, node in enumerate(nodes)}
-                rows.append(LinRow(
-                    name=f"eq8_app{i}_mod{j}", tag="eq8", coeffs=coeffs,
-                    sense=">=", rhs=float(int(app.security_req)),
-                ))
+    if not relax.drop_security:
+        ratings = [float(int(inst.ratings[node.id])) for node in nodes]
+        rows += [LinRow(f"eq8_app{i}_mod{j}", "eq8", {x_name(i, j, k): ratings[k] for k in ks},
+                        ">=", float(int(app.security_req))) for i, j, app, _ in mods]
 
-    for i, app in enumerate(inst.apps):
-        for j in range(app.n_modules):
-            rows.append(LinRow(
-                name=f"eq9_app{i}_mod{j}", tag="eq9",
-                coeffs={x_name(i, j, k): 1.0 for k in range(n_nodes)},
-                sense="=", rhs=1.0,
-            ))
+    rows += [LinRow(f"eq9_app{i}_mod{j}", "eq9", {x_name(i, j, k): 1.0 for k in ks}, "=", 1.0)
+             for i, j, _, _ in mods]
 
-    for i, app in enumerate(inst.apps):
-        for j in range(app.n_modules - 1):
-            for u in range(n_nodes):
-                for v in range(n_nodes):
-                    zn = z_name(i, j, u, v)
-                    xu = x_name(i, j, u)
-                    xv = x_name(i, j + 1, v)
-                    suffix = f"app{i}_edge{j}_u{u}_v{v}"
-                    rows.append(LinRow(
-                        name=f"eq11_{suffix}", tag="eq11",
-                        coeffs={zn: 1.0, xu: -1.0}, sense="<=", rhs=0.0,
-                    ))
-                    rows.append(LinRow(
-                        name=f"eq12_{suffix}", tag="eq12",
-                        coeffs={zn: 1.0, xv: -1.0}, sense="<=", rhs=0.0,
-                    ))
-                    rows.append(LinRow(
-                        name=f"eq13_{suffix}", tag="eq13",
-                        coeffs={zn: 1.0, xu: -1.0, xv: -1.0}, sense=">=", rhs=-1.0,
-                    ))
-            rows.append(LinRow(
-                name=f"eq14_app{i}_edge{j}", tag="eq14",
-                coeffs={z_name(i, j, u, v): 1.0
-                        for u in range(n_nodes) for v in range(n_nodes)},
-                sense="=", rhs=1.0,
-            ))
+    for i, j, _ in edges:
+        for u, v in pairs:
+            zn, xu, xv = z_name(i, j, u, v), x_name(i, j, u), x_name(i, j + 1, v)
+            suffix = f"app{i}_edge{j}_u{u}_v{v}"
+            rows += [LinRow(f"eq11_{suffix}", "eq11", {zn: 1.0, xu: -1.0}, "<=", 0.0),
+                     LinRow(f"eq12_{suffix}", "eq12", {zn: 1.0, xv: -1.0}, "<=", 0.0),
+                     LinRow(f"eq13_{suffix}", "eq13", {zn: 1.0, xu: -1.0, xv: -1.0}, ">=", -1.0)]
+        rows.append(LinRow(f"eq14_app{i}_edge{j}", "eq14", {z_name(i, j, u, v): 1.0 for u, v in pairs},
+                           "=", 1.0))
 
     declared = set(variables)
     for row in rows:

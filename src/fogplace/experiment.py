@@ -79,6 +79,7 @@ def preset_grid(name: str) -> SweepGrid:
 
 
 DEFAULT_SEEDS: tuple[int, ...] = tuple(range(20))
+_MAX_SEEDS = 1000  # per grid; the paper's study runs 20
 
 # A cell's fields in column order, each with the parser of its grid-document value.
 _CELL_PARSERS = {"n_apps": strict_int, "max_qos": strict_float, "alpha": strict_float,
@@ -123,6 +124,8 @@ def grid_from_dict(doc: Any) -> tuple[SweepGrid, list[int], ScenarioConfig]:
         seeds = [strict_int(s) for s in seeds]
     except (TypeError, OverflowError):
         raise ValueError(f"grid config: seeds must be a list of integers, got {doc['seeds']!r}") from None
+    if len(seeds) > _MAX_SEEDS:
+        raise ValueError(f"grid config: seeds must hold at most {_MAX_SEEDS} seeds, got {len(seeds)}")
     if len(set(seeds)) < len(seeds):  # a seed's rows would count twice in each mean
         repeated = next(s for s in seeds if seeds.count(s) > 1)
         raise ValueError(f"grid config: seeds: seed {repeated} is repeated")

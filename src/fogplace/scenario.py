@@ -79,7 +79,8 @@ class ScenarioConfig:
     ``ceil(alpha * n_apps)`` apps to a HIGH security requirement and draws
     the rest from {LOW, MEDIUM}; when None, requirements are uniform over
     all three levels.  ``fog_positions`` None means positions are drawn
-    uniformly inside the farm with ``default_tx_range``.
+    uniformly inside the farm with ``default_tx_range``.  The counts are
+    bounded by ``_COUNT_MAX``.
     """
 
     n_fog: int = 2
@@ -130,6 +131,11 @@ _PRICE_FIELDS = tuple(name for name in ScenarioConfig.__dataclass_fields__  # ty
                       if name.endswith(("_cost", "_delay", "_capacity")))
 
 
+# Each count's maximum, far above the desk study's (6 fog nodes, 20 apps,
+# 3 modules per app) and small enough that any instance draws in seconds.
+_COUNT_MAX = {"n_fog": 64, "n_apps": 1000, "modules_per_app": 64}
+
+
 def _require(ok: bool, name: str, rule: str, value: Any) -> None:
     if not ok:
         raise ValueError(f"{name} must be {rule}, got {value!r}")
@@ -139,6 +145,8 @@ def validate_config(cfg: ScenarioConfig) -> None:
     """Raise ValueError, naming the field, on an unusable configuration."""
     if cfg.n_fog < 0 or cfg.n_apps < 0 or cfg.modules_per_app < 1:
         raise ValueError("counts must be positive (n_fog/n_apps >= 0, modules_per_app >= 1)")
+    for name, most in _COUNT_MAX.items():  # before any bound below multiplies a count by a float
+        _require(getattr(cfg, name) <= most, name, f"at most {most}", getattr(cfg, name))
     for name in _RANGE_FIELDS:
         lo, hi = getattr(cfg, name)
         if not (math.isfinite(lo) and math.isfinite(hi)) or lo < 0 or lo > hi:
@@ -155,6 +163,10 @@ def validate_config(cfg: ScenarioConfig) -> None:
         _require(math.isfinite(value) and value > 0, name, "finite and > 0", value)
     if cfg.fog_positions is not None and len(cfg.fog_positions) != cfg.n_fog:
         raise ValueError(f"fog_positions has {len(cfg.fog_positions)} entries for n_fog={cfg.n_fog}")
+    farm = FarmGeometry(width=cfg.farm_width, height=cfg.farm_height)
+    for f, position in enumerate(cfg.fog_positions or ()):
+        _require(farm.contains(position), f"fog_positions[{f}]",
+                 f"inside the {cfg.farm_width!r}x{cfg.farm_height!r} farm", list(position))
     if cfg.tx_ranges is not None:
         if len(cfg.tx_ranges) != cfg.n_fog:
             raise ValueError(f"tx_ranges has {len(cfg.tx_ranges)} entries for n_fog={cfg.n_fog}")

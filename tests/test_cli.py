@@ -8,6 +8,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -20,7 +21,7 @@ from fogplace.cli import (
 )
 from fogplace.experiment import PRESETS
 from fogplace.instance_io import instance_to_dict, save_instance
-from fogplace.scenario import ScenarioConfig, generate_instance
+from fogplace.scenario import _COUNT_MAX, ScenarioConfig, generate_instance
 
 from conftest import make_app, make_cloud, make_fog, make_instance
 
@@ -112,7 +113,32 @@ BAD_CONFIG_VALUES = [
     ({"seed": True}, "bad seed True (expected an integer"),
     ({"proc_req_range": ["0.1", 2.0]}, "bad proc_req_range"),
     ({"exec_delay_overrides": [[0, 0.5, 1.0]]}, "bad exec_delay_overrides"),
+    ({"fog_positions": [[5000, 1], [500, 500]]}, "fog_positions[0] must be inside the 1000.0x1000.0 farm"),
+    # A count over its maximum: 1e308 once exited 1 (OverflowError) and 1e30 never ended.
+    ({"n_apps": 1e308}, "n_apps must be at most"),
+    ({"n_apps": 2**70}, "n_apps must be at most"),
+    ({"n_fog": 3, "fog_positions": None, "tx_ranges": None, "n_apps": 1e30}, "n_apps must be at most"),
+    *(({name: most + 1, "fog_positions": None, "tx_ranges": None}, f"{name} must be at most {most}, got")
+      for name, most in _COUNT_MAX.items()),
 ]
+
+
+def _value_paths(value, path=()):
+    """The path of every value nested in a JSON document, outermost first."""
+    if isinstance(value, (dict, list)):
+        for key in value if isinstance(value, dict) else range(len(value)):
+            yield path + (key,)
+            yield from _value_paths(value[key], path + (key,))
+
+
+DEFAULT_CONFIG = json.loads((REPO_ROOT / "configs" / "default.json").read_text())
+HOSTILE_VALUES = [None, True, False, "", "1", [], {}, [[1, 2]], [[[0]]], 1e308, -1e308, 2**70, 0, -1, 0.5]
+# Each mutation replaces one value of the shipped config, deletes it, or
+# repeats it (a list entry only: a repeated object key reads as one).
+CONFIG_MUTATIONS = [(path, op, value) for path in _value_paths(DEFAULT_CONFIG)
+                    for op, value in [("delete", None), ("repeat", None),
+                                      *(("replace", v) for v in HOSTILE_VALUES)]
+                    if op != "repeat" or isinstance(path[-1], int)]
 
 
 class TestGenerate:
@@ -170,6 +196,25 @@ class TestGenerate:
         assert main(["generate", "--config", str(cfg), "--out", str(out)]) == EXIT_INPUT
         assert not out.exists()
         assert named in capsys.readouterr().err
+
+    @settings(max_examples=150, deadline=None)
+    @given(mutation=st.sampled_from(CONFIG_MUTATIONS))
+    def test_mutated_config_exits_0_or_2(self, tmp_path_factory, mutation):
+        path, op, value = mutation
+        doc = json.loads(json.dumps(DEFAULT_CONFIG))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if op == "delete":
+            del parent[path[-1]]
+        elif op == "repeat":
+            parent.insert(path[-1], parent[path[-1]])
+        else:
+            parent[path[-1]] = value
+        work = tmp_path_factory.mktemp("mutant")
+        cfg = write_json(work / "cfg.json", doc)
+        code = main(["generate", "--config", str(cfg), "--out", str(work / "x.json")])
+        assert code in (EXIT_OK, EXIT_INPUT)
 
     def test_negative_seed_is_input_error(self, tmp_path, capsys):
         out = tmp_path / "x.json"
@@ -484,6 +529,11 @@ class TestExperiment:
         ({"cells": [{"n_apps": 2, "max_qos": 1.5}, {"n_apps": 1, "max_qos": 1.5},
                     {"n_apps": 2.0, "max_qos": 1.5, "alpha": None}], "seeds": [0, 1]},
          "cells[2] repeats cells[0]"),
+        ({"cells": [{"n_apps": _COUNT_MAX["n_apps"] + 1, "max_qos": 1.5}], "seeds": [0]},
+         f"cells[0] with seed 0: n_apps must be at most {_COUNT_MAX['n_apps']}"),
+        ({"cells": [{"n_apps": 1e308, "max_qos": 1.5}], "seeds": [0]},
+         "cells[0] with seed 0: n_apps must be at most"),
+        ({"preset": "fig5", "seeds": list(range(1001))}, "seeds must hold at most 1000 seeds, got 1001"),
     ])
     def test_unusable_cell_or_seed_names_it(self, tmp_path, capsys, doc, named):
         grid = write_json(tmp_path / "grid.json", doc)

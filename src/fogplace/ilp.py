@@ -165,7 +165,8 @@ def build_model(inst: Instance, relax: Relaxations = Relaxations()) -> IlpModel:
 
     if not relax.drop_qos:
         for i, app in enumerate(inst.apps):
-            # Attach delays on the first and last module, then the module's own.
+            # Sensor delay on the first module, user delay on the last, then the
+            # module's own, added in that order as ``_hosting_costs`` adds cost.
             last = app.n_modules - 1
             x_delay = [(x_name(i, j, k), (node.sensor_delay if j == 0 else 0.0)
                         + (node.user_delay if j == last else 0.0) + mod.exec_delay)

@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
 from .ilp import Relaxations, build_model, export_lp
-from .instance_io import load_instance, save_instance, save_report
+from .instance_io import load_instance, read_json, save_instance, save_report
 from .metrics import GB_TO_MB, metrics_for
 from .model import Instance, Tier, validate_instance
 from .security import boundary_distances, rate_infrastructure
@@ -41,8 +40,8 @@ class InputError(Exception):
 
 def _load_json(path: str) -> dict:
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        return read_json(path)
+    except ValueError as exc:  # JSONDecodeError, a repeated key, or bytes that are not UTF-8
         raise InputError(f"{path}: not valid JSON ({exc})") from exc
 
 

@@ -3,8 +3,9 @@
 Instances are stored as a single UTF-8 JSON document.  Field names mirror
 the domain types; the link table's two matrices are written as they are
 held, square and in node order, with no node ids.  The reader is strict:
-unknown fields are rejected, and a written instance reads back equal
-(floats survive via shortest-repr JSON encoding).
+unknown fields and repeated keys are rejected, and a written instance
+reads back equal (floats survive via shortest-repr JSON encoding).  Scenario
+configs and grid documents are read by the same ``read_json``.
 Each node's ``security_rating`` comes from ``Instance.ratings``; read back, it is checked and ignored.
 """
 
@@ -212,8 +213,24 @@ def save_instance(inst: Instance, path: str | Path) -> None:
     _write_json(instance_to_dict(inst), path)
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    doc: dict[str, Any] = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"repeated key {key!r}")
+        doc[key] = value
+    return doc
+
+
+def read_json(path: str | Path) -> Any:
+    """The JSON document at ``path``, read as UTF-8.  Raises ValueError on
+    text that is not JSON and on an object that repeats a key, naming it,
+    instead of keeping the last value."""
+    return json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
+
+
 def load_instance(path: str | Path) -> Instance:
-    return instance_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    return instance_from_dict(read_json(path))
 
 
 def _edge_map(assign: Mapping[str, list[str]]) -> dict[str, list[list[str]]]:

@@ -58,6 +58,21 @@ user-attachment row on the last module and zeros elsewhere, must not exceed
 the app's limit, and the step costs ``static[k] + inbound * bw[k]``.
 Every value is finite and nonnegative, so the zero rows add exactly nothing.
 
+A timed solve (``time_limit`` set) runs three root proofs after
+preprocessing and before the search, each reading the clock first.  (1)
+Greedy's cost is at the root bound ``tail_bound[0]`` to 1e-9 relative:
+optimal.  (2) Greedy found nothing, and the modules that QoS and security
+confine to some union S of per-position host supports need more proc, mem
+or stor than S holds (a Hall-type condition, P. Hall 1935): infeasible.
+(3) Fail-first backtracking (Haralick & Elliott 1980) puts each app, most
+constrained first, on a chain of its standalone minimum cost within the
+capacity left; a fit that passes (1) is optimal, and otherwise seeds the
+search.  So "optimal" means optimal to 1e-9 relative; a solve the root
+decides reports counters of 0; and its placement can differ from the
+untimed solve's, but only for one whose cost agrees to that tolerance (an
+exact-cost tie, on every instance measured).  Untimed solves skip the
+proofs, since the answer digests pin their search counters.
+
 ``solve_bruteforce`` enumerates every complete assignment and filters with
 the declarative feasibility checker - the verification oracle for the
 branch-and-bound.  ``solve_greedy`` places one app at a time against the
@@ -257,12 +272,7 @@ class _Problem:
             if chosen is None:
                 used = None
             else:
-                proc, mem, stor = (list(load) for load in used)
-                for pos, k in zip(group, chosen):
-                    proc[k] += pos.proc
-                    mem[k] += pos.mem
-                    stor[k] += pos.stor
-                used = (tuple(proc), tuple(mem), tuple(stor))
+                used = self.load(group, chosen, used)
                 sums, items, delays = self.add_app(app, chosen, sums, items, delays)
         return _Step(app, group, combos, prev.positions + tuple(group),
                      prev.qos_limits + (limit,) * len(group), used, sums, items, delays, tried)
@@ -281,11 +291,7 @@ class _Problem:
         costed app by app as greedy's is."""
         sums, items, delays = self.last.sums, self.last.items, self.last.delays
         if assignment is not None:
-            sums, items, delays, m = (0.0,) * 5, (), (), 0
-            for app, group in zip(self.inst.apps, self.app_positions):
-                hosts = tuple(assignment[m:m + len(group)])
-                sums, items, delays = self.add_app(app, hosts, sums, items, delays)
-                m += len(group)
+            sums, items, delays = self.costing(assignment)
         return SolveReport(status=status, relax=relax, placement=Placement(dict(items)),
                            cost=CostBreakdown(*sums), per_app_delay=dict(delays), search_stats=stats)
 
@@ -365,6 +371,84 @@ class _Problem:
                        or used_stor[k] + stor > self.stor_cap[k] + FEAS_TOL
                        for k, (proc, mem, stor) in load.items())
 
+    def load(self, positions: list[_Position], combo: tuple[int, ...],
+             used: tuple[tuple[float, ...], ...]) -> tuple[tuple[float, ...], ...]:
+        """The per-node (proc, mem, stor) loads ``used`` with modules
+        ``positions`` added on ``combo``."""
+        proc, mem, stor = (list(load) for load in used)
+        for pos, k in zip(positions, combo):
+            proc[k] += pos.proc
+            mem[k] += pos.mem
+            stor[k] += pos.stor
+        return tuple(proc), tuple(mem), tuple(stor)
+
+    def costing(self, assignment: list[int]) -> tuple[tuple, tuple, tuple]:
+        """The sums, placement items and delays of node indices
+        ``assignment``, costed app by app as greedy's are."""
+        sums, items, delays, m = (0.0,) * 5, (), (), 0
+        for app, group in zip(self.inst.apps, self.app_positions):
+            sums, items, delays = self.add_app(app, tuple(assignment[m:m + len(group)]),
+                                               sums, items, delays)
+            m += len(group)
+        return sums, items, delays
+
+    def root_proofs(self, greedy_cost: float,
+                    deadline: float) -> tuple[SolveStatus | None, list[int] | None, float]:
+        """The root proofs (1)-(3) of the module notes: (status, or None to
+        search on; an assignment, or None for greedy's; its cost).  Raises
+        ``TimeoutError`` once ``deadline`` passes."""
+        def at_bound(cost: float) -> bool:
+            return cost <= self.tail_bound[0] + 1e-9 * max(1.0, cost)
+
+        def check_clock() -> None:
+            if time.monotonic() > deadline:
+                raise TimeoutError
+
+        check_clock()  # (1) greedy at the root bound
+        if self.last.used is not None and at_bound(greedy_cost):
+            return SolveStatus.OPTIMAL, None, greedy_cost
+        if self.last.used is None:  # (2) confined capacity
+            check_clock()
+            demand: dict[int, list[float]] = {}  # support bit mask -> summed (proc, mem, stor)
+            for group, combos in zip(self.app_positions, self.app_combos):
+                for j, pos in enumerate(group):
+                    acc = demand.setdefault(sum(1 << k for k in {combo[j] for _c, combo in combos}),
+                                            [0.0, 0.0, 0.0])
+                    acc[0] += pos.proc
+                    acc[1] += pos.mem
+                    acc[2] += pos.stor
+            unions = {0}
+            for mask in demand:
+                unions |= {union | mask for union in unions}
+            for union in unions:
+                inside = [k for k in range(self.n_nodes) if union >> k & 1]
+                confined = [need for mask, need in demand.items() if not mask & ~union]
+                if any(sum(need[r] for need in confined) > sum(cap[k] + FEAS_TOL for k in inside)
+                       for r, cap in enumerate((self.proc_cap, self.mem_cap, self.stor_cap))):
+                    return SolveStatus.INFEASIBLE, None, greedy_cost
+        # (3) the cost plateau, apps with the fewest cheapest chains first
+        plateau = [[combo for cost, combo in combos if cost == combos[0][0]] for combos in self.app_combos]
+        order = sorted(range(len(plateau)), key=lambda i: len(plateau[i]))
+        hosts: list[tuple[int, ...] | None] = [None] * len(order)
+        stack = [(iter(plateau[order[0]]), ((0.0,) * self.n_nodes,) * 3)]  # per app: chains left, loads
+        while stack:  # a loop, not a recursive closure, so that no cycle is left for the GC
+            check_clock()
+            i = order[len(stack) - 1]
+            left, used = stack[-1]
+            hosts[i] = next((combo for combo in left if self.fits(self.app_positions[i], combo, used)), None)
+            if hosts[i] is None:
+                stack.pop()
+            elif len(stack) < len(order):
+                stack.append((iter(plateau[order[len(stack)]]),
+                              self.load(self.app_positions[i], hosts[i], used)))
+            else:
+                assignment = [k for combo in hosts for k in combo]
+                cost = CostBreakdown(*self.costing(assignment)[0]).total
+                if at_bound(cost):
+                    return SolveStatus.OPTIMAL, assignment, cost
+                return (None, assignment, cost) if cost < greedy_cost else (None, None, greedy_cost)
+        return None, None, greedy_cost
+
 
 def _finish_report(inst: Instance, relax: Relaxations, status: SolveStatus,
                    placement: Placement | None, stats: SearchStats) -> SolveReport:
@@ -382,9 +466,11 @@ def solve_exact(inst: Instance, relax: Relaxations = Relaxations(),
     Deterministic: modules are branched in (app, chain) order and nodes tried
     in input order, so identical inputs produce identical reports.  The time
     limit covers preprocessing and search; hitting it returns the best
-    incumbent found (if any) with status TIME_LIMIT.  ``_domains`` is the
-    sweep's per-seed memo of ``_Problem``'s node arrays, per-app domains and
-    step tries.
+    incumbent found (if any) with status TIME_LIMIT.  A time limit also
+    runs the root proofs of the module notes before the search, so a timed
+    OPTIMAL is optimal to 1e-9 relative.  ``_domains`` is the sweep's
+    per-seed memo of ``_Problem``'s node arrays, per-app domains and step
+    tries.
     """
     deadline = None if opts.time_limit is None else time.monotonic() + opts.time_limit
     stats = SearchStats()
@@ -397,7 +483,7 @@ def solve_exact(inst: Instance, relax: Relaxations = Relaxations(),
         return SolveReport(status=SolveStatus.INFEASIBLE, relax=relax, search_stats=stats)
 
     greedy = prob.last.used is not None
-    best_assignment = None  # the search's, once it beats greedy
+    best_assignment = None  # the plateau's or the search's, once one beats greedy
     best_cost = CostBreakdown(*prob.last.sums).total if greedy else float("inf")
 
     positions = prob.positions
@@ -451,9 +537,15 @@ def solve_exact(inst: Instance, relax: Relaxations = Relaxations(),
             used_mem[k] -= pos.mem
             used_stor[k] -= pos.stor
 
+    status = None
     try:
-        dfs(0, 0.0)
-        status = SolveStatus.OPTIMAL if greedy or best_assignment is not None else SolveStatus.INFEASIBLE
+        # Timed solves only: the untimed search counters are pinned in the
+        # answer digests.  This gate goes when ROADMAP item 6 lands.
+        if deadline is not None:
+            status, best_assignment, best_cost = prob.root_proofs(best_cost, deadline)
+        if status is None:
+            dfs(0, 0.0)
+            status = SolveStatus.OPTIMAL if greedy or best_assignment is not None else SolveStatus.INFEASIBLE
     except TimeoutError:
         status = SolveStatus.TIME_LIMIT
     del dfs  # it refers to itself through its closure cell, a cycle only the GC would free

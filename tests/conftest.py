@@ -21,6 +21,7 @@ from fogplace.model import (
     SecurityLevel,
     Tier,
 )
+from fogplace.scenario import ScenarioConfig, generate_instance
 from fogplace.security import rate_infrastructure
 
 CLOUD_KW = dict(
@@ -84,6 +85,14 @@ def make_instance(apps, nodes=None, farm: FarmGeometry | None = None, rated: boo
         nodes = (make_cloud(), make_fog("fog_lo", (50.0, 500.0)), make_fog("fog_hi", (500.0, 500.0)))
     inst = Instance(nodes=tuple(nodes), links=make_links(nodes), apps=tuple(apps), farm=farm)
     return rate_infrastructure(inst) if rated else inst
+
+
+def packing_instance(key: str) -> Instance:
+    """The benchmark's packing_search instance ``f<n_fog>_n<n_apps>_q<max_qos>_s<seed>``:
+    random fog positions and ranges."""
+    n_fog, n_apps, max_qos, seed = (part[1:] for part in key.split("_"))
+    return generate_instance(ScenarioConfig(n_fog=int(n_fog), n_apps=int(n_apps), max_qos=float(max_qos),
+                                            seed=int(seed), fog_positions=None, tx_ranges=None))
 
 
 @pytest.fixture

@@ -350,6 +350,28 @@ def test_invalid_json_is_input_error(tmp_path, capsys, command):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+# json.loads keeps the last of repeated keys, so each of these once exited 0:
+# with 5 apps, with fig4's grid, and with the farm's second width.
+@pytest.mark.parametrize("kind, text, named", [
+    ("config", '{"n_apps": 2, "n_apps": 5}', "repeated key 'n_apps'"),
+    ("grid", '{"preset": "fig5", "preset": "fig4", "seeds": [0]}', "repeated key 'preset'"),
+    ("instance", None, "repeated key 'width'"),
+])
+def test_repeated_key_is_input_error(tmp_path, capsys, instance_file, kind, text, named):
+    path = tmp_path / "doc.json"
+    out = tmp_path / "out"
+    if text is None:  # the instance's farm object names its width twice
+        text = instance_file.read_text().replace('"farm": {', '"farm": {"width": 1.0, ', 1)
+        assert text.count('"width"') == 2
+    path.write_text(text)
+    argv = {"config": ["generate", "--config", str(path), "--out", str(out)],
+            "grid": ["experiment", str(path), "--out", str(out)],
+            "instance": ["solve", str(path), "--out", str(out)]}[kind]
+    assert main(argv) == EXIT_INPUT
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "{dir}"],
     ["rate", "{dir}"],

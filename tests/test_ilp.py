@@ -67,9 +67,13 @@ class TestBuildModel:
         assert len(model.rows_tagged("eq9")) == 6
 
     def test_one_module_delay_row_sums_both_attaches_and_exec(self):
-        inst = make_instance([make_app(n=1, exec_delay=0.1)])
+        # build_model adds sensor + user, then exec.  The fog node's delays
+        # round apart if exec comes first (0.9999999999999999 against 1.0).
+        assert (0.3 + 0.6) + 0.1 != (0.1 + 0.3) + 0.6
+        nodes = (make_cloud(), make_fog("f", (500.0, 500.0), sensor_delay=0.3, user_delay=0.6))
+        inst = make_instance([make_app(n=1, exec_delay=0.1)], nodes=nodes)
         row, = build_model(inst).rows_tagged("eq7")
-        assert row.coeffs == {x_name(0, 0, k): n.sensor_delay + n.user_delay + 0.1
+        assert row.coeffs == {x_name(0, 0, k): (n.sensor_delay + n.user_delay) + 0.1
                               for k, n in enumerate(inst.nodes)}
 
     def test_unrated_instance_needs_relaxation(self, tiny_instance):

@@ -4,10 +4,13 @@ import hashlib
 import itertools
 import json
 import math
+import random
 import time
+from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from fogplace import solver
 from fogplace.experiment import preset_grid, run_sweep, to_csv
@@ -16,6 +19,7 @@ from fogplace.instance_io import report_to_dict
 from fogplace.model import AppModule, Placement, SecurityLevel
 from fogplace.scenario import ScenarioConfig, generate_instance
 from fogplace.solver import (
+    SearchStats,
     SolveOptions,
     SolveStatus,
     _Problem,
@@ -25,7 +29,7 @@ from fogplace.solver import (
     solve_greedy,
 )
 
-from conftest import make_app, make_cloud, make_fog, make_instance
+from conftest import make_app, make_cloud, make_fog, make_instance, packing_instance
 
 RELAX_ALL = Relaxations(drop_qos=True, drop_security=True)
 
@@ -286,6 +290,100 @@ class TestBounds:
         report = solve_exact(inst, opts=SolveOptions(time_limit=5.0))
         assert report.status is SolveStatus.OPTIMAL
         assert report.search_stats.nodes_explored <= 161
+
+
+PACKING_REFERENCE = Path(__file__).resolve().parents[1] / "benchmarks" / "reference.json"
+
+
+def search_only(inst, time_limit):
+    """What an untimed solve runs, the search without the root proofs, here
+    under a time limit so that a cliff instance cannot stall the suite."""
+    with mock.patch.object(_Problem, "root_proofs", lambda self, cost, deadline: (None, None, cost)):
+        return solve_exact(inst, opts=SolveOptions(time_limit=time_limit))
+
+
+def permuted(inst, order):
+    """``inst`` with its nodes (and link rows and columns) in ``order``."""
+    def matrix(rows):
+        return tuple(tuple(rows[u][v] for v in order) for u in order)
+    links = dataclasses.replace(inst.links, delay=matrix(inst.links.delay), bw_cost=matrix(inst.links.bw_cost))
+    return dataclasses.replace(inst, nodes=tuple(inst.nodes[k] for k in order), links=links)
+
+
+def doubled_prices(inst):
+    nodes = tuple(dataclasses.replace(n, proc_cost=2 * n.proc_cost, stor_cost=2 * n.stor_cost,
+                                      sensor_bw_cost=2 * n.sensor_bw_cost, user_bw_cost=2 * n.user_bw_cost)
+                  for n in inst.nodes)
+    links = dataclasses.replace(inst.links, bw_cost=tuple(tuple(2 * v for v in row) for row in inst.links.bw_cost))
+    return dataclasses.replace(inst, nodes=nodes, links=links)
+
+
+def same_answer(a, b, scale=1.0):
+    """Whether two decided reports agree on status and, scaled, on cost to 1e-9 relative."""
+    if a.status is not b.status:
+        return False
+    return a.cost is None or a.cost.total * scale == pytest.approx(b.cost.total, rel=1e-9)
+
+
+class TestRootProofs:
+    """A timed solve tries to decide at the root before it searches (see the
+    solver's module notes).  Undecided pairs are skipped, and counted as
+    hypothesis events."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_fog=st.integers(2, 4), n_apps=st.integers(5, 10), max_qos=st.sampled_from([1.5, 3.0]),
+           seed=st.integers(0, 2**32 - 1), order_seed=st.integers(0, 2**32 - 1))
+    def test_timed_solve_agrees_with_the_search(self, n_fog, n_apps, max_qos, seed, order_seed):
+        # The packing_search layout, with a 1 s limit.
+        inst = packing_instance(f"f{n_fog}_n{n_apps}_q{max_qos}_s{seed}")
+        opts = SolveOptions(time_limit=1.0)
+        timed = solve_exact(inst, opts=opts)
+        order = random.Random(order_seed).sample(range(len(inst.nodes)), len(inst.nodes))
+        for name, other, scale in (("untimed", search_only(inst, 1.0), 1.0),
+                                   ("permuted", solve_exact(permuted(inst, order), opts=opts), 1.0),
+                                   ("doubled", solve_exact(doubled_prices(inst), opts=opts), 2.0)):
+            if SolveStatus.TIME_LIMIT in (timed.status, other.status):
+                event(f"skipped {name}: time limit")
+                continue
+            assert same_answer(timed, other, scale), name
+        # Brute force where it takes milliseconds: 3**6 or 4**3 assignments.
+        if len(inst.nodes) <= 4:
+            sub = inst.with_apps(inst.apps[:2 if len(inst.nodes) == 3 else 1])
+            assert same_answer(solve_exact(sub, opts=opts), solve_bruteforce(sub))
+
+    @pytest.mark.parametrize("key, proof", [
+        ("f4_n10_q1.5_s547", "root exit"),  # (1): greedy's cost is at the root bound
+        ("f2_n14_q1.5_s121", "capacity"),  # (2): confined modules overflow their nodes
+        ("f3_n14_q1.5_s366", "plateau"),  # (3): a plateau assignment fits
+    ])
+    def test_each_root_proof_decides_a_cliff_case(self, key, proof):
+        # Each hits the 0.1 s limit when only the search runs.
+        inst = packing_instance(key)
+        report = solve_exact(inst, opts=SolveOptions(time_limit=1.0))
+        assert report.search_stats == SearchStats()
+        true_status, true_cost = json.loads(PACKING_REFERENCE.read_text())["packing_search"]["ops"][key]
+        assert report.status.value == true_status
+        greedy = solve_greedy(inst)
+        if proof == "root exit":
+            assert report.placement == greedy.placement and report.cost == greedy.cost
+        elif proof == "capacity":
+            assert greedy.status is SolveStatus.HEURISTIC_FAILED
+        else:
+            assert greedy.cost.total > report.cost.total
+        if true_cost is not None:
+            assert report.cost.total == pytest.approx(true_cost, rel=1e-9)
+            assert not check_feasibility(inst, report.placement, Relaxations())
+
+    def test_empty_plateau_falls_through_to_the_search(self):
+        # f3_n20_q1.5_s429: no greedy incumbent, no capacity proof, and no
+        # plateau assignment fits, so the search runs (and hits the limit).
+        inst = packing_instance("f3_n20_q1.5_s429")
+        prob = _Problem(inst, Relaxations())
+        assert prob.last.used is None
+        assert prob.root_proofs(math.inf, time.monotonic() + 10.0) == (None, None, math.inf)
+        report = solve_exact(inst, opts=SolveOptions(time_limit=0.1))
+        assert report.status is SolveStatus.TIME_LIMIT
+        assert report.search_stats.nodes_explored > 0
 
 
 def trie_of(memo):

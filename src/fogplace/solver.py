@@ -59,11 +59,14 @@ the app's limit, and the step costs ``static[k] + inbound * bw[k]``.
 Every value is finite and nonnegative, so the zero rows add exactly nothing.
 
 A timed solve (``time_limit`` set) runs three root proofs after
-preprocessing and before the search, each reading the clock first.  (1)
+preprocessing and before the search, each reading the clock as it goes.  (1)
 Greedy's cost is at the root bound ``tail_bound[0]`` to 1e-9 relative:
 optimal.  (2) Greedy found nothing, and the modules that QoS and security
 confine to some union S of per-position host supports need more proc, mem
 or stor than S holds (a Hall-type condition, P. Hall 1935): infeasible.
+The unions can number 2**n_nodes, so (2) builds them mask by mask and
+stops past ``MAX_UNIONS``, which every instance of up to 10 nodes stays
+within; each S it tries is still a proof.
 (3) Fail-first backtracking (Haralick & Elliott 1980) puts each app, most
 constrained first, on a chain of its standalone minimum cost within the
 capacity left; a fit that passes (1) is optimal, and otherwise seeds the
@@ -94,6 +97,7 @@ from .model import Application, Instance, Placement
 
 BRUTEFORCE_MAX_MODULES = 12
 BRUTEFORCE_MAX_NODES = 4
+MAX_UNIONS = 1024  # root proof (2) stops adding node sets past this many
 
 
 class SolveStatus(Enum):
@@ -408,19 +412,23 @@ class _Problem:
         if self.last.used is not None and at_bound(greedy_cost):
             return SolveStatus.OPTIMAL, None, greedy_cost
         if self.last.used is None:  # (2) confined capacity
-            check_clock()
             demand: dict[int, list[float]] = {}  # support bit mask -> summed (proc, mem, stor)
             for group, combos in zip(self.app_positions, self.app_combos):
+                check_clock()
                 for j, pos in enumerate(group):
                     acc = demand.setdefault(sum(1 << k for k in {combo[j] for _c, combo in combos}),
                                             [0.0, 0.0, 0.0])
                     acc[0] += pos.proc
                     acc[1] += pos.mem
                     acc[2] += pos.stor
-            unions = {0}
+            unions = {0}  # at most twice MAX_UNIONS: any S is a sound proof, but not all are tried
             for mask in demand:
+                check_clock()
                 unions |= {union | mask for union in unions}
+                if len(unions) > MAX_UNIONS:
+                    break
             for union in unions:
+                check_clock()
                 inside = [k for k in range(self.n_nodes) if union >> k & 1]
                 confined = [need for mask, need in demand.items() if not mask & ~union]
                 if any(sum(need[r] for need in confined) > sum(cap[k] + FEAS_TOL for k in inside)

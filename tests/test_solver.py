@@ -330,7 +330,12 @@ class TestRootProofs:
     solver's module notes).  Undecided pairs are skipped, and counted as
     hypothesis events."""
 
-    @settings(max_examples=40, deadline=None)
+    # Derandomized, so every run draws the same instances; the examples are
+    # packing_search instances that (3), (2) and (1) decide in turn.
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @example(n_fog=2, n_apps=7, max_qos=1.5, seed=16, order_seed=1)
+    @example(n_fog=3, n_apps=7, max_qos=1.5, seed=251, order_seed=2)
+    @example(n_fog=4, n_apps=7, max_qos=1.5, seed=508, order_seed=3)
     @given(n_fog=st.integers(2, 4), n_apps=st.integers(5, 10), max_qos=st.sampled_from([1.5, 3.0]),
            seed=st.integers(0, 2**32 - 1), order_seed=st.integers(0, 2**32 - 1))
     def test_timed_solve_agrees_with_the_search(self, n_fog, n_apps, max_qos, seed, order_seed):
@@ -376,14 +381,44 @@ class TestRootProofs:
 
     def test_empty_plateau_falls_through_to_the_search(self):
         # f3_n20_q1.5_s429: no greedy incumbent, no capacity proof, and no
-        # plateau assignment fits, so the search runs (and hits the limit).
+        # plateau assignment fits, so the search runs.
         inst = packing_instance("f3_n20_q1.5_s429")
         prob = _Problem(inst, Relaxations())
         assert prob.last.used is None
         assert prob.root_proofs(math.inf, time.monotonic() + 10.0) == (None, None, math.inf)
-        report = solve_exact(inst, opts=SolveOptions(time_limit=0.1))
-        assert report.status is SolveStatus.TIME_LIMIT
+        answers = []
+        original = _Problem.root_proofs
+
+        def recording(self, *args):
+            answers.append(original(self, *args))
+            return answers[-1]
+
+        with mock.patch.object(_Problem, "root_proofs", recording):
+            report = solve_exact(inst, opts=SolveOptions(time_limit=0.5))
+        assert answers == [(None, None, math.inf)]
         assert report.search_stats.nodes_explored > 0
+
+    def test_confined_capacity_proof_keeps_to_the_limit(self, monkeypatch):
+        # Fog k alone holds app c<k>'s module (proc rises and mem falls with
+        # k), and greedy puts app a on fog 0 first, so it finds nothing and
+        # the host supports have 2**18 unions.
+        n = 18
+        fogs = [make_fog(f"f{k}", (50.0 + 50.0 * k, 500.0), proc_capacity=100.0 + k,
+                         mem_capacity=100.0 + n - 1 - k, proc_cost=0.005, stor_cost=0.001,
+                         sensor_bw_cost=1.0, user_bw_cost=1.0) for k in range(n)]
+        apps = [make_app("a", n=1), *(make_app(f"c{k}", n=1, qos=1.0, proc=100.0 + k, mem=100.0 + n - 1 - k)
+                                      for k in range(n))]
+        inst = make_instance(apps, (make_cloud(), *fogs))
+        assert solve_greedy(inst).status is SolveStatus.HEURISTIC_FAILED
+        start = time.monotonic()
+        report = solve_exact(inst, opts=SolveOptions(time_limit=0.5))
+        assert time.monotonic() - start < 0.5  # MAX_UNIONS caps the unions
+        assert report.status is SolveStatus.OPTIMAL and same_answer(report, solve_exact(inst))
+        monkeypatch.setattr(solver, "MAX_UNIONS", 2**n)  # now only the clock stops it
+        start = time.monotonic()
+        report = solve_exact(inst, opts=SolveOptions(time_limit=0.05))
+        assert time.monotonic() - start < 0.5
+        assert report.status is SolveStatus.TIME_LIMIT
 
 
 def trie_of(memo):

@@ -1,13 +1,17 @@
 """Exact and heuristic solvers for the module placement problem.
 
-``solve_exact`` runs a depth-first branch-and-bound over module-to-node
-assignments in (app, chain-position) order.  The edge variables of the full
-binary program are implied by consecutive assignments, so the search only
-branches on module hosts and derives link cost and delay incrementally.
+``solve_exact`` decides a timed solve (``time_limit`` set) by the root
+proofs below, the last of them a chain-level branch and bound.  An untimed
+solve runs the module DFS: a depth-first branch-and-bound over
+module-to-node assignments in (app, chain-position) order.  The edge
+variables of the full binary program are implied by consecutive
+assignments, so both searches only branch on module hosts and derive link
+cost and delay incrementally.
 
 Security needs no prune: each module's candidate hosts are filtered by
 rating before the search, so ``pruned_security`` is always 0 and stays
-only as a fixed report and CSV column.  Pruning at a partial assignment:
+only as a fixed report and CSV column.  The module DFS prunes at a partial
+assignment on:
   * capacity  - the chosen node cannot absorb the module's demands,
   * qos       - delay already accumulated (plus all execution delays, which
                 are placement-independent) exceeds the app's threshold; an
@@ -22,65 +26,81 @@ link costs (capacity ignored).  Both parts only discard constraints, so the
 bound never overestimates.
 
 Preprocessing groups the module slots per app (``app_positions[i]``; the
-search walks their flattening) and lists each app's standalone-feasible
-chains once, sorted by cost: the first gives the app's standalone minimum
-for the bound, and the greedy incumbent takes each app's first chain that
-still fits, so greedy and exact share one pass.  The list grows as a prefix
+module DFS walks their flattening) and finds each app's cheapest
+standalone-feasible chain: its cost is the app's standalone minimum for the
+bound, and greedy takes it when it fits.  A depth-first search in
+lexicographic node order finds it, dropping a partial chain once its cost
+plus the later slots' ``min_cost`` exceeds the cheapest chain found by more
+than 1e-9 relative, so it is the first of the app's chain list, float for
+float.  That list, every standalone-feasible chain sorted by cost, is built
+on first read: by greedy when the cheapest chain does not fit (greedy then
+takes the list's first chain that still fits, so greedy and exact share one
+pass), by proof (2) or by the chain search.  The list grows as a prefix
 tree, one position at a time, and a partial chain whose delay already
 exceeds the app's limit is dropped with its whole subtree
 (resource-constrained labelling).  ``time_limit`` bounds preprocessing and
-search alike; the enumeration reads the clock every 4096 chain extensions.
+search alike; both enumerations read the clock every 4096 chain extensions.
 
 An app's slots and chains form its domain; it holds no app index and no
 threshold.  Preprocessing and greedy run app by app, each app a ``_Step``
 joined onto the step of the apps before it: its slots (each holding the
-app's ``min_cost`` sum from it to the last), its chains within its delay
-limit, the flattened positions with their limits, and greedy's incumbent
-after it (node loads, the five cost sums of ``ilp._add_app_cost``,
-placement items, each app's delays) or the mark that greedy failed.  No
-step depends on a later app or changes once built; each solve computes the
-completion bound, the only cross-app suffix quantity, afresh.  A library
-call enumerates its domains pruned at each app's limit and keeps nothing.
-A sweep keeps, per seed, each domain keyed by all of the app but its
-threshold, with every chain unpruned and its final delay and the chains
-within each limit met (a chain's delay never falls as it grows, so that
-filter gives the pruned list, float for float), and per relaxation a trie
-of steps, a step's children keyed by their app's identity.  A solve walks
-down the trie as far as its apps go and joins the steps it adds once all
-are built.  The report is greedy's when the search finds nothing cheaper; a
-cheaper assignment is costed by the same per-app step.
+app's ``min_cost`` sum from it to the last), its cheapest chain and its
+chain list within its delay limit, the flattened positions with their
+limits, and greedy's incumbent after it (node loads, the five cost sums of
+``ilp._add_app_cost``, placement items, each app's delays) or the mark that
+greedy failed.  No step depends on a later app or changes once built, but
+for a library build's chain list, filled in on first read; each solve
+computes the completion bound, the only cross-app suffix quantity, afresh.
+A library call searches each domain's cheapest chain pruned at the app's
+limit, lists its chains only when read, and keeps nothing.  A sweep keeps,
+per seed, each domain keyed by all of the app but its threshold, with every
+chain unpruned and its final delay and the chains within each limit met (a
+chain's delay never falls as it grows, so that filter gives the pruned
+list, float for float, and its first chain is the cheapest), and per
+relaxation a trie of steps, a step's children keyed by their app's
+identity.  A solve walks down the trie as far as its apps go and joins the
+steps it adds once all are built.  The report is greedy's when the search
+finds nothing cheaper; a cheaper assignment is costed by the same per-app
+step.
 
-The enumeration and the search extend a chain onto host ``k`` by one rule.
-The position picks ``base, t, bw``: ``(exec_total, sensor_delay, zeros)`` on
-an app's first module, else the chain's delay so far and the predecessor
-host's link rows.  Then ``delay = base + t[k] + user[k]``, with ``user`` the
-user-attachment row on the last module and zeros elsewhere, must not exceed
-the app's limit, and the step costs ``static[k] + inbound * bw[k]``.
-Every value is finite and nonnegative, so the zero rows add exactly nothing.
+The enumerations and the module DFS extend a chain onto host ``k`` by one
+rule.  The position picks ``base, t, bw``: ``(exec_total, sensor_delay,
+zeros)`` on an app's first module, else the chain's delay so far and the
+predecessor host's link rows.  Then ``delay = base + t[k] + user[k]``, with
+``user`` the user-attachment row on the last module and zeros elsewhere,
+must not exceed the app's limit, and the step costs ``static[k] + inbound *
+bw[k]``.  Every value is finite and nonnegative, so the zero rows add
+exactly nothing.
 
-A timed solve (``time_limit`` set) runs three root proofs after
-preprocessing and before the search, each reading the clock as it goes.  (1)
-Greedy's cost is at the root bound ``tail_bound[0]`` to 1e-9 relative:
-optimal.  (2) Greedy found nothing, and the modules that QoS and security
-confine to some union S of per-position host supports need more proc, mem
-or stor than S holds (a Hall-type condition, P. Hall 1935): infeasible.
-The unions can number 2**n_nodes, so (2) builds them mask by mask and
-stops past ``MAX_UNIONS``, which every instance of up to 10 nodes stays
-within; each S it tries is still a proof.
-(3) Fail-first backtracking (Haralick & Elliott 1980) puts each app, most
-constrained first, on a chain of its standalone minimum cost within the
-capacity left; a fit that passes (1) is optimal, and otherwise seeds the
-search.  So "optimal" means optimal to 1e-9 relative; a solve the root
-decides reports counters of 0; and its placement can differ from the
-untimed solve's, but only for one whose cost agrees to that tolerance (an
-exact-cost tie, on every instance measured).  Untimed solves skip the
-proofs, since the answer digests pin their search counters.
+A timed solve runs three root proofs after preprocessing, each reading the
+clock as it goes.  (1) Greedy's cost is at the root bound ``tail_bound[0]``
+to 1e-9 relative: optimal.  (2) Greedy found nothing, and the modules that
+QoS and security confine to some union S of per-position host supports need
+more proc, mem or stor than S holds (a Hall-type condition, P. Hall 1935):
+infeasible.  The unions can number 2**n_nodes, so (2) builds them mask by
+mask and stops past ``MAX_UNIONS``, which every instance of up to 10 nodes
+stays within; each S it tries is still a proof.  (3) The chain search, a
+complete branch and bound (Land & Doig 1960) over each app's chain list:
+apps in fail-first order, fewest chains first (Haralick & Elliott 1980),
+each list scanned cheapest first, so that its first band is the plateau of
+every app's cheapest chains.  A scan stops at the first chain for which the
+prefix, the chain and the later apps' minima reach the incumbent less 1e-9
+relative; capacity is checked chain by chain.  It ends OPTIMAL, with the
+best assignment found or greedy's, or INFEASIBLE, and at the time limit it
+hands back its best incumbent.  It counts one node per app placed, one
+bound prune per scan it cuts and one capacity prune per chain that does not
+fit; (1) and (2) report counters of 0.  So "optimal" means optimal to 1e-9
+relative, and a timed placement can differ from the untimed solve's, but
+only for one whose cost agrees to that tolerance (an exact-cost tie, on
+every instance measured).  A timed solve never enters the module DFS, and
+an untimed one skips the proofs, since the answer digests pin its search
+counters.
 
 ``solve_bruteforce`` enumerates every complete assignment and filters with
 the declarative feasibility checker - the verification oracle for the
 branch-and-bound.  ``solve_greedy`` places one app at a time against the
 remaining capacities and never backtracks; it is the incumbent seed for the
-exact search and a scalability baseline.
+exact solver and a scalability baseline.
 """
 
 from __future__ import annotations
@@ -162,31 +182,34 @@ class _Position:
 @dataclass(slots=True)
 class _Step:
     """One app joined onto the step of the apps before it; a relaxation's
-    root step has no app (see the module notes).  Only ``children``
-    (``id(app)`` -> step) changes once a step is built, and a child holds its
-    app, so that id stays valid.  No step refers to its parent.  ``used`` is
+    root step has no app (see the module notes).  Once a step is built only
+    ``children`` (``id(app)`` -> step) changes, and ``combos`` of a library
+    build, which is None until first read; a child holds its app, so that
+    id stays valid.  No step refers to its parent.  ``used`` is
     None once greedy found no chain that fits for some app; ``sums`` are the
     five cost terms in ``CostBreakdown``'s field order."""
 
     app: Application | None
     group: list[_Position]  # the app's slots
-    combos: list[tuple[float, tuple[int, ...]]]  # its chains within its limit, cheapest first
+    limit: float  # its delay limit
+    cheapest: tuple[float, tuple[int, ...]] | None  # its cheapest chain within the limit, if any
+    combos: list[tuple[float, tuple[int, ...]]] | None  # all of them, cheapest first; see ``chains``
     positions: tuple[_Position, ...]  # every slot so far, flattened
     qos_limits: tuple[float, ...]  # per position, its app's delay limit
     used: tuple[tuple[float, ...], ...] | None  # greedy's per-node (proc, mem, stor) loads
     sums: tuple[float, ...]
     items: tuple[tuple[tuple[str, int], str], ...]  # greedy's ((app id, j), node id)
     delays: tuple[tuple[str, tuple[float, float]], ...]  # greedy's (app id, (comm, exec))
-    tried: int  # chains greedy tried
     children: dict[int, _Step] = field(default_factory=dict)
 
 
 class _Problem:
-    """Dense arrays, per-app chain lists, bounds and the greedy incumbent
-    shared by the solvers.
+    """Dense arrays, per-app cheapest chains and chain lists, bounds and the
+    greedy incumbent shared by the solvers.
 
     Raises ``TimeoutError`` when ``deadline`` (a ``time.monotonic()`` value)
-    passes during the per-app enumeration.  ``domains``, a dict the caller
+    passes while it searches or lists an app's chains, in the build or when
+    a list is first read (``chains``).  ``domains``, a dict the caller
     owns, keeps the node arrays, each app's domain and each relaxation's
     trie of steps (see the module notes) for later builds on the same
     infrastructure; a build that times out adds no domain or step to it.
@@ -216,7 +239,8 @@ class _Problem:
         path = [domains.get(key) if domains else None]
         if path[0] is None:
             idle = (0.0,) * self.n_nodes
-            path[0] = built[key] = _Step(None, [], [], (), (), (idle,) * 3, (0.0,) * 5, (), (), 0)
+            path[0] = built[key] = _Step(None, [], float("inf"), None, [], (), (), (idle,) * 3,
+                                         (0.0,) * 5, (), ())
         for app in inst.apps:
             step = path[-1].children.get(id(app))
             if step is None:
@@ -230,56 +254,78 @@ class _Problem:
             for parent, step in zip(path[stored - 1:], path[stored:]):
                 parent.children[id(step.app)] = step
         self.last = path[-1]
+        self.steps = path[1:]
         self.positions, self.qos_limits = self.last.positions, self.last.qos_limits
-        self.app_positions = [step.group for step in path[1:]]
-        self.app_combos = [step.combos for step in path[1:]]
+        self.app_positions = [step.group for step in self.steps]
 
         # tail_bound[m]: lower bound on the cost of placing positions m.. end,
         # combining the per-module minima of the current app's remaining
         # modules with the standalone minima of every later app.
         self.tail_bound = [0.0] * (len(self.positions) + 1)
-        if all(self.app_combos):
+        self.placeable = all(step.cheapest is not None for step in self.steps)
+        if self.placeable:
             m = len(self.positions)
             later = 0.0  # the standalone minima of the apps after app i
-            for group, combos in zip(reversed(self.app_positions), reversed(self.app_combos)):
-                for pos in reversed(group):
+            for step in reversed(self.steps):
+                for pos in reversed(step.group):
                     m -= 1
                     self.tail_bound[m] = pos.intra + later
-                later += combos[0][0]
+                later += step.cheapest[0]
                 # At an app boundary the whole-chain standalone minimum
                 # (link costs included) is valid and at least as tight.
                 self.tail_bound[m] = max(self.tail_bound[m], later)
+
+    @property
+    def app_combos(self) -> list[list[tuple[float, tuple[int, ...]]]]:
+        """Every app's chain list (see ``chains``)."""
+        return [self.chains(step) for step in self.steps]
+
+    def chains(self, step: _Step) -> list[tuple[float, tuple[int, ...]]]:
+        """``step``'s app's chains within its limit as (cost, combo),
+        cheapest first; a library build lists them on first read."""
+        if step.combos is None:
+            step.combos = [(cost, combo) for cost, _delay, combo in self.app_chains(step.group, step.limit)]
+        return step.combos
 
     def extend(self, prev: _Step, app: Application, relax: Relaxations, ratings: list | None,
                domains: dict | None, built: dict) -> _Step:
         """``app``'s step after ``prev``: its domain, from ``domains`` or
         built into ``built``, and greedy's choice for it."""
         limit = float("inf") if relax.drop_qos else app.qos_threshold + FEAS_TOL
-        shared = None if domains is None else (  # all of the app but its id and threshold
-            app.modules, app.input_traffic, app.inter_traffic, app.output_traffic,
-            app.security_req, relax.drop_security)
-        domain = domains.get(shared) if domains else None
-        if domain is None:
+        if domains is None:  # a library build: the cheapest chain now, the list on first read
             group = self.app_slots(app, ratings)
-            domain = built[shared] = (group, self.app_chains(
-                group, limit if shared is None else float("inf")), {})
-        group, chains, by_limit = domain
-        combos = by_limit.get(limit)
-        if combos is None:
-            combos = by_limit[limit] = [(cost, combo) for cost, delay, combo in chains if delay <= limit]
+            cheapest = self.app_cheapest(group, limit)
+            combos = None if cheapest is not None else []
+        else:
+            shared = (app.modules, app.input_traffic, app.inter_traffic, app.output_traffic,
+                      app.security_req, relax.drop_security)  # all of the app but its id and threshold
+            domain = domains.get(shared)
+            if domain is None:
+                group = self.app_slots(app, ratings)
+                domain = built[shared] = (group, self.app_chains(group, float("inf")), {})
+            group, chains, by_limit = domain
+            combos = by_limit.get(limit)
+            if combos is None:
+                combos = by_limit[limit] = [(cost, combo) for cost, delay, combo in chains if delay <= limit]
+            cheapest = combos[0] if combos else None
+        step = _Step(app, group, limit, cheapest, combos, prev.positions + tuple(group),
+                     prev.qos_limits + (limit,) * len(group), prev.used, prev.sums, prev.items, prev.delays)
 
-        # Greedy: the cheapest chain that fits the capacity earlier apps left.
-        used, sums, items, delays, tried = prev.used, prev.sums, prev.items, prev.delays, prev.tried
-        if used is not None:
-            tried += len(combos)
-            chosen = next((combo for _cost, combo in combos if self.fits(group, combo, used)), None)
+        # Greedy: the cheapest chain that fits the capacity earlier apps
+        # left; the list is read only when the app's cheapest does not fit,
+        # and then from its second chain, since the first is the cheapest.
+        if step.used is not None:
+            chosen = None if cheapest is None else cheapest[1]
+            if chosen is None or not self.fits(group, chosen, step.used):
+                chosen = next((combo for _cost, combo in itertools.islice(self.chains(step), 1, None)
+                               if self.fits(group, combo, step.used)), None)
             if chosen is None:
-                used = None
+                step.used = None
             else:
-                used = self.load(group, chosen, used)
-                sums, items, delays = self.add_app(app, chosen, sums, items, delays)
-        return _Step(app, group, combos, prev.positions + tuple(group),
-                     prev.qos_limits + (limit,) * len(group), used, sums, items, delays, tried)
+                step.used = self.load(group, chosen, step.used)
+                step.sums, step.items, step.delays = self.add_app(app, chosen, step.sums, step.items,
+                                                                  step.delays)
+        return step
 
     def add_app(self, app: Application, hosts: tuple[int, ...], sums: tuple[float, ...],
                 items: tuple, delays: tuple) -> tuple[tuple, tuple, tuple]:
@@ -337,27 +383,71 @@ class _Problem:
             static, inbound, cands, user = pos.static_cost, pos.inbound, pos.candidates, pos.user
             grown = []
             for cost, delay, combo in chains:
-                self.extensions_seen += len(cands)  # read the clock on passing a multiple of 4096
-                if (self.deadline is not None and self.extensions_seen % 4096 < len(cands)
-                        and time.monotonic() > self.deadline):
-                    raise TimeoutError
+                self.count_extensions(len(cands))
                 base, t, bw = pos.root or (delay, t_rows[combo[-1]], bw_rows[combo[-1]])
                 grown += [(cost + static[k] + inbound * bw[k], d, combo + (k,)) for k in cands
                           if (d := base + t[k] + user[k]) <= limit]
             chains = grown
-        # Only modules sharing a node can overload it past the candidate
-        # filter, so if the whole chain fits on each candidate, all chains do.
-        proc = mem = stor = 0.0  # the whole chain's demands, summed as ``fits`` sums them
-        for pos in positions:
-            proc, mem, stor = proc + pos.proc, mem + pos.mem, stor + pos.stor
-        check_cap = any(proc > self.proc_cap[k] + FEAS_TOL or mem > self.mem_cap[k] + FEAS_TOL
-                        or stor > self.stor_cap[k] + FEAS_TOL
-                        for k in set().union(*(pos.candidates for pos in positions)))
-        idle = ([0.0] * self.n_nodes,) * 3
-        if check_cap:
+        if self.may_overflow(positions):
+            idle = ([0.0] * self.n_nodes,) * 3
             chains = [chain for chain in chains if self.fits(positions, chain[2], idle)]
         chains.sort(key=itemgetter(0))  # stable: ties keep the lexicographic build order
         return chains
+
+    def app_cheapest(self, positions: list[_Position],
+                     limit: float) -> tuple[float, tuple[int, ...]] | None:
+        """The first chain of ``app_chains(positions, limit)`` as (cost,
+        combo), or None if it lists none, by a depth-first search in
+        lexicographic node order with ``app_chains``' extension rule and
+        float sums.  A partial chain is dropped once its cost plus the later
+        slots' ``min_cost`` exceeds the cheapest chain found by more than
+        1e-9 relative, a slack for the bound's other summation order; ties
+        keep the first chain found."""
+        t_rows, bw_rows = self.inst.links.delay, self.inst.links.bw_cost
+        n = len(positions)
+        after = [pos.intra for pos in positions[1:]] + [0.0]  # per slot, the min_cost sum after it
+        check_cap, idle = self.may_overflow(positions), ([0.0] * self.n_nodes,) * 3
+        best, best_cost, cut = None, float("inf"), float("inf")  # cut: best_cost plus the slack
+        stack = [(0.0, 0.0, ())]  # (cost, delay, combo), a loop so that no closure cycle is left
+        while stack:
+            cost, delay, combo = stack.pop()
+            j = len(combo)
+            if j == n:
+                if cost < best_cost and (not check_cap or self.fits(positions, combo, idle)):
+                    best, best_cost, cut = (cost, combo), cost, cost + 1e-9 * max(1.0, cost)
+                continue
+            pos = positions[j]
+            if cost + pos.intra > cut:  # the cut fell since this chain was pushed
+                continue
+            static, inbound, cands, user = pos.static_cost, pos.inbound, pos.candidates, pos.user
+            rest = after[j]
+            self.count_extensions(len(cands))
+            base, t, bw = pos.root or (delay, t_rows[combo[-1]], bw_rows[combo[-1]])
+            grown = [(c, d, combo + (k,)) for k in cands
+                     if (d := base + t[k] + user[k]) <= limit
+                     and (c := cost + static[k] + inbound * bw[k]) + rest <= cut]
+            grown.reverse()  # popped in lexicographic order
+            stack += grown
+        return best
+
+    def may_overflow(self, positions: list[_Position]) -> bool:
+        """Whether some chain of modules ``positions`` can overload a node
+        on its own.  Only modules sharing a node can overload it past the
+        candidate filter, so if the whole chain fits on each candidate, all
+        chains do."""
+        proc = mem = stor = 0.0  # the whole chain's demands, summed as ``fits`` sums them
+        for pos in positions:
+            proc, mem, stor = proc + pos.proc, mem + pos.mem, stor + pos.stor
+        return any(proc > self.proc_cap[k] + FEAS_TOL or mem > self.mem_cap[k] + FEAS_TOL
+                   or stor > self.stor_cap[k] + FEAS_TOL
+                   for k in set().union(*(pos.candidates for pos in positions)))
+
+    def count_extensions(self, n: int) -> None:
+        """Counts ``n`` chain extensions; on passing a multiple of 4096,
+        raises ``TimeoutError`` if the deadline has passed."""
+        self.extensions_seen += n
+        if self.deadline is not None and self.extensions_seen % 4096 < n and time.monotonic() > self.deadline:
+            raise TimeoutError
 
     def fits(self, positions: list[_Position], combo: tuple[int, ...],
              used: tuple[list[float], list[float], list[float]]) -> bool:
@@ -396,20 +486,18 @@ class _Problem:
             m += len(group)
         return sums, items, delays
 
-    def root_proofs(self, greedy_cost: float,
-                    deadline: float) -> tuple[SolveStatus | None, list[int] | None, float]:
-        """The root proofs (1)-(3) of the module notes: (status, or None to
-        search on; an assignment, or None for greedy's; its cost).  Raises
-        ``TimeoutError`` once ``deadline`` passes."""
-        def at_bound(cost: float) -> bool:
-            return cost <= self.tail_bound[0] + 1e-9 * max(1.0, cost)
-
+    def root_proofs(self, greedy_cost: float, deadline: float,
+                    stats: SearchStats) -> tuple[SolveStatus, list[int] | None, float]:
+        """The root proofs (1)-(3) of the module notes: (status; an
+        assignment, or None for greedy's; its cost).  Raises
+        ``TimeoutError`` once ``deadline`` passes in (1) or (2); (3) then
+        returns TIME_LIMIT with its best incumbent."""
         def check_clock() -> None:
             if time.monotonic() > deadline:
                 raise TimeoutError
 
         check_clock()  # (1) greedy at the root bound
-        if self.last.used is not None and at_bound(greedy_cost):
+        if self.last.used is not None and greedy_cost <= self.tail_bound[0] + 1e-9 * max(1.0, greedy_cost):
             return SolveStatus.OPTIMAL, None, greedy_cost
         if self.last.used is None:  # (2) confined capacity
             demand: dict[int, list[float]] = {}  # support bit mask -> summed (proc, mem, stor)
@@ -434,28 +522,58 @@ class _Problem:
                 if any(sum(need[r] for need in confined) > sum(cap[k] + FEAS_TOL for k in inside)
                        for r, cap in enumerate((self.proc_cap, self.mem_cap, self.stor_cap))):
                     return SolveStatus.INFEASIBLE, None, greedy_cost
-        # (3) the cost plateau, apps with the fewest cheapest chains first
-        plateau = [[combo for cost, combo in combos if cost == combos[0][0]] for combos in self.app_combos]
-        order = sorted(range(len(plateau)), key=lambda i: len(plateau[i]))
-        hosts: list[tuple[int, ...] | None] = [None] * len(order)
-        stack = [(iter(plateau[order[0]]), ((0.0,) * self.n_nodes,) * 3)]  # per app: chains left, loads
+        return self.chain_search(greedy_cost, deadline, stats)
+
+    def chain_search(self, incumbent: float, deadline: float,
+                     stats: SearchStats) -> tuple[SolveStatus, list[int] | None, float]:
+        """Root proof (3): branch and bound over each app's chain list, apps
+        with the fewest chains first, each list scanned cheapest first.  A
+        scan stops at the first chain whose cost, with the prefix and the
+        later apps' minima, is within 1e-9 relative of the best cost found
+        (``incumbent``, greedy's, to begin with).  Returns (OPTIMAL,
+        INFEASIBLE, or TIME_LIMIT once ``deadline`` passes; the best
+        assignment found, or None for greedy's; its cost)."""
+        combos = self.app_combos
+        order = sorted(range(len(combos)), key=lambda i: len(combos[i]))
+        rest = [0.0] * (len(order) + 1)  # rest[d]: the minima of the apps from depth d on
+        for d in reversed(range(len(order))):
+            rest[d] = combos[order[d]][0][0] + rest[d + 1]
+        best, best_cost = None, incumbent
+        cut = float("inf") if incumbent == float("inf") else incumbent - 1e-9 * max(1.0, incumbent)
+        hosts: list[tuple[int, ...]] = [()] * len(order)  # in app order
+        stack = [(0, 0.0, ((0.0,) * self.n_nodes,) * 3)]  # per depth: next chain, prefix cost, loads
+        scanned = 0
         while stack:  # a loop, not a recursive closure, so that no cycle is left for the GC
-            check_clock()
-            i = order[len(stack) - 1]
-            left, used = stack[-1]
-            hosts[i] = next((combo for combo in left if self.fits(self.app_positions[i], combo, used)), None)
-            if hosts[i] is None:
+            d = len(stack) - 1
+            start, prefix, used = stack[-1]
+            i = order[d]
+            chains, group = combos[i], self.app_positions[i]
+            found = None
+            for index in range(start, len(chains)):
+                scanned += 1
+                if scanned % 4096 == 0 and time.monotonic() > deadline:
+                    return SolveStatus.TIME_LIMIT, best, best_cost
+                cost, combo = chains[index]
+                if prefix + cost + rest[d + 1] >= cut:  # and so every later chain in the list
+                    stats.pruned_bound += 1
+                    break
+                if self.fits(group, combo, used):
+                    found = index
+                    break
+                stats.pruned_capacity += 1
+            if found is None:
                 stack.pop()
-            elif len(stack) < len(order):
-                stack.append((iter(plateau[order[len(stack)]]),
-                              self.load(self.app_positions[i], hosts[i], used)))
+                continue
+            stats.nodes_explored += 1
+            stack[-1] = (found + 1, prefix, used)
+            hosts[i] = combo
+            if len(stack) < len(order):
+                stack.append((0, prefix + cost, self.load(group, combo, used)))
             else:
-                assignment = [k for combo in hosts for k in combo]
-                cost = CostBreakdown(*self.costing(assignment)[0]).total
-                if at_bound(cost):
-                    return SolveStatus.OPTIMAL, assignment, cost
-                return (None, assignment, cost) if cost < greedy_cost else (None, None, greedy_cost)
-        return None, None, greedy_cost
+                best = [k for chain in hosts for k in chain]
+                best_cost = CostBreakdown(*self.costing(best)[0]).total
+                cut = best_cost - 1e-9 * max(1.0, best_cost)
+        return (SolveStatus.OPTIMAL if best_cost < float("inf") else SolveStatus.INFEASIBLE), best, best_cost
 
 
 def _finish_report(inst: Instance, relax: Relaxations, status: SolveStatus,
@@ -471,12 +589,14 @@ def solve_exact(inst: Instance, relax: Relaxations = Relaxations(),
                 opts: SolveOptions = SolveOptions(), _domains: dict | None = None) -> SolveReport:
     """Minimum-cost feasible placement via branch-and-bound, or Infeasible.
 
-    Deterministic: modules are branched in (app, chain) order and nodes tried
-    in input order, so identical inputs produce identical reports.  The time
-    limit covers preprocessing and search; hitting it returns the best
-    incumbent found (if any) with status TIME_LIMIT.  A time limit also
-    runs the root proofs of the module notes before the search, so a timed
-    OPTIMAL is optimal to 1e-9 relative.  ``_domains`` is the sweep's
+    Deterministic: apps, chains and nodes are tried in fixed orders, so
+    identical inputs produce identical reports.  Preprocessing finds each
+    app's cheapest chain first and lists its chains only when read.  A
+    timed solve runs the root proofs of the module notes, the last a
+    complete chain-level branch and bound, so a timed OPTIMAL is optimal to
+    1e-9 relative; an untimed one runs the module DFS.  The time limit
+    covers preprocessing and search; hitting it returns the best incumbent
+    found (if any) with status TIME_LIMIT.  ``_domains`` is the sweep's
     per-seed memo of ``_Problem``'s node arrays, per-app domains and step
     tries.
     """
@@ -487,11 +607,11 @@ def solve_exact(inst: Instance, relax: Relaxations = Relaxations(),
     except TimeoutError:
         return SolveReport(status=SolveStatus.TIME_LIMIT, relax=relax, search_stats=stats)
 
-    if not all(prob.app_combos):
+    if not prob.placeable:
         return SolveReport(status=SolveStatus.INFEASIBLE, relax=relax, search_stats=stats)
 
     greedy = prob.last.used is not None
-    best_assignment = None  # the plateau's or the search's, once one beats greedy
+    best_assignment = None  # the chain search's or the DFS's, once one beats greedy
     best_cost = CostBreakdown(*prob.last.sums).total if greedy else float("inf")
 
     positions = prob.positions
@@ -514,6 +634,8 @@ def solve_exact(inst: Instance, relax: Relaxations = Relaxations(),
                 best_cost = prefix_cost
                 best_assignment = current.copy()
             return
+        # A deadline reaches the DFS only where the tests stand it in for
+        # the root proofs, to compare it with them without stalling.
         if (deadline is not None and stats.nodes_explored % 4096 == 0
                 and time.monotonic() > deadline):
             raise TimeoutError
@@ -547,10 +669,11 @@ def solve_exact(inst: Instance, relax: Relaxations = Relaxations(),
 
     status = None
     try:
-        # Timed solves only: the untimed search counters are pinned in the
-        # answer digests.  This gate goes when ROADMAP item 6 lands.
+        # The root proofs decide every timed solve; the module DFS runs
+        # untimed ones, whose search counters the answer digests pin.  This
+        # gate and the DFS go with ROADMAP items 6 and 20.
         if deadline is not None:
-            status, best_assignment, best_cost = prob.root_proofs(best_cost, deadline)
+            status, best_assignment, best_cost = prob.root_proofs(best_cost, deadline, stats)
         if status is None:
             dfs(0, 0.0)
             status = SolveStatus.OPTIMAL if greedy or best_assignment is not None else SolveStatus.INFEASIBLE
@@ -603,7 +726,11 @@ def solve_greedy(inst: Instance, relax: Relaxations = Relaxations()) -> SolveRep
     INFEASIBLE from the exact solver, is not a proof.
     """
     prob = _Problem(inst, relax)
-    stats = SearchStats(nodes_explored=prob.last.tried)
+    stats = SearchStats()
+    for step in prob.steps:  # every app greedy tried, through the first it could not place
+        stats.nodes_explored += len(prob.chains(step))
+        if step.used is None:
+            break
     if prob.last.used is None:
         return SolveReport(status=SolveStatus.HEURISTIC_FAILED, relax=relax, search_stats=stats)
     return prob.report(SolveStatus.FEASIBLE, relax, stats)

@@ -20,7 +20,7 @@ from fogplace.cli import (
     main,
 )
 from fogplace.experiment import PRESETS
-from fogplace.instance_io import instance_to_dict, save_instance
+from fogplace.instance_io import instance_to_dict, load_instance, save_instance
 from fogplace.scenario import _COUNT_MAX, ScenarioConfig, generate_instance
 
 from conftest import make_app, make_cloud, make_fog, make_instance
@@ -227,6 +227,26 @@ class TestGenerate:
         # name an app that a smaller cell does not draw.
         cfg = write_json(tmp_path / "cfg.json", {"n_apps": 2, "exec_delay_overrides": [[5, 0, 0.3]]})
         assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "x.json")]) == EXIT_OK
+
+
+class TestRoundTrip:
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), packing=st.booleans(), n_fog=st.integers(2, 6),
+           n_apps=st.integers(1, 20))
+    def test_loaded_instance_saves_to_the_same_bytes(self, tmp_path_factory, seed, packing, n_fog, n_apps):
+        # `generate` output, shipped or packing_search layout (random fog
+        # positions and ranges), that `rate` loads with exit 0.
+        work = tmp_path_factory.mktemp("round")
+        path, again = work / "inst.json", work / "again.json"
+        argv = ["generate", "--seed", str(seed), "--out", str(path)]
+        if packing:
+            cfg = write_json(work / "cfg.json", {"n_fog": n_fog, "n_apps": n_apps,
+                                                 "fog_positions": None, "tx_ranges": None})
+            argv += ["--config", str(cfg)]
+        assert main(argv) == EXIT_OK
+        assert main(["rate", str(path)]) == EXIT_OK
+        save_instance(load_instance(path), again)
+        assert again.read_bytes() == path.read_bytes()
 
 
 class TestRate:

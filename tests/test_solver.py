@@ -160,10 +160,13 @@ class TestSolveExact:
                 SolveOptions(time_limit=limit)
 
     def test_time_limit_covers_preprocessing(self):
-        # Two 6-module chains on 8 nodes: 8**6 chains per app to enumerate,
-        # far more than 0.1 s of preprocessing.
-        nodes = (make_cloud(), *(make_fog(f"f{i}", (100.0 * i + 150.0, 500.0)) for i in range(7)))
-        inst = make_instance([make_app("a1", n=6, qos=50.0), make_app("a2", n=6, qos=50.0)],
+        # Two 6-module chains on 8 equally priced nodes, no traffic between
+        # modules: all 8**6 chains of an app tie, so the cheapest-chain
+        # search prunes none, far more than 0.1 s of preprocessing.
+        prices = dict(proc_cost=0.02, stor_cost=0.02, sensor_bw_cost=5.0, user_bw_cost=5.0)
+        nodes = (make_cloud(**prices),
+                 *(make_fog(f"f{i}", (100.0 * i + 150.0, 500.0), **prices) for i in range(7)))
+        inst = make_instance([make_app(f"a{i}", n=6, qos=50.0, inter=(0.0,) * 5) for i in (1, 2)],
                              nodes=nodes)
         start = time.monotonic()
         report = solve_exact(inst, opts=SolveOptions(time_limit=0.1))
@@ -296,9 +299,9 @@ PACKING_REFERENCE = Path(__file__).resolve().parents[1] / "benchmarks" / "refere
 
 
 def search_only(inst, time_limit):
-    """What an untimed solve runs, the search without the root proofs, here
+    """What an untimed solve runs, the module DFS without the root proofs, here
     under a time limit so that a cliff instance cannot stall the suite."""
-    with mock.patch.object(_Problem, "root_proofs", lambda self, cost, deadline: (None, None, cost)):
+    with mock.patch.object(_Problem, "root_proofs", lambda self, cost, deadline, stats: (None, None, cost)):
         return solve_exact(inst, opts=SolveOptions(time_limit=time_limit))
 
 
@@ -359,13 +362,16 @@ class TestRootProofs:
     @pytest.mark.parametrize("key, proof", [
         ("f4_n10_q1.5_s547", "root exit"),  # (1): greedy's cost is at the root bound
         ("f2_n14_q1.5_s121", "capacity"),  # (2): confined modules overflow their nodes
-        ("f3_n14_q1.5_s366", "plateau"),  # (3): a plateau assignment fits
+        ("f3_n14_q1.5_s366", "chain search"),  # (3): an assignment of cheapest chains fits
     ])
     def test_each_root_proof_decides_a_cliff_case(self, key, proof):
-        # Each hits the 0.1 s limit when only the search runs.
+        # Each hits the 0.1 s limit when only the module DFS runs.
         inst = packing_instance(key)
         report = solve_exact(inst, opts=SolveOptions(time_limit=1.0))
-        assert report.search_stats == SearchStats()
+        if proof == "chain search":  # one node per app placed
+            assert report.search_stats.nodes_explored >= len(inst.apps)
+        else:
+            assert report.search_stats == SearchStats()
         true_status, true_cost = json.loads(PACKING_REFERENCE.read_text())["packing_search"]["ops"][key]
         assert report.status.value == true_status
         greedy = solve_greedy(inst)
@@ -379,24 +385,42 @@ class TestRootProofs:
             assert report.cost.total == pytest.approx(true_cost, rel=1e-9)
             assert not check_feasibility(inst, report.placement, Relaxations())
 
-    def test_empty_plateau_falls_through_to_the_search(self):
-        # f3_n20_q1.5_s429: no greedy incumbent, no capacity proof, and no
-        # plateau assignment fits, so the search runs.
-        inst = packing_instance("f3_n20_q1.5_s429")
-        prob = _Problem(inst, Relaxations())
-        assert prob.last.used is None
-        assert prob.root_proofs(math.inf, time.monotonic() + 10.0) == (None, None, math.inf)
-        answers = []
-        original = _Problem.root_proofs
+    @pytest.mark.parametrize("key", ["f3_n20_q1.5_s429", "f4_n14_q1.5_s629"])
+    def test_chain_search_decides_where_the_plateau_was_empty(self, key):
+        # No assignment of each app's cheapest chains fits, so the chain
+        # search backtracks (roots (1) and (2) report counters of 0).  The
+        # module DFS hit the 0.1 s limit on both.
+        inst = packing_instance(key)
+        report = solve_exact(inst, opts=SolveOptions(time_limit=1.0))
+        assert report.search_stats.nodes_explored > len(inst.apps)
+        true_status, true_cost = json.loads(PACKING_REFERENCE.read_text())["packing_search"]["ops"][key]
+        assert (report.status.value, true_status) == ("optimal", "optimal")
+        assert report.cost.total == pytest.approx(true_cost, rel=1e-9)
+        assert check_feasibility(inst, report.placement, Relaxations()) == []
 
-        def recording(self, *args):
-            answers.append(original(self, *args))
-            return answers[-1]
+    def test_chain_search_proves_greedy_optimal(self):
+        # The cheap fog fits one app's chain.  Greedy gives it to a1, which
+        # saves more there, so greedy is optimal but above the root bound,
+        # which puts both apps on the fog.
+        fog = make_fog("f0", (500.0, 500.0), proc_capacity=3.5, proc_cost=0.001, stor_cost=0.001)
+        inst = make_instance([make_app("a1", qos=50.0, exec_delay=0.3), make_app("a2", qos=50.0)],
+                             nodes=(make_cloud(), fog))
+        greedy = solve_greedy(inst)
+        assert greedy.cost.total > _Problem(inst, Relaxations()).tail_bound[0] * (1 + 1e-9)
+        report = solve_exact(inst, opts=SolveOptions(time_limit=1.0))
+        assert report.status is SolveStatus.OPTIMAL and report.search_stats.nodes_explored > 0
+        assert report.placement == greedy.placement and report.cost == greedy.cost
+        assert same_answer(report, solve_exact(inst))
 
-        with mock.patch.object(_Problem, "root_proofs", recording):
-            report = solve_exact(inst, opts=SolveOptions(time_limit=0.5))
-        assert answers == [(None, None, math.inf)]
-        assert report.search_stats.nodes_explored > 0
+    def test_chain_search_keeps_to_the_limit(self):
+        # f3_n20_q1.5_s438: the chain search needs about half a second to decide it.
+        inst = packing_instance("f3_n20_q1.5_s438")
+        start = time.monotonic()
+        report = solve_exact(inst, opts=SolveOptions(time_limit=0.05))
+        assert time.monotonic() - start < 0.5
+        assert report.status is SolveStatus.TIME_LIMIT
+        if report.placement is not None:
+            assert check_feasibility(inst, report.placement, Relaxations()) == []
 
     def test_confined_capacity_proof_keeps_to_the_limit(self, monkeypatch):
         # Fog k alone holds app c<k>'s module (proc rises and mem falls with
@@ -421,6 +445,52 @@ class TestRootProofs:
         assert report.status is SolveStatus.TIME_LIMIT
 
 
+def no_dearer(a, b):
+    """Whether decided report ``a``'s optimum is at most ``b``'s, to 1e-9
+    relative; an infeasible instance's optimum is infinite."""
+    cost_a, cost_b = (math.inf if r.status is SolveStatus.INFEASIBLE else r.cost.total for r in (a, b))
+    return cost_a <= cost_b + 1e-9 * max(1.0, cost_b)
+
+
+class TestMetamorphic:
+    """Relations between timed solves on the packing_search layout, with a
+    1 s limit.  Pairs with a time-limited side are skipped, and counted as
+    hypothesis events."""
+
+    # Derandomized.  Few drawn instances reach the chain search, so the
+    # examples are packing_search instances it decides after backtracking.
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @example(n_fog=3, n_apps=14, max_qos=1.5, seed=373, node=1, resource="stor_capacity")
+    @example(n_fog=3, n_apps=14, max_qos=3.0, seed=396, node=2, resource="proc_capacity")
+    @example(n_fog=3, n_apps=20, max_qos=3.0, seed=458, node=3, resource="mem_capacity")
+    @example(n_fog=4, n_apps=14, max_qos=1.5, seed=629, node=4, resource="stor_capacity")
+    @example(n_fog=4, n_apps=20, max_qos=3.0, seed=714, node=1, resource="proc_capacity")
+    @given(n_fog=st.integers(2, 6), n_apps=st.integers(5, 14), max_qos=st.sampled_from([1.5, 3.0]),
+           seed=st.integers(0, 2**32 - 1), node=st.integers(0, 6),
+           resource=st.sampled_from(["proc_capacity", "mem_capacity", "stor_capacity"]))
+    def test_relations(self, n_fog, n_apps, max_qos, seed, node, resource):
+        inst = packing_instance(f"f{n_fog}_n{n_apps}_q{max_qos}_s{seed}")
+        opts = SolveOptions(time_limit=1.0)
+        base = solve_exact(inst, opts=opts)
+        k = node % len(inst.nodes)
+        grown = dataclasses.replace(inst.nodes[k], **{resource: 2 * getattr(inst.nodes[k], resource)})
+        raised = dataclasses.replace(inst, nodes=inst.nodes[:k] + (grown,) + inst.nodes[k + 1:])
+        # The first keeps status and cost; the rest are no dearer, and feasible wherever inst is.
+        others = [
+            ("reversed apps", dataclasses.replace(inst, apps=inst.apps[::-1]), Relaxations()),
+            ("drop_security", inst, Relaxations(drop_security=True)),
+            ("drop_qos", inst, Relaxations(drop_qos=True)),
+            ("raised capacity", raised, Relaxations()),
+            ("one app fewer", inst.with_apps(inst.apps[:-1]), Relaxations()),
+        ]
+        for name, other_inst, relax in others:
+            other = solve_exact(other_inst, relax, opts)
+            if SolveStatus.TIME_LIMIT in (base.status, other.status):
+                event(f"skipped {name}: time limit")
+                continue
+            assert same_answer(base, other) if name == "reversed apps" else no_dearer(other, base), name
+
+
 def trie_of(memo):
     """Each step reachable from the memo's roots, by identity, with its children's."""
     steps, stack = {}, [value for value in memo.values() if isinstance(value, _Step)]
@@ -433,18 +503,18 @@ def trie_of(memo):
 
 class TestDomainMemo:
     @pytest.fixture
-    def count_chains(self, monkeypatch):
+    def count_domains(self, monkeypatch):
         calls = []
-        original = _Problem.app_chains
+        original = _Problem.app_slots
 
         def counting(self, *args, **kwargs):
             calls.append(args)
             return original(self, *args, **kwargs)
 
-        monkeypatch.setattr(_Problem, "app_chains", counting)
+        monkeypatch.setattr(_Problem, "app_slots", counting)
         return calls
 
-    def test_domain_does_not_depend_on_app_index(self, count_chains):
+    def test_domain_does_not_depend_on_app_index(self, count_domains):
         # Random-position instances whose searches prune on QoS, so an app
         # checked against another app's delay limit changes the report.
         for n_fog, n_apps, max_qos, seed in ((3, 14, 1.5, 3141), (4, 14, 3.0, 4243)):
@@ -454,19 +524,19 @@ class TestDomainMemo:
             for relax in (Relaxations(), Relaxations(drop_qos=True)):
                 memo = {}
                 solve_exact(inst, relax, _domains=memo)
-                count_chains.clear()
+                count_domains.clear()
                 assert solve_exact(moved, relax, _domains=memo) == solve_exact(moved, relax)
-                assert len(count_chains) == len(inst.apps)  # the fresh solve's builds only
+                assert len(count_domains) == len(inst.apps)  # the fresh solve's builds only
 
-    def test_memo_holds_for_one_infrastructure(self, count_chains):
+    def test_memo_holds_for_one_infrastructure(self, count_domains):
         inst = generate_instance(ScenarioConfig(n_apps=4, seed=3))
         cloud, *fogs = inst.nodes
         other = dataclasses.replace(inst, nodes=(dataclasses.replace(cloud, proc_cost=0.5), *fogs))
         memo = {}
         solve_exact(inst, _domains=memo)
-        count_chains.clear()
+        count_domains.clear()
         assert solve_exact(other, _domains=memo) == solve_exact(other)
-        assert len(count_chains) == 2 * len(inst.apps)
+        assert len(count_domains) == 2 * len(inst.apps)
 
     def test_timed_out_build_leaves_memo_unchanged(self, monkeypatch):
         inst = generate_instance(ScenarioConfig(n_apps=3, seed=0))
@@ -491,12 +561,12 @@ class TestDomainMemo:
         assert all(memo[key] is before[key] for key in before)
         assert trie_of(memo) == before_trie  # no new step joined a stored one
 
-    def test_library_calls_build_every_domain(self, count_chains):
+    def test_library_calls_build_every_domain(self, count_domains):
         inst = generate_instance(ScenarioConfig(n_apps=5, seed=1))
         first = solve_exact(inst)
-        assert len(count_chains) == len(inst.apps)
+        assert len(count_domains) == len(inst.apps)
         assert solve_exact(inst) == first
-        assert len(count_chains) == 2 * len(inst.apps)
+        assert len(count_domains) == 2 * len(inst.apps)
 
 
 class TestPrefixMemo:
@@ -541,13 +611,15 @@ class TestPrefixMemo:
         memo = {}
         _Problem(inst.with_apps(inst.apps[:first]), relax, domains=memo)
         _Problem(inst, relax, domains=memo)
-        step = memo[(drop_qos, drop_security)]
+        step, tried = memo[(drop_qos, drop_security)], 0
         for j, app in enumerate(inst.apps, 1):
+            if step.used is not None:  # greedy tries an app's chains once it placed the earlier apps
+                tried += len(step.children[id(app)].combos)
             step, sub = step.children[id(app)], inst.with_apps(inst.apps[:j])
             prob = _Problem(sub, relax, domains=memo)
             assert prob.last is step
             library = solve_greedy(sub, relax)
-            assert step.tried == library.search_stats.nodes_explored
+            assert tried == library.search_stats.nodes_explored
             if step.used is None:
                 assert library.status is SolveStatus.HEURISTIC_FAILED
                 continue
@@ -659,12 +731,29 @@ def chain_instances(draw):
     return make_instance(apps, nodes=nodes)
 
 
+@st.composite
+def packing_layout(draw):
+    """The packing_search layout: random fog positions and ranges."""
+    return generate_instance(ScenarioConfig(
+        n_fog=draw(st.integers(2, 6)), n_apps=draw(st.integers(1, 4)),
+        max_qos=draw(st.sampled_from([1.5, 3.0])), seed=draw(st.integers(0, 2**32 - 1)),
+        fog_positions=None, tx_ranges=None))
+
+
+# The whole 3-module chain overflows the fog node, so chains are fit one by one.
+OVERFLOW = make_instance([make_app(n=3, proc=1.0)],
+                         nodes=(make_cloud(), make_fog("f0", (500.0, 500.0), proc_capacity=2.5)))
+# Equal prices and no traffic between modules: all 3**3 chains tie.
+TIES = dict(proc_cost=0.02, stor_cost=0.02, sensor_bw_cost=5.0, user_bw_cost=5.0)
+ALL_TIES = make_instance([make_app(n=3, inter=(0.0, 0.0))],
+                         nodes=(make_cloud(**TIES), make_fog("f0", (50.0, 500.0), **TIES),
+                                make_fog("f1", (500.0, 500.0), **TIES)))
+
+
 class TestChains:
     @settings(max_examples=80, deadline=None)
     @given(inst=chain_instances())
-    # The whole 3-module chain overflows the fog node, so chains are fit one by one.
-    @example(inst=make_instance([make_app(n=3, proc=1.0)],
-                                nodes=(make_cloud(), make_fog("f0", (500.0, 500.0), proc_capacity=2.5))))
+    @example(inst=OVERFLOW)
     # A single module that fits nowhere: an empty candidate list.
     @example(inst=make_instance([make_app(n=1, proc=8.0)],
                                 nodes=(make_cloud(proc_capacity=5.0),
@@ -674,6 +763,20 @@ class TestChains:
             prob = _Problem(inst, relax)
             for i in range(len(inst.apps)):
                 assert prob.app_combos[i] == reference_chains(prob, i, relax), (i, relax)
+
+    @settings(max_examples=80, deadline=None)
+    @given(inst=st.one_of(chain_instances(), packing_layout()))
+    @example(inst=OVERFLOW)
+    @example(inst=ALL_TIES)
+    def test_cheapest_is_the_first_chain(self, inst):
+        # Bit for bit: the cost float and the combo of the list's first chain.
+        def bits(chain):
+            return None if chain is None else (chain[0].hex(), chain[1])
+
+        for relax in (Relaxations(), Relaxations(drop_qos=True), Relaxations(drop_security=True)):
+            prob = _Problem(inst, relax)
+            assert ([bits(step.cheapest) for step in prob.steps]
+                    == [bits(combos[0] if combos else None) for combos in prob.app_combos]), relax
 
 
 class TestBruteforce:

@@ -25,30 +25,27 @@ for each untouched app its cheapest standalone full-chain cost including
 link costs (capacity ignored).  Both parts only discard constraints, so the
 bound never overestimates.
 
-Preprocessing groups the module slots per app (``app_positions[i]``; the
-module DFS walks their flattening) and finds each app's cheapest
-standalone-feasible chain: its cost is the app's standalone minimum for the
-bound, and greedy takes it when it fits.  A depth-first search in
-lexicographic node order finds it, dropping a partial chain once its cost
-plus the later slots' ``min_cost`` exceeds the cheapest chain found by more
-than 1e-9 relative, so it is the first of the app's chain list, float for
-float.  That list, every standalone-feasible chain sorted by cost, is built
-on first read: by greedy when the cheapest chain does not fit (greedy then
-takes the list's first chain that still fits, so greedy and exact share one
-pass), by proof (2) or by the chain search.  The list grows as a prefix
-tree, one position at a time, and a partial chain whose delay already
+Preprocessing finds each app's cheapest standalone-feasible chain
+(``app_cheapest``): its cost is the app's standalone minimum for the bound,
+and greedy takes it when it fits.  The app's chain list (``app_chains``) is
+built on first read: by greedy when the cheapest chain does not fit (greedy
+then takes the list's first chain that still fits, so greedy and exact
+share one pass), by proof (2) or by the chain search.  The list grows as a
+prefix tree, one position at a time, and a partial chain whose delay already
 exceeds the app's limit is dropped with its whole subtree
 (resource-constrained labelling).  ``time_limit`` bounds preprocessing and
 search alike; both enumerations read the clock every 4096 chain extensions.
 
 An app's slots and chains form its domain; it holds no app index and no
 threshold.  Preprocessing and greedy run app by app, each app a ``_Step``
-joined onto the step of the apps before it: its slots (each holding the
-app's ``min_cost`` sum from it to the last), its cheapest chain and its
-chain list within its delay limit, the flattened positions with their
-limits, and greedy's incumbent after it (node loads, the five cost sums of
+joined onto the step of the apps before it.  A step holds its own app's
+domain (its slots, each holding the app's ``min_cost`` sum from it to the
+last, its delay limit, its cheapest chain and its chain list within that
+limit) and greedy's incumbent after it (node loads, the five cost sums of
 ``ilp._add_app_cost``, placement items, each app's delays) or the mark that
-greedy failed.  No step depends on a later app or changes once built, but
+greedy failed.  It holds no slot or limit of an earlier app: a build
+flattens the slots once (``_Problem.positions``), and the module DFS takes
+each slot's limit from its app's step.  No step depends on a later app or changes once built, but
 for a library build's chain list, filled in on first read; each solve
 computes the completion bound, the only cross-app suffix quantity, afresh.
 A library call searches each domain's cheapest chain pruned at the app's
@@ -73,34 +70,24 @@ bw[k]``.  Every value is finite and nonnegative, so the zero rows add
 exactly nothing.
 
 A timed solve runs three root proofs after preprocessing, each reading the
-clock as it goes.  (1) Greedy's cost is at the root bound ``tail_bound[0]``
+clock as it goes, (1) and (2) with counters of 0.  (1) Greedy's cost is at the root bound ``tail_bound[0]``
 to 1e-9 relative: optimal.  (2) Greedy found nothing, and the modules that
 QoS and security confine to some union S of per-position host supports need
 more proc, mem or stor than S holds (a Hall-type condition, P. Hall 1935):
 infeasible.  The unions can number 2**n_nodes, so (2) builds them mask by
 mask and stops past ``MAX_UNIONS``, which every instance of up to 10 nodes
-stays within; each S it tries is still a proof.  (3) The chain search, a
-complete branch and bound (Land & Doig 1960) over each app's chain list:
-apps in fail-first order, fewest chains first (Haralick & Elliott 1980),
-each list scanned cheapest first, so that its first band is the plateau of
-every app's cheapest chains.  A scan stops at the first chain for which the
-prefix, the chain and the later apps' minima reach the incumbent less 1e-9
-relative; capacity is checked chain by chain.  It ends OPTIMAL, with the
-best assignment found or greedy's, or INFEASIBLE, and at the time limit it
-hands back its best incumbent.  It counts one node per app placed, one
-bound prune per scan it cuts and one capacity prune per chain that does not
-fit; (1) and (2) report counters of 0.  So "optimal" means optimal to 1e-9
-relative, and a timed placement can differ from the untimed solve's, but
+stays within; each S it tries is still a proof.  (3) The chain search
+(``chain_search``), a complete branch and bound over the apps' chain lists.
+So "optimal" means optimal to 1e-9 relative, and a timed placement can differ from the untimed solve's, but
 only for one whose cost agrees to that tolerance (an exact-cost tie, on
 every instance measured).  A timed solve never enters the module DFS, and
 an untimed one skips the proofs, since the answer digests pin its search
 counters.
 
-``solve_bruteforce`` enumerates every complete assignment and filters with
-the declarative feasibility checker - the verification oracle for the
-branch-and-bound.  ``solve_greedy`` places one app at a time against the
-remaining capacities and never backtracks; it is the incumbent seed for the
-exact solver and a scalability baseline.
+``solve_bruteforce`` checks and costs every complete assignment with the
+declarative ``check_feasibility`` and ``eval_cost``, sharing no search code:
+it is the verification oracle for both searches.  ``solve_greedy`` is the
+exact solver's incumbent seed and a scalability baseline.
 """
 
 from __future__ import annotations
@@ -133,8 +120,10 @@ class SolveOptions:
     time_limit: float | None = None  # seconds; None = run to completion
 
     def __post_init__(self) -> None:
-        if self.time_limit is not None and not self.time_limit > 0:  # rejects nan too
-            raise ValueError(f"time_limit must be positive, got {self.time_limit!r}")
+        limit = self.time_limit
+        number = isinstance(limit, (int, float)) and not isinstance(limit, bool)
+        if limit is not None and not (number and limit > 0):  # rejects nan too
+            raise ValueError(f"time_limit must be a positive number, got {limit!r}")
 
 
 @dataclass
@@ -181,11 +170,12 @@ class _Position:
 
 @dataclass(slots=True)
 class _Step:
-    """One app joined onto the step of the apps before it; a relaxation's
-    root step has no app (see the module notes).  Once a step is built only
-    ``children`` (``id(app)`` -> step) changes, and ``combos`` of a library
-    build, which is None until first read; a child holds its app, so that
-    id stays valid.  No step refers to its parent.  ``used`` is
+    """One app's domain and greedy's incumbent after it, joined onto the step
+    of the apps before it; it holds no slot or limit of theirs.  A
+    relaxation's root step has no app (see the module notes).  Once a step
+    is built only ``children`` (``id(app)`` -> step) changes, and ``combos``
+    of a library build, which is None until first read; a child holds its
+    app, so that id stays valid.  No step refers to its parent.  ``used`` is
     None once greedy found no chain that fits for some app; ``sums`` are the
     five cost terms in ``CostBreakdown``'s field order."""
 
@@ -194,8 +184,6 @@ class _Step:
     limit: float  # its delay limit
     cheapest: tuple[float, tuple[int, ...]] | None  # its cheapest chain within the limit, if any
     combos: list[tuple[float, tuple[int, ...]]] | None  # all of them, cheapest first; see ``chains``
-    positions: tuple[_Position, ...]  # every slot so far, flattened
-    qos_limits: tuple[float, ...]  # per position, its app's delay limit
     used: tuple[tuple[float, ...], ...] | None  # greedy's per-node (proc, mem, stor) loads
     sums: tuple[float, ...]
     items: tuple[tuple[tuple[str, int], str], ...]  # greedy's ((app id, j), node id)
@@ -209,11 +197,13 @@ class _Problem:
 
     Raises ``TimeoutError`` when ``deadline`` (a ``time.monotonic()`` value)
     passes while it searches or lists an app's chains, in the build or when
-    a list is first read (``chains``).  ``domains``, a dict the caller
-    owns, keeps the node arrays, each app's domain and each relaxation's
-    trie of steps (see the module notes) for later builds on the same
-    infrastructure; a build that times out adds no domain or step to it.
-    ``last`` is the step of all the apps.
+    a list is first read (``chains``); the root proofs read it too.
+    ``domains``, a dict the caller owns, keeps the node arrays, each app's
+    domain and each relaxation's trie of steps (see the module notes) for
+    later builds on the same infrastructure; a build that times out adds no
+    domain or step to it.  ``steps`` holds one step per app and ``last`` the
+    step of all the apps; ``positions`` flattens their slots once per build,
+    for the module DFS and the completion bound.
     """
 
     def __init__(self, inst: Instance, relax: Relaxations, deadline: float | None = None,
@@ -239,8 +229,7 @@ class _Problem:
         path = [domains.get(key) if domains else None]
         if path[0] is None:
             idle = (0.0,) * self.n_nodes
-            path[0] = built[key] = _Step(None, [], float("inf"), None, [], (), (), (idle,) * 3,
-                                         (0.0,) * 5, (), ())
+            path[0] = built[key] = _Step(None, [], float("inf"), None, [], (idle,) * 3, (0.0,) * 5, (), ())
         for app in inst.apps:
             step = path[-1].children.get(id(app))
             if step is None:
@@ -255,8 +244,8 @@ class _Problem:
                 parent.children[id(step.app)] = step
         self.last = path[-1]
         self.steps = path[1:]
-        self.positions, self.qos_limits = self.last.positions, self.last.qos_limits
         self.app_positions = [step.group for step in self.steps]
+        self.positions = [pos for group in self.app_positions for pos in group]
 
         # tail_bound[m]: lower bound on the cost of placing positions m.. end,
         # combining the per-module minima of the current app's remaining
@@ -308,8 +297,7 @@ class _Problem:
             if combos is None:
                 combos = by_limit[limit] = [(cost, combo) for cost, delay, combo in chains if delay <= limit]
             cheapest = combos[0] if combos else None
-        step = _Step(app, group, limit, cheapest, combos, prev.positions + tuple(group),
-                     prev.qos_limits + (limit,) * len(group), prev.used, prev.sums, prev.items, prev.delays)
+        step = _Step(app, group, limit, cheapest, combos, prev.used, prev.sums, prev.items, prev.delays)
 
         # Greedy: the cheapest chain that fits the capacity earlier apps
         # left; the list is read only when the app's cheapest does not fit,
@@ -486,14 +474,14 @@ class _Problem:
             m += len(group)
         return sums, items, delays
 
-    def root_proofs(self, greedy_cost: float, deadline: float,
+    def root_proofs(self, greedy_cost: float,
                     stats: SearchStats) -> tuple[SolveStatus, list[int] | None, float]:
-        """The root proofs (1)-(3) of the module notes: (status; an
-        assignment, or None for greedy's; its cost).  Raises
-        ``TimeoutError`` once ``deadline`` passes in (1) or (2); (3) then
-        returns TIME_LIMIT with its best incumbent."""
+        """The root proofs (1)-(3) of the module notes, for a build with a
+        ``deadline``: (status; an assignment, or None for greedy's; its
+        cost).  Raises ``TimeoutError`` once ``deadline`` passes in (1) or
+        (2); (3) then returns TIME_LIMIT with its best incumbent."""
         def check_clock() -> None:
-            if time.monotonic() > deadline:
+            if time.monotonic() > self.deadline:
                 raise TimeoutError
 
         check_clock()  # (1) greedy at the root bound
@@ -522,17 +510,22 @@ class _Problem:
                 if any(sum(need[r] for need in confined) > sum(cap[k] + FEAS_TOL for k in inside)
                        for r, cap in enumerate((self.proc_cap, self.mem_cap, self.stor_cap))):
                     return SolveStatus.INFEASIBLE, None, greedy_cost
-        return self.chain_search(greedy_cost, deadline, stats)
+        return self.chain_search(greedy_cost, stats)
 
-    def chain_search(self, incumbent: float, deadline: float,
+    def chain_search(self, incumbent: float,
                      stats: SearchStats) -> tuple[SolveStatus, list[int] | None, float]:
-        """Root proof (3): branch and bound over each app's chain list, apps
-        with the fewest chains first, each list scanned cheapest first.  A
+        """Root proof (3): a complete branch and bound (Land & Doig 1960)
+        over each app's chain list, apps in fail-first order, fewest chains
+        first (Haralick & Elliott 1980), each list scanned cheapest first, so
+        that its first band is the plateau of every app's cheapest chains.  A
         scan stops at the first chain whose cost, with the prefix and the
         later apps' minima, is within 1e-9 relative of the best cost found
-        (``incumbent``, greedy's, to begin with).  Returns (OPTIMAL,
-        INFEASIBLE, or TIME_LIMIT once ``deadline`` passes; the best
-        assignment found, or None for greedy's; its cost)."""
+        (``incumbent``, greedy's, to begin with); capacity is checked chain by
+        chain.  Counts one node per app placed, one bound prune per scan it
+        cuts and one capacity prune per chain that does not fit.  Returns
+        (OPTIMAL, INFEASIBLE, or TIME_LIMIT once ``deadline`` passes, with
+        the best incumbent; the best assignment found, or None for greedy's;
+        its cost)."""
         combos = self.app_combos
         order = sorted(range(len(combos)), key=lambda i: len(combos[i]))
         rest = [0.0] * (len(order) + 1)  # rest[d]: the minima of the apps from depth d on
@@ -551,7 +544,7 @@ class _Problem:
             found = None
             for index in range(start, len(chains)):
                 scanned += 1
-                if scanned % 4096 == 0 and time.monotonic() > deadline:
+                if scanned % 4096 == 0 and time.monotonic() > self.deadline:
                     return SolveStatus.TIME_LIMIT, best, best_cost
                 cost, combo = chains[index]
                 if prefix + cost + rest[d + 1] >= cut:  # and so every later chain in the list
@@ -576,22 +569,14 @@ class _Problem:
         return (SolveStatus.OPTIMAL if best_cost < float("inf") else SolveStatus.INFEASIBLE), best, best_cost
 
 
-def _finish_report(inst: Instance, relax: Relaxations, status: SolveStatus,
-                   placement: Placement | None, stats: SearchStats) -> SolveReport:
-    if placement is None:
-        return SolveReport(status=status, relax=relax, search_stats=stats)
-    delays = {a.id: eval_delay(inst, placement, a) for a in inst.apps}
-    return SolveReport(status=status, relax=relax, placement=placement,
-                       cost=eval_cost(inst, placement), per_app_delay=delays, search_stats=stats)
-
-
 def solve_exact(inst: Instance, relax: Relaxations = Relaxations(),
                 opts: SolveOptions = SolveOptions(), _domains: dict | None = None) -> SolveReport:
     """Minimum-cost feasible placement via branch-and-bound, or Infeasible.
 
     Deterministic: apps, chains and nodes are tried in fixed orders, so
-    identical inputs produce identical reports.  Preprocessing finds each
-    app's cheapest chain first and lists its chains only when read.  A
+    identical inputs produce identical reports.  Preprocessing builds one
+    step per app, its domain and greedy's incumbent after it, finding the
+    app's cheapest chain first and listing its chains only when read.  A
     timed solve runs the root proofs of the module notes, the last a
     complete chain-level branch and bound, so a timed OPTIMAL is optimal to
     1e-9 relative; an untimed one runs the module DFS.  The time limit
@@ -615,7 +600,7 @@ def solve_exact(inst: Instance, relax: Relaxations = Relaxations(),
     best_cost = CostBreakdown(*prob.last.sums).total if greedy else float("inf")
 
     positions = prob.positions
-    qos_limits = prob.qos_limits
+    limits = [step.limit for step in prob.steps for _pos in step.group]  # per slot, its app's limit
     tail_bound = prob.tail_bound
     proc_cap, mem_cap, stor_cap = prob.proc_cap, prob.mem_cap, prob.stor_cap
     t, bw = inst.links.delay, inst.links.bw_cost
@@ -641,7 +626,7 @@ def solve_exact(inst: Instance, relax: Relaxations = Relaxations(),
             raise TimeoutError
         pos = positions[m]
         base, t_row, bw_row = pos.root or (delay_at[m - 1], t[current[m - 1]], bw[current[m - 1]])
-        static, inbound, user, qos_limit = pos.static_cost, pos.inbound, pos.user, qos_limits[m]
+        static, inbound, user, qos_limit = pos.static_cost, pos.inbound, pos.user, limits[m]
         for k in pos.candidates:
             if (used_proc[k] + pos.proc > proc_cap[k] + FEAS_TOL
                     or used_mem[k] + pos.mem > mem_cap[k] + FEAS_TOL
@@ -673,7 +658,7 @@ def solve_exact(inst: Instance, relax: Relaxations = Relaxations(),
         # untimed ones, whose search counters the answer digests pin.  This
         # gate and the DFS go with ROADMAP items 6 and 20.
         if deadline is not None:
-            status, best_assignment, best_cost = prob.root_proofs(best_cost, deadline, stats)
+            status, best_assignment, best_cost = prob.root_proofs(best_cost, stats)
         if status is None:
             dfs(0, 0.0)
             status = SolveStatus.OPTIMAL if greedy or best_assignment is not None else SolveStatus.INFEASIBLE
@@ -713,8 +698,10 @@ def solve_bruteforce(inst: Instance, relax: Relaxations = Relaxations()) -> Solv
             best_cost = cost
             best_placement = placement
     if best_placement is None:
-        return _finish_report(inst, relax, SolveStatus.INFEASIBLE, None, stats)
-    return _finish_report(inst, relax, SolveStatus.OPTIMAL, best_placement, stats)
+        return SolveReport(status=SolveStatus.INFEASIBLE, relax=relax, search_stats=stats)
+    delays = {a.id: eval_delay(inst, best_placement, a) for a in inst.apps}
+    return SolveReport(status=SolveStatus.OPTIMAL, relax=relax, placement=best_placement,
+                       cost=eval_cost(inst, best_placement), per_app_delay=delays, search_stats=stats)
 
 
 def solve_greedy(inst: Instance, relax: Relaxations = Relaxations()) -> SolveReport:

@@ -87,12 +87,12 @@ def make_instance(apps, nodes=None, farm: FarmGeometry | None = None, rated: boo
     return rate_infrastructure(inst) if rated else inst
 
 
-def packing_instance(key: str) -> Instance:
+def packing_instance(key: str, **over) -> Instance:
     """The benchmark's packing_search instance ``f<n_fog>_n<n_apps>_q<max_qos>_s<seed>``:
-    random fog positions and ranges."""
+    random fog positions and ranges; ``over`` replaces other config fields."""
     n_fog, n_apps, max_qos, seed = (part[1:] for part in key.split("_"))
     return generate_instance(ScenarioConfig(n_fog=int(n_fog), n_apps=int(n_apps), max_qos=float(max_qos),
-                                            seed=int(seed), fog_positions=None, tx_ranges=None))
+                                            seed=int(seed), fog_positions=None, tx_ranges=None, **over))
 
 
 @pytest.fixture

@@ -16,6 +16,7 @@ from fogplace.cli import (
     EXIT_HEURISTIC_FAILED,
     EXIT_INFEASIBLE,
     EXIT_INPUT,
+    EXIT_INTERNAL,
     EXIT_OK,
     main,
 )
@@ -131,14 +132,35 @@ def _value_paths(value, path=()):
             yield from _value_paths(value[key], path + (key,))
 
 
-DEFAULT_CONFIG = json.loads((REPO_ROOT / "configs" / "default.json").read_text())
 HOSTILE_VALUES = [None, True, False, "", "1", [], {}, [[1, 2]], [[[0]]], 1e308, -1e308, 2**70, 0, -1, 0.5]
-# Each mutation replaces one value of the shipped config, deletes it, or
-# repeats it (a list entry only: a repeated object key reads as one).
-CONFIG_MUTATIONS = [(path, op, value) for path in _value_paths(DEFAULT_CONFIG)
-                    for op, value in [("delete", None), ("repeat", None),
-                                      *(("replace", v) for v in HOSTILE_VALUES)]
-                    if op != "repeat" or isinstance(path[-1], int)]
+
+
+def mutations(doc):
+    """Each mutation of ``doc`` replaces one value, deletes it, or repeats it
+    (a list entry only: a repeated object key reads as one)."""
+    return [(path, op, value) for path in _value_paths(doc)
+            for op, value in [("delete", None), ("repeat", None), *(("replace", v) for v in HOSTILE_VALUES)]
+            if op != "repeat" or isinstance(path[-1], int)]
+
+
+def mutated(doc, mutation):
+    """A copy of ``doc`` with ``mutation`` applied."""
+    path, op, value = mutation
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if op == "delete":
+        del parent[path[-1]]
+    elif op == "repeat":
+        parent.insert(path[-1], parent[path[-1]])
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+DEFAULT_CONFIG = json.loads((REPO_ROOT / "configs" / "default.json").read_text())
+CONFIG_MUTATIONS = mutations(DEFAULT_CONFIG)
 
 
 class TestGenerate:
@@ -200,19 +222,8 @@ class TestGenerate:
     @settings(max_examples=150, deadline=None)
     @given(mutation=st.sampled_from(CONFIG_MUTATIONS))
     def test_mutated_config_exits_0_or_2(self, tmp_path_factory, mutation):
-        path, op, value = mutation
-        doc = json.loads(json.dumps(DEFAULT_CONFIG))
-        parent = doc
-        for key in path[:-1]:
-            parent = parent[key]
-        if op == "delete":
-            del parent[path[-1]]
-        elif op == "repeat":
-            parent.insert(path[-1], parent[path[-1]])
-        else:
-            parent[path[-1]] = value
         work = tmp_path_factory.mktemp("mutant")
-        cfg = write_json(work / "cfg.json", doc)
+        cfg = write_json(work / "cfg.json", mutated(DEFAULT_CONFIG, mutation))
         code = main(["generate", "--config", str(cfg), "--out", str(work / "x.json")])
         assert code in (EXIT_OK, EXIT_INPUT)
 
@@ -681,3 +692,39 @@ def test_solve_and_rate_load_neither_scenario_nor_experiment(instance_file, tmp_
     assert rate_modules.split() == ["fogplace", *(f"fogplace.{name}" for name in (
         "cli", "ilp", "instance_io", "metrics", "model", "security", "solver"))]
     assert [solved, generated, swept] == ["False False", "True False", "True True"]
+
+
+INSTANCE_DOC = instance_to_dict(generate_instance(ScenarioConfig(n_apps=2)))
+GRID_DOC = {"name": "mini", "seeds": [0, 1],
+            "cells": [{"n_apps": 1, "max_qos": 1.5},
+                      {"n_apps": 2, "max_qos": 3.0, "alpha": 0.5, "drop_qos": False, "drop_security": True}],
+            "base_config": {"n_fog": 3, "fog_positions": None, "tx_ranges": None, "modules_per_app": 2,
+                            "proc_req_range": [0.1, 2.1]}}
+
+
+class TestMutatedDocuments:
+    """One value of a valid document replaced, deleted or repeated: the
+    commands that read it exit 0, 2 (bad input) or with a solve status,
+    never 1 (an internal error)."""
+
+    def test_unmutated_documents_exit_0(self, tmp_path):
+        path = write_json(tmp_path / "inst.json", INSTANCE_DOC)
+        assert main(["solve", str(path), "--out", str(tmp_path / "report.json")]) == EXIT_OK
+        path = write_json(tmp_path / "grid.json", GRID_DOC)
+        assert main(["experiment", str(path), "--out", str(tmp_path / "x.csv")]) == EXIT_OK
+
+    @settings(max_examples=200, deadline=None)
+    @given(mutation=st.sampled_from(mutations(INSTANCE_DOC)))
+    def test_mutated_instance_never_exits_1(self, tmp_path_factory, mutation):
+        work = tmp_path_factory.mktemp("mutant")
+        path = write_json(work / "inst.json", mutated(INSTANCE_DOC, mutation))
+        for argv in (["solve", str(path), "--out", str(work / "report.json")], ["rate", str(path)],
+                     ["solve", str(path), "--time-limit", "1", "--export-lp", str(work / "model.lp")]):
+            assert main(argv) != EXIT_INTERNAL, argv
+
+    @settings(max_examples=200, deadline=None)
+    @given(mutation=st.sampled_from(mutations(GRID_DOC)))
+    def test_mutated_grid_never_exits_1(self, tmp_path_factory, mutation):
+        work = tmp_path_factory.mktemp("mutant")
+        path = write_json(work / "grid.json", mutated(GRID_DOC, mutation))
+        assert main(["experiment", str(path), "--out", str(work / "x.csv")]) != EXIT_INTERNAL

@@ -155,8 +155,8 @@ class TestSolveExact:
         assert report.placement.assign == {} and report.cost.total == 0.0
 
     def test_invalid_options_rejected(self):
-        for limit in (0.0, -1.0, float("nan")):
-            with pytest.raises(ValueError):
+        for limit in (0.0, -1.0, float("nan"), True, "1"):
+            with pytest.raises(ValueError, match="time_limit"):
                 SolveOptions(time_limit=limit)
 
     def test_time_limit_covers_preprocessing(self):
@@ -301,7 +301,7 @@ PACKING_REFERENCE = Path(__file__).resolve().parents[1] / "benchmarks" / "refere
 def search_only(inst, time_limit):
     """What an untimed solve runs, the module DFS without the root proofs, here
     under a time limit so that a cliff instance cannot stall the suite."""
-    with mock.patch.object(_Problem, "root_proofs", lambda self, cost, deadline, stats: (None, None, cost)):
+    with mock.patch.object(_Problem, "root_proofs", lambda self, cost, stats: (None, None, cost)):
         return solve_exact(inst, opts=SolveOptions(time_limit=time_limit))
 
 
@@ -452,43 +452,65 @@ def no_dearer(a, b):
     return cost_a <= cost_b + 1e-9 * max(1.0, cost_b)
 
 
+# Derandomized, 80 draws: 100 took 2 s.  A draw may halve the fog storage, so
+# that capacity binds and the solve reaches the chain search; the examples are
+# packing_search instances that it decides after backtracking.
+@settings(max_examples=80, deadline=None, derandomize=True)
+@example(n_fog=3, n_apps=14, max_qos=1.5, seed=373, node=1, resource="stor_capacity", fog_stor=8.0)
+@example(n_fog=3, n_apps=14, max_qos=3.0, seed=396, node=2, resource="proc_capacity", fog_stor=8.0)
+@example(n_fog=3, n_apps=20, max_qos=3.0, seed=458, node=3, resource="mem_capacity", fog_stor=8.0)
+@example(n_fog=4, n_apps=14, max_qos=1.5, seed=629, node=4, resource="stor_capacity", fog_stor=8.0)
+@example(n_fog=4, n_apps=20, max_qos=3.0, seed=714, node=1, resource="proc_capacity", fog_stor=8.0)
+@given(n_fog=st.integers(2, 6), n_apps=st.integers(5, 14), max_qos=st.sampled_from([1.5, 3.0]),
+       seed=st.integers(0, 2**32 - 1), node=st.integers(0, 6),
+       resource=st.sampled_from(["proc_capacity", "mem_capacity", "stor_capacity"]),
+       fog_stor=st.sampled_from([4.0, 8.0]))
+def metamorphic_relations(drawn, n_fog, n_apps, max_qos, seed, node, resource, fog_stor):
+    """Checks the relations of ``TestMetamorphic`` on one instance and
+    appends its draw to ``drawn`` first."""
+    drawn.append((n_fog, n_apps, max_qos, seed, fog_stor))
+    inst = packing_instance(f"f{n_fog}_n{n_apps}_q{max_qos}_s{seed}", fog_stor_capacity=fog_stor)
+    opts = SolveOptions(time_limit=1.0)
+    base = solve_exact(inst, opts=opts)
+    k = node % len(inst.nodes)
+    grown = dataclasses.replace(inst.nodes[k], **{resource: 2 * getattr(inst.nodes[k], resource)})
+    raised = dataclasses.replace(inst, nodes=inst.nodes[:k] + (grown,) + inst.nodes[k + 1:])
+    # The first keeps status and cost; the rest are no dearer, and feasible wherever inst is.
+    others = [
+        ("reversed apps", dataclasses.replace(inst, apps=inst.apps[::-1]), Relaxations()),
+        ("drop_security", inst, Relaxations(drop_security=True)),
+        ("drop_qos", inst, Relaxations(drop_qos=True)),
+        ("raised capacity", raised, Relaxations()),
+        ("one app fewer", inst.with_apps(inst.apps[:-1]), Relaxations()),
+    ]
+    for name, other_inst, relax in others:
+        other = solve_exact(other_inst, relax, opts)
+        if SolveStatus.TIME_LIMIT in (base.status, other.status):
+            event(f"skipped {name}: time limit")
+            continue
+        assert same_answer(base, other) if name == "reversed apps" else no_dearer(other, base), name
+
+
 class TestMetamorphic:
     """Relations between timed solves on the packing_search layout, with a
     1 s limit.  Pairs with a time-limited side are skipped, and counted as
     hypothesis events."""
 
-    # Derandomized.  Few drawn instances reach the chain search, so the
-    # examples are packing_search instances it decides after backtracking.
-    @settings(max_examples=100, deadline=None, derandomize=True)
-    @example(n_fog=3, n_apps=14, max_qos=1.5, seed=373, node=1, resource="stor_capacity")
-    @example(n_fog=3, n_apps=14, max_qos=3.0, seed=396, node=2, resource="proc_capacity")
-    @example(n_fog=3, n_apps=20, max_qos=3.0, seed=458, node=3, resource="mem_capacity")
-    @example(n_fog=4, n_apps=14, max_qos=1.5, seed=629, node=4, resource="stor_capacity")
-    @example(n_fog=4, n_apps=20, max_qos=3.0, seed=714, node=1, resource="proc_capacity")
-    @given(n_fog=st.integers(2, 6), n_apps=st.integers(5, 14), max_qos=st.sampled_from([1.5, 3.0]),
-           seed=st.integers(0, 2**32 - 1), node=st.integers(0, 6),
-           resource=st.sampled_from(["proc_capacity", "mem_capacity", "stor_capacity"]))
-    def test_relations(self, n_fog, n_apps, max_qos, seed, node, resource):
-        inst = packing_instance(f"f{n_fog}_n{n_apps}_q{max_qos}_s{seed}")
-        opts = SolveOptions(time_limit=1.0)
-        base = solve_exact(inst, opts=opts)
-        k = node % len(inst.nodes)
-        grown = dataclasses.replace(inst.nodes[k], **{resource: 2 * getattr(inst.nodes[k], resource)})
-        raised = dataclasses.replace(inst, nodes=inst.nodes[:k] + (grown,) + inst.nodes[k + 1:])
-        # The first keeps status and cost; the rest are no dearer, and feasible wherever inst is.
-        others = [
-            ("reversed apps", dataclasses.replace(inst, apps=inst.apps[::-1]), Relaxations()),
-            ("drop_security", inst, Relaxations(drop_security=True)),
-            ("drop_qos", inst, Relaxations(drop_qos=True)),
-            ("raised capacity", raised, Relaxations()),
-            ("one app fewer", inst.with_apps(inst.apps[:-1]), Relaxations()),
-        ]
-        for name, other_inst, relax in others:
-            other = solve_exact(other_inst, relax, opts)
-            if SolveStatus.TIME_LIMIT in (base.status, other.status):
-                event(f"skipped {name}: time limit")
-                continue
-            assert same_answer(base, other) if name == "reversed apps" else no_dearer(other, base), name
+    def test_relations(self):
+        # A spy on the chain search records the draws whose solves reach it:
+        # drawn instances, not only the pool examples, must.
+        drawn, reached = [], set()
+        chain_search = _Problem.chain_search
+
+        def spy(prob, *args):
+            reached.add(drawn[-1])
+            return chain_search(prob, *args)
+
+        with mock.patch.object(_Problem, "chain_search", spy):
+            metamorphic_relations(drawn)
+        examples = {(3, 14, 1.5, 373, 8.0), (3, 14, 3.0, 396, 8.0), (3, 20, 3.0, 458, 8.0),
+                    (4, 14, 1.5, 629, 8.0), (4, 20, 3.0, 714, 8.0)}
+        assert len(reached - examples) >= 5
 
 
 def trie_of(memo):

@@ -45,20 +45,20 @@ limit) and greedy's incumbent after it (node loads, the five cost sums of
 ``ilp._add_app_cost``, placement items, each app's delays) or the mark that
 greedy failed.  It holds no slot or limit of an earlier app: a build
 flattens the slots once (``_Problem.positions``), and the module DFS takes
-each slot's limit from its app's step.  No step depends on a later app or changes once built, but
-for a library build's chain list, filled in on first read; each solve
-computes the completion bound, the only cross-app suffix quantity, afresh.
-A library call searches each domain's cheapest chain pruned at the app's
-limit, lists its chains only when read, and keeps nothing.  A sweep keeps,
-per seed, each domain keyed by all of the app but its threshold, with every
-chain unpruned and its final delay and the chains within each limit met (a
-chain's delay never falls as it grows, so that filter gives the pruned
-list, float for float, and its first chain is the cheapest), and per
-relaxation a trie of steps, a step's children keyed by their app's
-identity.  A solve walks down the trie as far as its apps go and joins the
-steps it adds once all are built.  The report is greedy's when the search
-finds nothing cheaper; a cheaper assignment is costed by the same per-app
-step.
+each slot's limit from its app's step.  No step depends on a later app or
+changes once built, but for a library build's chain list, filled in on
+first read; each solve computes the completion bound, the only cross-app
+suffix quantity, afresh.  A library call searches each domain's cheapest
+chain pruned at the app's limit, lists its chains only when read, and keeps
+nothing.  A sweep keeps, per seed, each domain keyed by all of the app but
+its threshold, with every chain unpruned and its final delay and the chains
+within each limit met (a chain's delay never falls as it grows, so that
+filter gives the pruned list, float for float, and its first chain is the
+cheapest), and per relaxation a trie of steps, a step's children keyed by
+their app's identity.  A solve walks down the trie as far as its apps go
+and joins each step it adds as soon as it is built, so every entry that a
+build stores is complete.  The report is greedy's when the search finds
+nothing cheaper; a cheaper assignment is costed by the same per-app step.
 
 The enumerations and the module DFS extend a chain onto host ``k`` by one
 rule.  The position picks ``base, t, bw``: ``(exec_total, sensor_delay,
@@ -70,19 +70,21 @@ bw[k]``.  Every value is finite and nonnegative, so the zero rows add
 exactly nothing.
 
 A timed solve runs three root proofs after preprocessing, each reading the
-clock as it goes, (1) and (2) with counters of 0.  (1) Greedy's cost is at the root bound ``tail_bound[0]``
-to 1e-9 relative: optimal.  (2) Greedy found nothing, and the modules that
-QoS and security confine to some union S of per-position host supports need
-more proc, mem or stor than S holds (a Hall-type condition, P. Hall 1935):
-infeasible.  The unions can number 2**n_nodes, so (2) builds them mask by
-mask and stops past ``MAX_UNIONS``, which every instance of up to 10 nodes
-stays within; each S it tries is still a proof.  (3) The chain search
-(``chain_search``), a complete branch and bound over the apps' chain lists.
-So "optimal" means optimal to 1e-9 relative, and a timed placement can differ from the untimed solve's, but
+clock as it goes, (1) and (2) with counters of 0.  (1) Greedy's cost is at
+the root bound ``tail_bound[0]`` to 1e-9 relative: optimal.  (2) Greedy
+found nothing, and the modules that QoS and security confine to some union
+S of per-position host supports need more proc, mem or stor than S holds
+(a Hall-type condition, P. Hall 1935): infeasible.  The unions can number
+2**n_nodes, so (2) builds them mask by mask and stops past ``MAX_UNIONS``,
+which every instance of up to 10 nodes stays within; each S it tries is
+still a proof.  (3) The chain search (``chain_search``), a complete branch
+and bound over the apps' chain lists.  So "optimal" means optimal to 1e-9
+relative, and a timed placement can differ from the untimed solve's, but
 only for one whose cost agrees to that tolerance (an exact-cost tie, on
-every instance measured).  A timed solve never enters the module DFS, and
-an untimed one skips the proofs, since the answer digests pin its search
-counters.
+every instance measured).  ``solve_exact`` forks once, after the build: a
+timed solve runs the proofs and never builds the module DFS's state; an
+untimed one runs ``module_dfs``, reads no clock and skips the proofs,
+since the answer digests pin its search counters.
 
 ``solve_bruteforce`` checks and costs every complete assignment with the
 declarative ``check_feasibility`` and ``eval_cost``, sharing no search code:
@@ -200,8 +202,8 @@ class _Problem:
     a list is first read (``chains``); the root proofs read it too.
     ``domains``, a dict the caller owns, keeps the node arrays, each app's
     domain and each relaxation's trie of steps (see the module notes) for
-    later builds on the same infrastructure; a build that times out adds no
-    domain or step to it.  ``steps`` holds one step per app and ``last`` the
+    later builds on the same infrastructure; every entry that a build
+    stores is complete.  ``steps`` holds one step per app and ``last`` the
     step of all the apps; ``positions`` flattens their slots once per build,
     for the module DFS and the completion bound.
     """
@@ -215,10 +217,11 @@ class _Problem:
         nodes = domains.get("nodes") if domains else None
         if nodes is not None and nodes[0] != infra:
             nodes = domains = None  # another infrastructure's memo
-        built: dict = {}
         if nodes is None:  # the node arrays, in node order
-            nodes = built["nodes"] = (infra, *([getattr(n, name) for n in inst.nodes] for name in (
+            nodes = (infra, *([getattr(n, name) for n in inst.nodes] for name in (
                 "id", "proc_capacity", "mem_capacity", "stor_capacity", "sensor_delay", "user_delay")))
+        if domains is not None:
+            domains["nodes"] = nodes
         (_infra, self.node_ids, self.proc_cap, self.mem_cap, self.stor_cap,
          self.sensor_delay, self.user_delay) = nodes
         self.n_nodes = len(self.node_ids)
@@ -226,22 +229,17 @@ class _Problem:
 
         # Down the trie as far as the stored steps go, then new steps.
         key = (relax.drop_qos, relax.drop_security)
-        path = [domains.get(key) if domains else None]
-        if path[0] is None:
-            idle = (0.0,) * self.n_nodes
-            path[0] = built[key] = _Step(None, [], float("inf"), None, [], (idle,) * 3, (0.0,) * 5, (), ())
+        idle = (0.0,) * self.n_nodes
+        root = _Step(None, [], float("inf"), None, [], (idle,) * 3, (0.0,) * 5, (), ())
+        path = [root if domains is None else domains.setdefault(key, root)]
         for app in inst.apps:
             step = path[-1].children.get(id(app))
             if step is None:
                 break
             path.append(step)
-        stored = len(path)
-        for app in inst.apps[stored - 1:]:
-            path.append(self.extend(path[-1], app, relax, ratings, domains, built))
-        if domains is not None:  # only a completed build joins the memo
-            domains.update(built)
-            for parent, step in zip(path[stored - 1:], path[stored:]):
-                parent.children[id(step.app)] = step
+        for app in inst.apps[len(path) - 1:]:
+            path.append(self.extend(path[-1], app, relax, ratings, domains))
+            path[-2].children[id(app)] = path[-1]
         self.last = path[-1]
         self.steps = path[1:]
         self.app_positions = [step.group for step in self.steps]
@@ -277,9 +275,9 @@ class _Problem:
         return step.combos
 
     def extend(self, prev: _Step, app: Application, relax: Relaxations, ratings: list | None,
-               domains: dict | None, built: dict) -> _Step:
+               domains: dict | None) -> _Step:
         """``app``'s step after ``prev``: its domain, from ``domains`` or
-        built into ``built``, and greedy's choice for it."""
+        built and stored there, and greedy's choice for it."""
         limit = float("inf") if relax.drop_qos else app.qos_threshold + FEAS_TOL
         if domains is None:  # a library build: the cheapest chain now, the list on first read
             group = self.app_slots(app, ratings)
@@ -291,7 +289,7 @@ class _Problem:
             domain = domains.get(shared)
             if domain is None:
                 group = self.app_slots(app, ratings)
-                domain = built[shared] = (group, self.app_chains(group, float("inf")), {})
+                domain = domains[shared] = (group, self.app_chains(group, float("inf")), {})
             group, chains, by_limit = domain
             combos = by_limit.get(limit)
             if combos is None:
@@ -568,6 +566,64 @@ class _Problem:
                 cut = best_cost - 1e-9 * max(1.0, best_cost)
         return (SolveStatus.OPTIMAL if best_cost < float("inf") else SolveStatus.INFEASIBLE), best, best_cost
 
+    def module_dfs(self, incumbent: float,
+                   stats: SearchStats) -> tuple[SolveStatus, list[int] | None, float]:
+        """The module DFS of the module notes, for an untimed build; returns
+        as ``chain_search`` does, but never TIME_LIMIT."""
+        positions = self.positions
+        limits = [step.limit for step in self.steps for _pos in step.group]  # per slot, its app's limit
+        tail_bound = self.tail_bound
+        proc_cap, mem_cap, stor_cap = self.proc_cap, self.mem_cap, self.stor_cap
+        t, bw = self.inst.links.delay, self.inst.links.bw_cost
+        n_pos = len(positions)
+        best_assignment, best_cost = None, incumbent
+
+        used_proc = [0.0] * self.n_nodes
+        used_mem = [0.0] * self.n_nodes
+        used_stor = [0.0] * self.n_nodes
+        current = [0] * n_pos
+        delay_at = [0.0] * n_pos  # the app's delay up to and including position m
+
+        def dfs(m: int, prefix_cost: float) -> None:
+            nonlocal best_cost, best_assignment
+            if m == n_pos:
+                if prefix_cost < best_cost:
+                    best_cost = prefix_cost
+                    best_assignment = current.copy()
+                return
+            pos = positions[m]
+            base, t_row, bw_row = pos.root or (delay_at[m - 1], t[current[m - 1]], bw[current[m - 1]])
+            static, inbound, user, qos_limit = pos.static_cost, pos.inbound, pos.user, limits[m]
+            for k in pos.candidates:
+                if (used_proc[k] + pos.proc > proc_cap[k] + FEAS_TOL
+                        or used_mem[k] + pos.mem > mem_cap[k] + FEAS_TOL
+                        or used_stor[k] + pos.stor > stor_cap[k] + FEAS_TOL):
+                    stats.pruned_capacity += 1
+                    continue
+                delay = base + t_row[k] + user[k]
+                if delay > qos_limit:
+                    stats.pruned_qos += 1
+                    continue
+                child_cost = prefix_cost + (static[k] + inbound * bw_row[k])
+                if child_cost + tail_bound[m + 1] >= best_cost:
+                    stats.pruned_bound += 1
+                    continue
+                stats.nodes_explored += 1
+                used_proc[k] += pos.proc
+                used_mem[k] += pos.mem
+                used_stor[k] += pos.stor
+                current[m] = k
+                delay_at[m] = delay
+                dfs(m + 1, child_cost)
+                used_proc[k] -= pos.proc
+                used_mem[k] -= pos.mem
+                used_stor[k] -= pos.stor
+
+        dfs(0, 0.0)
+        del dfs  # it refers to itself through its closure cell, a cycle only the GC would free
+        status = SolveStatus.OPTIMAL if best_cost < float("inf") else SolveStatus.INFEASIBLE
+        return status, best_assignment, best_cost
+
 
 def solve_exact(inst: Instance, relax: Relaxations = Relaxations(),
                 opts: SolveOptions = SolveOptions(), _domains: dict | None = None) -> SolveReport:
@@ -579,7 +635,8 @@ def solve_exact(inst: Instance, relax: Relaxations = Relaxations(),
     app's cheapest chain first and listing its chains only when read.  A
     timed solve runs the root proofs of the module notes, the last a
     complete chain-level branch and bound, so a timed OPTIMAL is optimal to
-    1e-9 relative; an untimed one runs the module DFS.  The time limit
+    1e-9 relative, and never builds the module DFS's state; an untimed one
+    runs the module DFS and reads no clock.  The time limit
     covers preprocessing and search; hitting it returns the best incumbent
     found (if any) with status TIME_LIMIT.  ``_domains`` is the sweep's
     per-seed memo of ``_Problem``'s node arrays, per-app domains and step
@@ -595,79 +652,19 @@ def solve_exact(inst: Instance, relax: Relaxations = Relaxations(),
     if not prob.placeable:
         return SolveReport(status=SolveStatus.INFEASIBLE, relax=relax, search_stats=stats)
 
-    greedy = prob.last.used is not None
-    best_assignment = None  # the chain search's or the DFS's, once one beats greedy
-    best_cost = CostBreakdown(*prob.last.sums).total if greedy else float("inf")
-
-    positions = prob.positions
-    limits = [step.limit for step in prob.steps for _pos in step.group]  # per slot, its app's limit
-    tail_bound = prob.tail_bound
-    proc_cap, mem_cap, stor_cap = prob.proc_cap, prob.mem_cap, prob.stor_cap
-    t, bw = inst.links.delay, inst.links.bw_cost
-    n_pos = len(positions)
-
-    used_proc = [0.0] * prob.n_nodes
-    used_mem = [0.0] * prob.n_nodes
-    used_stor = [0.0] * prob.n_nodes
-    current = [0] * n_pos
-    delay_at = [0.0] * n_pos  # the app's delay up to and including position m
-
-    def dfs(m: int, prefix_cost: float) -> None:
-        nonlocal best_cost, best_assignment
-        if m == n_pos:
-            if prefix_cost < best_cost:
-                best_cost = prefix_cost
-                best_assignment = current.copy()
-            return
-        # A deadline reaches the DFS only where the tests stand it in for
-        # the root proofs, to compare it with them without stalling.
-        if (deadline is not None and stats.nodes_explored % 4096 == 0
-                and time.monotonic() > deadline):
-            raise TimeoutError
-        pos = positions[m]
-        base, t_row, bw_row = pos.root or (delay_at[m - 1], t[current[m - 1]], bw[current[m - 1]])
-        static, inbound, user, qos_limit = pos.static_cost, pos.inbound, pos.user, limits[m]
-        for k in pos.candidates:
-            if (used_proc[k] + pos.proc > proc_cap[k] + FEAS_TOL
-                    or used_mem[k] + pos.mem > mem_cap[k] + FEAS_TOL
-                    or used_stor[k] + pos.stor > stor_cap[k] + FEAS_TOL):
-                stats.pruned_capacity += 1
-                continue
-            delay = base + t_row[k] + user[k]
-            if delay > qos_limit:
-                stats.pruned_qos += 1
-                continue
-            child_cost = prefix_cost + (static[k] + inbound * bw_row[k])
-            if child_cost + tail_bound[m + 1] >= best_cost:
-                stats.pruned_bound += 1
-                continue
-            stats.nodes_explored += 1
-            used_proc[k] += pos.proc
-            used_mem[k] += pos.mem
-            used_stor[k] += pos.stor
-            current[m] = k
-            delay_at[m] = delay
-            dfs(m + 1, child_cost)
-            used_proc[k] -= pos.proc
-            used_mem[k] -= pos.mem
-            used_stor[k] -= pos.stor
-
-    status = None
-    try:
-        # The root proofs decide every timed solve; the module DFS runs
-        # untimed ones, whose search counters the answer digests pin.  This
-        # gate and the DFS go with ROADMAP items 6 and 20.
-        if deadline is not None:
-            status, best_assignment, best_cost = prob.root_proofs(best_cost, stats)
-        if status is None:
-            dfs(0, 0.0)
-            status = SolveStatus.OPTIMAL if greedy or best_assignment is not None else SolveStatus.INFEASIBLE
-    except TimeoutError:
-        status = SolveStatus.TIME_LIMIT
-    del dfs  # it refers to itself through its closure cell, a cycle only the GC would free
-    if not greedy and best_assignment is None:
+    greedy_cost = CostBreakdown(*prob.last.sums).total if prob.last.used is not None else float("inf")
+    # The root proofs decide every timed solve; the module DFS runs untimed
+    # ones, whose search counters the answer digests pin.
+    if deadline is None:
+        status, assignment, _cost = prob.module_dfs(greedy_cost, stats)
+    else:
+        try:
+            status, assignment, _cost = prob.root_proofs(greedy_cost, stats)
+        except TimeoutError:
+            status, assignment = SolveStatus.TIME_LIMIT, None
+    if prob.last.used is None and assignment is None:
         return SolveReport(status=status, relax=relax, search_stats=stats)
-    return prob.report(status, relax, stats, best_assignment)
+    return prob.report(status, relax, stats, assignment)
 
 
 def solve_bruteforce(inst: Instance, relax: Relaxations = Relaxations()) -> SolveReport:

@@ -23,7 +23,6 @@ from fogplace.solver import (
     SolveOptions,
     SolveStatus,
     _Problem,
-    _Step,
     solve_bruteforce,
     solve_exact,
     solve_greedy,
@@ -298,13 +297,6 @@ class TestBounds:
 PACKING_REFERENCE = Path(__file__).resolve().parents[1] / "benchmarks" / "reference.json"
 
 
-def search_only(inst, time_limit):
-    """What an untimed solve runs, the module DFS without the root proofs, here
-    under a time limit so that a cliff instance cannot stall the suite."""
-    with mock.patch.object(_Problem, "root_proofs", lambda self, cost, stats: (None, None, cost)):
-        return solve_exact(inst, opts=SolveOptions(time_limit=time_limit))
-
-
 def permuted(inst, order):
     """``inst`` with its nodes (and link rows and columns) in ``order``."""
     def matrix(rows):
@@ -347,7 +339,7 @@ class TestRootProofs:
         opts = SolveOptions(time_limit=1.0)
         timed = solve_exact(inst, opts=opts)
         order = random.Random(order_seed).sample(range(len(inst.nodes)), len(inst.nodes))
-        for name, other, scale in (("untimed", search_only(inst, 1.0), 1.0),
+        for name, other, scale in (("untimed", solve_exact(inst), 1.0),
                                    ("permuted", solve_exact(permuted(inst, order), opts=opts), 1.0),
                                    ("doubled", solve_exact(doubled_prices(inst), opts=opts), 2.0)):
             if SolveStatus.TIME_LIMIT in (timed.status, other.status):
@@ -513,16 +505,6 @@ class TestMetamorphic:
         assert len(reached - examples) >= 5
 
 
-def trie_of(memo):
-    """Each step reachable from the memo's roots, by identity, with its children's."""
-    steps, stack = {}, [value for value in memo.values() if isinstance(value, _Step)]
-    while stack:
-        step = stack.pop()
-        steps[id(step)] = {key: id(child) for key, child in step.children.items()}
-        stack += step.children.values()
-    return steps
-
-
 class TestDomainMemo:
     @pytest.fixture
     def count_domains(self, monkeypatch):
@@ -560,11 +542,10 @@ class TestDomainMemo:
         assert solve_exact(other, _domains=memo) == solve_exact(other)
         assert len(count_domains) == 2 * len(inst.apps)
 
-    def test_timed_out_build_leaves_memo_unchanged(self, monkeypatch):
+    def test_timed_out_build_stores_only_complete_entries(self):
         inst = generate_instance(ScenarioConfig(n_apps=3, seed=0))
         memo = {}
-        _Problem(dataclasses.replace(inst, apps=inst.apps[:1]), Relaxations(), domains=memo)
-        before, before_trie = dict(memo), trie_of(memo)
+        _Problem(inst.with_apps(inst.apps[:1]), Relaxations(), domains=memo)
         calls = []
         original = _Problem.app_chains
 
@@ -575,13 +556,17 @@ class TestDomainMemo:
             return original(self, *args, **kwargs)
 
         # App 0 comes from the memo, app 1 builds, app 2 times out.
-        monkeypatch.setattr(_Problem, "app_chains", second_times_out)
-        with pytest.raises(TimeoutError):
+        with mock.patch.object(_Problem, "app_chains", second_times_out), pytest.raises(TimeoutError):
             _Problem(inst, Relaxations(), domains=memo)
         assert len(calls) == 2
-        assert memo.keys() == before.keys()
-        assert all(memo[key] is before[key] for key in before)
-        assert trie_of(memo) == before_trie  # no new step joined a stored one
+        assert len(memo) == 4  # the node arrays, the root step and the domains of apps 0 and 1
+        step = memo[(False, False)].children[id(inst.apps[0])].children[id(inst.apps[1])]
+        assert step.children == {}  # no step for app 2
+        resumed, fresh = _Problem(inst, Relaxations(), domains=memo), _Problem(inst, Relaxations(), domains={})
+        assert resumed.app_combos == fresh.app_combos
+        assert ((resumed.last.sums, resumed.last.items, resumed.last.delays)
+                == (fresh.last.sums, fresh.last.items, fresh.last.delays))
+        assert solve_exact(inst, _domains=memo) == solve_exact(inst)
 
     def test_library_calls_build_every_domain(self, count_domains):
         inst = generate_instance(ScenarioConfig(n_apps=5, seed=1))

@@ -246,10 +246,13 @@ def placement_to_dict(inst: Instance, p: Placement) -> dict[str, Any]:
 def placement_from_dict(d: Mapping[str, Any]) -> Placement:
     """Read a placement; its ``edge_map`` must be the one its ``assign`` implies."""
     require_keys(d, {"assign", "edge_map"}, set(), "placement")
-    if d["edge_map"] != _edge_map(d["assign"]):
+    assign = d["assign"]
+    if not isinstance(assign, Mapping) or not all(
+            isinstance(ids, list) and all(isinstance(i, str) for i in ids) for ids in assign.values()):
+        raise ValueError(f"placement.assign: expected app ids mapped to lists of node ids, got {assign!r}")
+    if d["edge_map"] != _edge_map(assign):
         raise ValueError("placement.edge_map: differs from the edges its assign implies")
-    return Placement({(app_id, j): node_id
-                      for app_id, node_ids in d["assign"].items()
+    return Placement({(app_id, j): node_id for app_id, node_ids in assign.items()
                       for j, node_id in enumerate(node_ids)})
 
 

@@ -67,7 +67,10 @@ predecessor host's link rows.  Then ``delay = base + t[k] + user[k]``, with
 ``user`` the user-attachment row on the last module and zeros elsewhere,
 must not exceed the app's limit, and the step costs ``static[k] + inbound *
 bw[k]``.  Every value is finite and nonnegative, so the zero rows add
-exactly nothing.
+exactly nothing.  One step, ``place``, puts a whole chain on the node loads,
+adding its demands in chain order as ``check_feasibility`` does; greedy and
+the chain search carry the loads it tested, the enumerations' capacity
+filters read only its verdict, and only the module DFS loads module by module.
 
 A timed solve runs three root proofs after preprocessing, each reading the
 clock as it goes, (1) and (2) with counters of 0.  (1) Greedy's cost is at
@@ -82,9 +85,9 @@ and bound over the apps' chain lists.  So "optimal" means optimal to 1e-9
 relative, and a timed placement can differ from the untimed solve's, but
 only for one whose cost agrees to that tolerance (an exact-cost tie, on
 every instance measured).  ``solve_exact`` forks once, after the build: a
-timed solve runs the proofs and never builds the module DFS's state; an
-untimed one runs ``module_dfs``, reads no clock and skips the proofs,
-since the answer digests pin its search counters.
+timed solve runs the proofs and skips the module DFS's per-slot limits,
+load lists and closure; an untimed one runs ``module_dfs``, reads no clock
+and skips the proofs, since the answer digests pin its search counters.
 
 ``solve_bruteforce`` checks and costs every complete assignment with the
 declarative ``check_feasibility`` and ``eval_cost``, sharing no search code:
@@ -225,12 +228,12 @@ class _Problem:
         (_infra, self.node_ids, self.proc_cap, self.mem_cap, self.stor_cap,
          self.sensor_delay, self.user_delay) = nodes
         self.n_nodes = len(self.node_ids)
+        self.idle = ((0.0,) * self.n_nodes,) * 3  # per-node (proc, mem, stor) loads before any app
         ratings = None if relax.drop_security else [inst.ratings[node_id] for node_id in self.node_ids]
 
         # Down the trie as far as the stored steps go, then new steps.
         key = (relax.drop_qos, relax.drop_security)
-        idle = (0.0,) * self.n_nodes
-        root = _Step(None, [], float("inf"), None, [], (idle,) * 3, (0.0,) * 5, (), ())
+        root = _Step(None, [], float("inf"), None, [], self.idle, (0.0,) * 5, (), ())
         path = [root if domains is None else domains.setdefault(key, root)]
         for app in inst.apps:
             step = path[-1].children.get(id(app))
@@ -302,13 +305,13 @@ class _Problem:
         # and then from its second chain, since the first is the cheapest.
         if step.used is not None:
             chosen = None if cheapest is None else cheapest[1]
-            if chosen is None or not self.fits(group, chosen, step.used):
-                chosen = next((combo for _cost, combo in itertools.islice(self.chains(step), 1, None)
-                               if self.fits(group, combo, step.used)), None)
-            if chosen is None:
-                step.used = None
-            else:
-                step.used = self.load(group, chosen, step.used)
+            used = None if chosen is None else self.place(group, chosen, step.used)
+            if used is None:
+                for _cost, chosen in itertools.islice(self.chains(step), 1, None):
+                    if (used := self.place(group, chosen, step.used)) is not None:
+                        break
+            step.used = used
+            if used is not None:
                 step.sums, step.items, step.delays = self.add_app(app, chosen, step.sums, step.items,
                                                                   step.delays)
         return step
@@ -375,8 +378,7 @@ class _Problem:
                           if (d := base + t[k] + user[k]) <= limit]
             chains = grown
         if self.may_overflow(positions):
-            idle = ([0.0] * self.n_nodes,) * 3
-            chains = [chain for chain in chains if self.fits(positions, chain[2], idle)]
+            chains = [chain for chain in chains if self.place(positions, chain[2], self.idle) is not None]
         chains.sort(key=itemgetter(0))  # stable: ties keep the lexicographic build order
         return chains
 
@@ -392,14 +394,15 @@ class _Problem:
         t_rows, bw_rows = self.inst.links.delay, self.inst.links.bw_cost
         n = len(positions)
         after = [pos.intra for pos in positions[1:]] + [0.0]  # per slot, the min_cost sum after it
-        check_cap, idle = self.may_overflow(positions), ([0.0] * self.n_nodes,) * 3
+        check_cap = self.may_overflow(positions)
         best, best_cost, cut = None, float("inf"), float("inf")  # cut: best_cost plus the slack
         stack = [(0.0, 0.0, ())]  # (cost, delay, combo), a loop so that no closure cycle is left
         while stack:
             cost, delay, combo = stack.pop()
             j = len(combo)
             if j == n:
-                if cost < best_cost and (not check_cap or self.fits(positions, combo, idle)):
+                if cost < best_cost and (not check_cap
+                                         or self.place(positions, combo, self.idle) is not None):
                     best, best_cost, cut = (cost, combo), cost, cost + 1e-9 * max(1.0, cost)
                 continue
             pos = positions[j]
@@ -421,7 +424,7 @@ class _Problem:
         on its own.  Only modules sharing a node can overload it past the
         candidate filter, so if the whole chain fits on each candidate, all
         chains do."""
-        proc = mem = stor = 0.0  # the whole chain's demands, summed as ``fits`` sums them
+        proc = mem = stor = 0.0  # the whole chain's demands, added in chain order as ``place`` adds them
         for pos in positions:
             proc, mem, stor = proc + pos.proc, mem + pos.mem, stor + pos.stor
         return any(proc > self.proc_cap[k] + FEAS_TOL or mem > self.mem_cap[k] + FEAS_TOL
@@ -435,31 +438,19 @@ class _Problem:
         if self.deadline is not None and self.extensions_seen % 4096 < n and time.monotonic() > self.deadline:
             raise TimeoutError
 
-    def fits(self, positions: list[_Position], combo: tuple[int, ...],
-             used: tuple[list[float], list[float], list[float]]) -> bool:
-        """Whether modules ``positions`` placed on ``combo`` fit on top of the
-        per-node (proc, mem, stor) loads ``used``."""
-        load: dict[int, list[float]] = {}
-        for pos, k in zip(positions, combo):
-            acc = load.setdefault(k, [0.0, 0.0, 0.0])
-            acc[0] += pos.proc
-            acc[1] += pos.mem
-            acc[2] += pos.stor
-        used_proc, used_mem, used_stor = used
-        return not any(used_proc[k] + proc > self.proc_cap[k] + FEAS_TOL
-                       or used_mem[k] + mem > self.mem_cap[k] + FEAS_TOL
-                       or used_stor[k] + stor > self.stor_cap[k] + FEAS_TOL
-                       for k, (proc, mem, stor) in load.items())
-
-    def load(self, positions: list[_Position], combo: tuple[int, ...],
-             used: tuple[tuple[float, ...], ...]) -> tuple[tuple[float, ...], ...]:
+    def place(self, positions: list[_Position], combo: tuple[int, ...],
+              used: tuple[tuple[float, ...], ...]) -> tuple[tuple[float, ...], ...] | None:
         """The per-node (proc, mem, stor) loads ``used`` with modules
-        ``positions`` added on ``combo``."""
+        ``positions`` added on ``combo`` in chain order, or None if a node of
+        ``combo`` then exceeds its capacity by more than ``FEAS_TOL``."""
         proc, mem, stor = (list(load) for load in used)
         for pos, k in zip(positions, combo):
             proc[k] += pos.proc
             mem[k] += pos.mem
             stor[k] += pos.stor
+        if any(proc[k] > self.proc_cap[k] + FEAS_TOL or mem[k] > self.mem_cap[k] + FEAS_TOL
+               or stor[k] > self.stor_cap[k] + FEAS_TOL for k in combo):
+            return None
         return tuple(proc), tuple(mem), tuple(stor)
 
     def costing(self, assignment: list[int]) -> tuple[tuple, tuple, tuple]:
@@ -532,7 +523,7 @@ class _Problem:
         best, best_cost = None, incumbent
         cut = float("inf") if incumbent == float("inf") else incumbent - 1e-9 * max(1.0, incumbent)
         hosts: list[tuple[int, ...]] = [()] * len(order)  # in app order
-        stack = [(0, 0.0, ((0.0,) * self.n_nodes,) * 3)]  # per depth: next chain, prefix cost, loads
+        stack = [(0, 0.0, self.idle)]  # per depth: next chain, prefix cost, loads
         scanned = 0
         while stack:  # a loop, not a recursive closure, so that no cycle is left for the GC
             d = len(stack) - 1
@@ -548,7 +539,7 @@ class _Problem:
                 if prefix + cost + rest[d + 1] >= cut:  # and so every later chain in the list
                     stats.pruned_bound += 1
                     break
-                if self.fits(group, combo, used):
+                if (placed := self.place(group, combo, used)) is not None:
                     found = index
                     break
                 stats.pruned_capacity += 1
@@ -559,7 +550,7 @@ class _Problem:
             stack[-1] = (found + 1, prefix, used)
             hosts[i] = combo
             if len(stack) < len(order):
-                stack.append((0, prefix + cost, self.load(group, combo, used)))
+                stack.append((0, prefix + cost, placed))
             else:
                 best = [k for chain in hosts for k in chain]
                 best_cost = CostBreakdown(*self.costing(best)[0]).total
@@ -635,10 +626,10 @@ def solve_exact(inst: Instance, relax: Relaxations = Relaxations(),
     app's cheapest chain first and listing its chains only when read.  A
     timed solve runs the root proofs of the module notes, the last a
     complete chain-level branch and bound, so a timed OPTIMAL is optimal to
-    1e-9 relative, and never builds the module DFS's state; an untimed one
-    runs the module DFS and reads no clock.  The time limit
-    covers preprocessing and search; hitting it returns the best incumbent
-    found (if any) with status TIME_LIMIT.  ``_domains`` is the sweep's
+    1e-9 relative, and skips the module DFS's per-slot limits, load lists
+    and closure; an untimed one runs the module DFS and reads no clock.  The
+    time limit covers preprocessing and search; hitting it returns the best
+    incumbent found (if any) with status TIME_LIMIT.  ``_domains`` is the sweep's
     per-seed memo of ``_Problem``'s node arrays, per-app domains and step
     tries.
     """

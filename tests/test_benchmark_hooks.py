@@ -1,12 +1,17 @@
 """The benchmark's span tracer (benchmarks/spans.py) rebinds fogplace module
 attributes by name.  Renaming or dropping one of them breaks every traced
-benchmark run, so these tests pin that each one still exists."""
+benchmark run, so these tests pin that each one still exists.  A minimal
+untraced run of each workload checks that the harness still runs against
+the package and verifies every answer."""
 
 import sys
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
 
+import run  # noqa: E402
 import spans  # noqa: E402
 from fogplace import experiment, solver  # noqa: E402
 
@@ -45,3 +50,11 @@ def test_traced_sweep_keeps_one_span_per_solve_and_instance():
     assert names.count("scenario") == runs
     assert all(tracer.spans[s.parent].name == "solver.search"
                for s in tracer.spans if s.name == "solver.preprocess")
+
+
+@pytest.mark.parametrize("workload", run.WORKLOADS)
+def test_minimal_benchmark_run_verifies_every_op(workload, tmp_path, monkeypatch):
+    pytest.importorskip("scipy")  # the harness checks answers with HiGHS
+    monkeypatch.setattr(run, "WORK", tmp_path)  # cli_solve writes its instance files there
+    result = run.run_benchmark(workload, 0, seconds=0, trace=False, small=True)["result"]
+    assert result["correct"] and result["failed"] == 0, result

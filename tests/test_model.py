@@ -183,6 +183,12 @@ class TestInstanceFiles:
         with pytest.raises(ValueError, match="edge_map"):
             instance_io.placement_from_dict(doc)
 
+    @pytest.mark.parametrize("assign", [5, {"a1": 5}, {"a1": "xy"}, {"a1": ["x", 7]}])
+    def test_report_assign_must_be_lists_of_node_ids(self, assign):
+        doc = {"assign": assign, "edge_map": {"a1": [["x", "y"]]}}
+        with pytest.raises(ValueError, match=r"placement\.assign"):
+            instance_io.placement_from_dict(doc)
+
     def test_non_finite_values_are_never_written(self, tiny_instance, two_app_instance, tmp_path):
         nodes = (dataclasses.replace(tiny_instance.nodes[0], proc_cost=float("nan")), *tiny_instance.nodes[1:])
         with pytest.raises(ValueError, match="JSON compliant"):

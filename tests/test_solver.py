@@ -698,10 +698,10 @@ class TestThresholdFilter:
 
 def reference_chains(prob, app_idx, relax):
     """One app's (cost, combo) list by a plain scan of every host tuple:
-    ``fits`` for capacity, delay summed in the search's order."""
+    capacity checked apart from the solver, delay summed in the search's
+    order."""
     app = prob.inst.apps[app_idx]
     positions = prob.app_positions[app_idx]
-    idle = ([0.0] * prob.n_nodes,) * 3
     chains = []
     for combo in itertools.product(*(pos.candidates for pos in positions)):
         cost, delay = 0.0, app.exec_total + prob.sensor_delay[combo[0]]
@@ -711,10 +711,24 @@ def reference_chains(prob, app_idx, relax):
                 cost += pos.inbound * prob.inst.links.bw_cost[combo[j - 1]][k]
                 delay += prob.inst.links.delay[combo[j - 1]][k]
         delay += prob.user_delay[combo[-1]]
-        if prob.fits(positions, combo, idle) and (
+        if fits_alone(prob.inst, app, combo) and (
                 relax.drop_qos or delay <= app.qos_threshold + FEAS_TOL):
             chains.append((cost, combo))
     return sorted(chains)
+
+
+def fits_alone(inst, app, combo):
+    """Whether ``app``'s modules on node indices ``combo`` fit with no other
+    app placed: each node's module demands, summed in chain order as
+    ``check_feasibility`` sums them, against its capacity + FEAS_TOL."""
+    for req, cap in (("proc_req", "proc_capacity"), ("mem_req", "mem_capacity"),
+                     ("stor_req", "stor_capacity")):
+        used = dict.fromkeys(combo, 0.0)
+        for mod, k in zip(app.modules, combo):
+            used[k] += getattr(mod, req)
+        if any(load > getattr(inst.nodes[k], cap) + FEAS_TOL for k, load in used.items()):
+            return False
+    return True
 
 
 @st.composite

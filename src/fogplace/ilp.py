@@ -267,7 +267,8 @@ def check_feasibility(inst: Instance, p: Placement, relax: Relaxations = Relaxat
     """Every active-constraint violation of a placement (empty = feasible).
 
     Works on incomplete placements too: missing assignments show up as eq9
-    rows, and an app with a missing module gets no eq7 check.
+    rows, and an app with a missing module gets no eq7 check.  Raises
+    ValueError when p puts a module of inst on a node id absent from inst.
     """
     out: list[Violation] = []
 
@@ -276,8 +277,10 @@ def check_feasibility(inst: Instance, p: Placement, relax: Relaxations = Relaxat
         for a in inst.apps:
             for j, mod in enumerate(a.modules):
                 node_id = p.assign.get((a.id, j))
-                if node_id is not None:
+                if node_id in used:
                     used[node_id] += getattr(mod, req_field)
+                elif node_id is not None:
+                    raise ValueError(f"placement refers to unknown node {node_id!r}")
         for node in inst.nodes:
             cap = getattr(node, cap_field)
             over = used[node.id] - cap

@@ -34,31 +34,33 @@ share one pass), by proof (2) or by the chain search.  The list grows as a
 prefix tree, one position at a time, and a partial chain whose delay already
 exceeds the app's limit is dropped with its whole subtree
 (resource-constrained labelling).  ``time_limit`` bounds preprocessing and
-search alike; both enumerations read the clock every 4096 chain extensions.
+search alike: both enumerations and the chain search count their work on
+one counter, which reads the clock every 4096 chain extensions or chains
+scanned.
 
 An app's slots and chains form its domain; it holds no app index and no
 threshold.  Preprocessing and greedy run app by app, each app a ``_Step``
 joined onto the step of the apps before it.  A step holds its own app's
-domain (its slots, each holding the app's ``min_cost`` sum from it to the
-last, its delay limit, its cheapest chain and its chain list within that
-limit) and greedy's incumbent after it (node loads, the five cost sums of
-``ilp._add_app_cost``, placement items, each app's delays) or the mark that
-greedy failed.  It holds no slot or limit of an earlier app: a build
-flattens the slots once (``_Problem.positions``), and the module DFS takes
-each slot's limit from its app's step.  No step depends on a later app or
-changes once built, but for a library build's chain list, filled in on
-first read; each solve computes the completion bound, the only cross-app
-suffix quantity, afresh.  A library call searches each domain's cheapest
-chain pruned at the app's limit, lists its chains only when read, and keeps
-nothing.  A sweep keeps, per seed, each domain keyed by all of the app but
-its threshold, with every chain unpruned and its final delay and the chains
-within each limit met (a chain's delay never falls as it grows, so that
-filter gives the pruned list, float for float, and its first chain is the
-cheapest), and per relaxation a trie of steps, a step's children keyed by
-their app's identity.  A solve walks down the trie as far as its apps go
-and joins each step it adds as soon as it is built, so every entry that a
-build stores is complete.  The report is greedy's when the search finds
-nothing cheaper; a cheaper assignment is costed by the same per-app step.
+domain (its slots, each holding the sum of its app's cheapest host costs
+from it to the last, its delay limit, its cheapest chain and its chain list
+within that limit) and greedy's incumbent after it (node loads, the five
+cost sums of ``ilp._add_app_cost``, placement items, each app's delays) or
+the mark that greedy failed.  It holds no slot or limit of an earlier app:
+the module DFS flattens the slots and takes each slot's limit from its app's
+step.  No step depends on a later app or changes once built, but for a
+library build's chain list, filled in on first read; each solve computes the
+completion bound, the only cross-app suffix quantity, afresh.  A library
+call searches each domain's cheapest chain pruned at the app's limit, lists
+its chains only when read, and keeps nothing.  A sweep keeps, per seed, each
+domain keyed by all of the app but its threshold, with every chain unpruned
+and its final delay and the chains within each limit met (a chain's delay
+never falls as it grows, so that filter gives the pruned list, float for
+float, and its first chain is the cheapest), and per relaxation a trie of
+steps, a step's children keyed by their app's identity.  A solve walks down
+the trie as far as its apps go and joins each step it adds as soon as it is
+built, so every entry that a build stores is complete.  The report is
+greedy's when the search finds nothing cheaper; a cheaper assignment is
+costed by the same per-app step.
 
 The enumerations and the module DFS extend a chain onto host ``k`` by one
 rule.  The position picks ``base, t, bw``: ``(exec_total, sensor_delay,
@@ -74,20 +76,24 @@ filters read only its verdict, and only the module DFS loads module by module.
 
 A timed solve runs three root proofs after preprocessing, each reading the
 clock as it goes, (1) and (2) with counters of 0.  (1) Greedy's cost is at
-the root bound ``tail_bound[0]`` to 1e-9 relative: optimal.  (2) Greedy
-found nothing, and the modules that QoS and security confine to some union
-S of per-position host supports need more proc, mem or stor than S holds
-(a Hall-type condition, P. Hall 1935): infeasible.  The unions can number
-2**n_nodes, so (2) builds them mask by mask and stops past ``MAX_UNIONS``,
-which every instance of up to 10 nodes stays within; each S it tries is
-still a proof.  (3) The chain search (``chain_search``), a complete branch
-and bound over the apps' chain lists.  So "optimal" means optimal to 1e-9
-relative, and a timed placement can differ from the untimed solve's, but
-only for one whose cost agrees to that tolerance (an exact-cost tie, on
-every instance measured).  ``solve_exact`` forks once, after the build: a
-timed solve runs the proofs and skips the module DFS's per-slot limits,
-load lists and closure; an untimed one runs ``module_dfs``, reads no clock
+the root bound, the completion bound of the whole instance, to 1e-9
+relative: optimal.  (2) Greedy found nothing, and the modules that QoS and
+security confine to some union S of per-position host supports need more
+proc, mem or stor than S holds (a Hall-type condition, P. Hall 1935):
+infeasible.  The unions can number 2**n_nodes, so (2) builds them mask by
+mask and stops past ``MAX_UNIONS``, which every instance of up to 10 nodes
+stays within; each S it tries is still a proof.  (3) The chain search
+(``chain_search``), a complete branch and bound over the apps' chain lists.
+So "optimal" means optimal to 1e-9 relative, and a timed placement can
+differ from the untimed solve's, but only for one whose cost agrees to that
+tolerance (an exact-cost tie, on every instance measured).  ``solve_exact``
+forks once, after the build: a timed solve runs the proofs and builds none
+of the module DFS's state (its flattened slots, per-slot limits and bounds,
+load lists and closure); an untimed one runs ``module_dfs``, reads no clock
 and skips the proofs, since the answer digests pin its search counters.
+Either search leaves a cheaper assignment in ``_Problem.incumbent``, and a
+timeout, in the build or the proofs, reports it, or greedy's when it is
+None.
 
 ``solve_bruteforce`` checks and costs every complete assignment with the
 declarative ``check_feasibility`` and ``eval_cost``, sharing no search code:
@@ -126,9 +132,10 @@ class SolveOptions:
 
     def __post_init__(self) -> None:
         limit = self.time_limit
-        number = isinstance(limit, (int, float)) and not isinstance(limit, bool)
+        number = isinstance(limit, float) or (isinstance(limit, int) and not isinstance(limit, bool)
+                                              and limit < 2 ** 1023)  # else the deadline overflows
         if limit is not None and not (number and limit > 0):  # rejects nan too
-            raise ValueError(f"time_limit must be a positive number, got {limit!r}")
+            raise ValueError(f"time_limit must be a positive number in the float range, got {limit!r}")
 
 
 @dataclass
@@ -167,10 +174,9 @@ class _Position:
     static_cost: list[float]  # per node index, link costs excluded
     inbound: float  # Gb arriving from the predecessor module (the sensor for the first)
     candidates: list[int]  # node indices, search order
-    min_cost: float  # cheapest static cost over the candidates
     root: tuple[float, list[float], list[float]] | None  # (exec_total, sensor_delay, zeros) if first
     user: list[float]  # user_delay on the last module, zeros elsewhere
-    intra: float = 0.0  # the min_cost sum from this slot to the app's last
+    intra: float = 0.0  # the sum of the cheapest static costs from this slot to the app's last
 
 
 @dataclass(slots=True)
@@ -202,13 +208,13 @@ class _Problem:
 
     Raises ``TimeoutError`` when ``deadline`` (a ``time.monotonic()`` value)
     passes while it searches or lists an app's chains, in the build or when
-    a list is first read (``chains``); the root proofs read it too.
-    ``domains``, a dict the caller owns, keeps the node arrays, each app's
-    domain and each relaxation's trie of steps (see the module notes) for
-    later builds on the same infrastructure; every entry that a build
-    stores is complete.  ``steps`` holds one step per app and ``last`` the
-    step of all the apps; ``positions`` flattens their slots once per build,
-    for the module DFS and the completion bound.
+    a list is first read (``chains``), or in the root proofs; every loop
+    reads the clock through ``check_clock``.  ``domains``, a dict the caller
+    owns, keeps the node arrays, each app's domain and each relaxation's
+    trie of steps (see the module notes) for later builds on the same
+    infrastructure; every entry that a build stores is complete.  ``steps``
+    holds one step per app and ``last`` the step of all the apps;
+    ``incumbent`` is the search's best assignment, None for greedy's.
     """
 
     def __init__(self, inst: Instance, relax: Relaxations, deadline: float | None = None,
@@ -246,24 +252,26 @@ class _Problem:
         self.last = path[-1]
         self.steps = path[1:]
         self.app_positions = [step.group for step in self.steps]
-        self.positions = [pos for group in self.app_positions for pos in group]
-
-        # tail_bound[m]: lower bound on the cost of placing positions m.. end,
-        # combining the per-module minima of the current app's remaining
-        # modules with the standalone minima of every later app.
-        self.tail_bound = [0.0] * (len(self.positions) + 1)
         self.placeable = all(step.cheapest is not None for step in self.steps)
-        if self.placeable:
-            m = len(self.positions)
-            later = 0.0  # the standalone minima of the apps after app i
-            for step in reversed(self.steps):
-                for pos in reversed(step.group):
-                    m -= 1
-                    self.tail_bound[m] = pos.intra + later
-                later += step.cheapest[0]
-                # At an app boundary the whole-chain standalone minimum
-                # (link costs included) is valid and at least as tight.
-                self.tail_bound[m] = max(self.tail_bound[m], later)
+        self.incumbent: list[int] | None = None  # node indices
+
+    def tail_bound(self) -> list[float]:
+        """Per flattened slot, a lower bound on the cost of placing it and
+        every later slot, then 0.0; all zeros unless the build is placeable.
+        It combines the per-module minima of the slot's app from that slot
+        on with the standalone minima of every later app."""
+        if not self.placeable:
+            return [0.0] * (sum(map(len, self.app_positions)) + 1)
+        bound = [0.0]  # built from the last slot back
+        later = 0.0  # the standalone minima of the apps after this one
+        for step in reversed(self.steps):
+            bound += [pos.intra + later for pos in reversed(step.group)]
+            later += step.cheapest[0]
+            # At an app boundary the whole-chain standalone minimum
+            # (link costs included) is valid and at least as tight.
+            bound[-1] = max(bound[-1], later)
+        bound.reverse()
+        return bound
 
     @property
     def app_combos(self) -> list[list[tuple[float, tuple[int, ...]]]]:
@@ -324,13 +332,12 @@ class _Problem:
                 items + tuple(((app.id, j), self.node_ids[k]) for j, k in enumerate(hosts)),
                 delays + ((app.id, (_comm_delay(self.inst, hosts), app.exec_total)),))
 
-    def report(self, status: SolveStatus, relax: Relaxations, stats: SearchStats,
-               assignment: list[int] | None = None) -> SolveReport:
-        """The report of node indices ``assignment``, by default greedy's,
-        costed app by app as greedy's is."""
+    def report(self, status: SolveStatus, relax: Relaxations, stats: SearchStats) -> SolveReport:
+        """The report of the search's incumbent, or greedy's if it found
+        none, costed app by app as greedy's is."""
         sums, items, delays = self.last.sums, self.last.items, self.last.delays
-        if assignment is not None:
-            sums, items, delays = self.costing(assignment)
+        if self.incumbent is not None:
+            sums, items, delays = self.costing(self.incumbent)
         return SolveReport(status=status, relax=relax, placement=Placement(dict(items)),
                            cost=CostBreakdown(*sums), per_app_delay=dict(delays), search_stats=stats)
 
@@ -347,15 +354,14 @@ class _Problem:
                     and mod.stor_req <= self.stor_cap[k] + FEAS_TOL]
             static = _hosting_costs(app, j, self.inst.nodes)
             group.append(_Position(
-                proc=mod.proc_req, mem=mod.mem_req, stor=mod.stor_req, static_cost=static,
+                proc=mod.proc_req, mem=mod.mem_req, stor=mod.stor_req, static_cost=static, candidates=fits,
                 inbound=(app.input_traffic if j == 0 else app.inter_traffic[j - 1]),
-                candidates=fits, min_cost=min((static[k] for k in fits), default=float("inf")),
                 root=(app.exec_total, self.sensor_delay, zeros) if j == 0 else None,
                 user=self.user_delay if j == app.n_modules - 1 else zeros,
             ))
         intra = 0.0
         for pos in reversed(group):
-            intra += pos.min_cost
+            intra += min((pos.static_cost[k] for k in pos.candidates), default=float("inf"))
             pos.intra = intra
         return group
 
@@ -388,12 +394,12 @@ class _Problem:
         combo), or None if it lists none, by a depth-first search in
         lexicographic node order with ``app_chains``' extension rule and
         float sums.  A partial chain is dropped once its cost plus the later
-        slots' ``min_cost`` exceeds the cheapest chain found by more than
-        1e-9 relative, a slack for the bound's other summation order; ties
+        slots' cheapest host costs exceeds the cheapest chain found by more
+        than 1e-9 relative, a slack for the bound's other summation order; ties
         keep the first chain found."""
         t_rows, bw_rows = self.inst.links.delay, self.inst.links.bw_cost
         n = len(positions)
-        after = [pos.intra for pos in positions[1:]] + [0.0]  # per slot, the min_cost sum after it
+        after = [pos.intra for pos in positions[1:]] + [0.0]  # per slot, the later slots' cheapest host costs
         check_cap = self.may_overflow(positions)
         best, best_cost, cut = None, float("inf"), float("inf")  # cut: best_cost plus the slack
         stack = [(0.0, 0.0, ())]  # (cost, delay, combo), a loop so that no closure cycle is left
@@ -432,10 +438,15 @@ class _Problem:
                    for k in set().union(*(pos.candidates for pos in positions)))
 
     def count_extensions(self, n: int) -> None:
-        """Counts ``n`` chain extensions; on passing a multiple of 4096,
-        raises ``TimeoutError`` if the deadline has passed."""
+        """Counts ``n`` chain extensions or scanned chains; on passing a
+        multiple of 4096, reads the clock if there is a deadline."""
         self.extensions_seen += n
-        if self.deadline is not None and self.extensions_seen % 4096 < n and time.monotonic() > self.deadline:
+        if self.deadline is not None and self.extensions_seen % 4096 < n:
+            self.check_clock()
+
+    def check_clock(self) -> None:
+        """Raises ``TimeoutError`` if the deadline has passed."""
+        if time.monotonic() > self.deadline:
             raise TimeoutError
 
     def place(self, positions: list[_Position], combo: tuple[int, ...],
@@ -463,23 +474,17 @@ class _Problem:
             m += len(group)
         return sums, items, delays
 
-    def root_proofs(self, greedy_cost: float,
-                    stats: SearchStats) -> tuple[SolveStatus, list[int] | None, float]:
+    def root_proofs(self, greedy_cost: float, stats: SearchStats) -> SolveStatus:
         """The root proofs (1)-(3) of the module notes, for a build with a
-        ``deadline``: (status; an assignment, or None for greedy's; its
-        cost).  Raises ``TimeoutError`` once ``deadline`` passes in (1) or
-        (2); (3) then returns TIME_LIMIT with its best incumbent."""
-        def check_clock() -> None:
-            if time.monotonic() > self.deadline:
-                raise TimeoutError
-
-        check_clock()  # (1) greedy at the root bound
-        if self.last.used is not None and greedy_cost <= self.tail_bound[0] + 1e-9 * max(1.0, greedy_cost):
-            return SolveStatus.OPTIMAL, None, greedy_cost
+        ``deadline``; the chain search leaves any cheaper assignment in
+        ``incumbent``.  Raises ``TimeoutError`` once ``deadline`` passes."""
+        self.check_clock()  # (1) greedy at the root bound
+        if self.last.used is not None and greedy_cost <= self.tail_bound()[0] + 1e-9 * max(1.0, greedy_cost):
+            return SolveStatus.OPTIMAL
         if self.last.used is None:  # (2) confined capacity
             demand: dict[int, list[float]] = {}  # support bit mask -> summed (proc, mem, stor)
             for group, combos in zip(self.app_positions, self.app_combos):
-                check_clock()
+                self.check_clock()
                 for j, pos in enumerate(group):
                     acc = demand.setdefault(sum(1 << k for k in {combo[j] for _c, combo in combos}),
                                             [0.0, 0.0, 0.0])
@@ -488,21 +493,20 @@ class _Problem:
                     acc[2] += pos.stor
             unions = {0}  # at most twice MAX_UNIONS: any S is a sound proof, but not all are tried
             for mask in demand:
-                check_clock()
+                self.check_clock()
                 unions |= {union | mask for union in unions}
                 if len(unions) > MAX_UNIONS:
                     break
             for union in unions:
-                check_clock()
+                self.check_clock()
                 inside = [k for k in range(self.n_nodes) if union >> k & 1]
                 confined = [need for mask, need in demand.items() if not mask & ~union]
                 if any(sum(need[r] for need in confined) > sum(cap[k] + FEAS_TOL for k in inside)
                        for r, cap in enumerate((self.proc_cap, self.mem_cap, self.stor_cap))):
-                    return SolveStatus.INFEASIBLE, None, greedy_cost
+                    return SolveStatus.INFEASIBLE
         return self.chain_search(greedy_cost, stats)
 
-    def chain_search(self, incumbent: float,
-                     stats: SearchStats) -> tuple[SolveStatus, list[int] | None, float]:
+    def chain_search(self, incumbent: float, stats: SearchStats) -> SolveStatus:
         """Root proof (3): a complete branch and bound (Land & Doig 1960)
         over each app's chain list, apps in fail-first order, fewest chains
         first (Haralick & Elliott 1980), each list scanned cheapest first, so
@@ -511,63 +515,58 @@ class _Problem:
         later apps' minima, is within 1e-9 relative of the best cost found
         (``incumbent``, greedy's, to begin with); capacity is checked chain by
         chain.  Counts one node per app placed, one bound prune per scan it
-        cuts and one capacity prune per chain that does not fit.  Returns
-        (OPTIMAL, INFEASIBLE, or TIME_LIMIT once ``deadline`` passes, with
-        the best incumbent; the best assignment found, or None for greedy's;
-        its cost)."""
+        cuts and one capacity prune per chain that does not fit, and each
+        scan's chains on ``count_extensions``.  Stores each better assignment
+        in ``incumbent`` and returns OPTIMAL or INFEASIBLE; raises
+        ``TimeoutError`` once ``deadline`` passes."""
         combos = self.app_combos
         order = sorted(range(len(combos)), key=lambda i: len(combos[i]))
         rest = [0.0] * (len(order) + 1)  # rest[d]: the minima of the apps from depth d on
         for d in reversed(range(len(order))):
             rest[d] = combos[order[d]][0][0] + rest[d + 1]
-        best, best_cost = None, incumbent
+        best_cost = incumbent
         cut = float("inf") if incumbent == float("inf") else incumbent - 1e-9 * max(1.0, incumbent)
         hosts: list[tuple[int, ...]] = [()] * len(order)  # in app order
         stack = [(0, 0.0, self.idle)]  # per depth: next chain, prefix cost, loads
-        scanned = 0
         while stack:  # a loop, not a recursive closure, so that no cycle is left for the GC
             d = len(stack) - 1
             start, prefix, used = stack[-1]
             i = order[d]
             chains, group = combos[i], self.app_positions[i]
-            found = None
-            for index in range(start, len(chains)):
-                scanned += 1
-                if scanned % 4096 == 0 and time.monotonic() > self.deadline:
-                    return SolveStatus.TIME_LIMIT, best, best_cost
+            index, placed = start, None  # index: one past the last chain scanned
+            while placed is None and index < len(chains):
                 cost, combo = chains[index]
+                index += 1
                 if prefix + cost + rest[d + 1] >= cut:  # and so every later chain in the list
                     stats.pruned_bound += 1
                     break
-                if (placed := self.place(group, combo, used)) is not None:
-                    found = index
-                    break
-                stats.pruned_capacity += 1
-            if found is None:
+                if (placed := self.place(group, combo, used)) is None:
+                    stats.pruned_capacity += 1
+            self.count_extensions(index - start)
+            if placed is None:
                 stack.pop()
                 continue
             stats.nodes_explored += 1
-            stack[-1] = (found + 1, prefix, used)
+            stack[-1] = (index, prefix, used)
             hosts[i] = combo
             if len(stack) < len(order):
                 stack.append((0, prefix + cost, placed))
             else:
-                best = [k for chain in hosts for k in chain]
-                best_cost = CostBreakdown(*self.costing(best)[0]).total
+                self.incumbent = [k for chain in hosts for k in chain]
+                best_cost = CostBreakdown(*self.costing(self.incumbent)[0]).total
                 cut = best_cost - 1e-9 * max(1.0, best_cost)
-        return (SolveStatus.OPTIMAL if best_cost < float("inf") else SolveStatus.INFEASIBLE), best, best_cost
+        return SolveStatus.OPTIMAL if best_cost < float("inf") else SolveStatus.INFEASIBLE
 
-    def module_dfs(self, incumbent: float,
-                   stats: SearchStats) -> tuple[SolveStatus, list[int] | None, float]:
-        """The module DFS of the module notes, for an untimed build; returns
-        as ``chain_search`` does, but never TIME_LIMIT."""
-        positions = self.positions
+    def module_dfs(self, incumbent: float, stats: SearchStats) -> SolveStatus:
+        """The module DFS of the module notes, for an untimed build; leaves
+        its result as ``chain_search`` does."""
+        positions = [pos for group in self.app_positions for pos in group]
         limits = [step.limit for step in self.steps for _pos in step.group]  # per slot, its app's limit
-        tail_bound = self.tail_bound
+        tail_bound = self.tail_bound()
         proc_cap, mem_cap, stor_cap = self.proc_cap, self.mem_cap, self.stor_cap
         t, bw = self.inst.links.delay, self.inst.links.bw_cost
         n_pos = len(positions)
-        best_assignment, best_cost = None, incumbent
+        best_cost = incumbent
 
         used_proc = [0.0] * self.n_nodes
         used_mem = [0.0] * self.n_nodes
@@ -576,11 +575,11 @@ class _Problem:
         delay_at = [0.0] * n_pos  # the app's delay up to and including position m
 
         def dfs(m: int, prefix_cost: float) -> None:
-            nonlocal best_cost, best_assignment
+            nonlocal best_cost
             if m == n_pos:
                 if prefix_cost < best_cost:
                     best_cost = prefix_cost
-                    best_assignment = current.copy()
+                    self.incumbent = current.copy()
                 return
             pos = positions[m]
             base, t_row, bw_row = pos.root or (delay_at[m - 1], t[current[m - 1]], bw[current[m - 1]])
@@ -612,8 +611,7 @@ class _Problem:
 
         dfs(0, 0.0)
         del dfs  # it refers to itself through its closure cell, a cycle only the GC would free
-        status = SolveStatus.OPTIMAL if best_cost < float("inf") else SolveStatus.INFEASIBLE
-        return status, best_assignment, best_cost
+        return SolveStatus.OPTIMAL if best_cost < float("inf") else SolveStatus.INFEASIBLE
 
 
 def solve_exact(inst: Instance, relax: Relaxations = Relaxations(),
@@ -626,36 +624,29 @@ def solve_exact(inst: Instance, relax: Relaxations = Relaxations(),
     app's cheapest chain first and listing its chains only when read.  A
     timed solve runs the root proofs of the module notes, the last a
     complete chain-level branch and bound, so a timed OPTIMAL is optimal to
-    1e-9 relative, and skips the module DFS's per-slot limits, load lists
-    and closure; an untimed one runs the module DFS and reads no clock.  The
-    time limit covers preprocessing and search; hitting it returns the best
-    incumbent found (if any) with status TIME_LIMIT.  ``_domains`` is the sweep's
-    per-seed memo of ``_Problem``'s node arrays, per-app domains and step
-    tries.
+    1e-9 relative, and builds none of the module DFS's state; an untimed
+    one runs the module DFS and reads no clock.  The time limit covers
+    preprocessing and search; hitting it returns the best incumbent found
+    (if any) with status TIME_LIMIT.  ``_domains`` is the sweep's per-seed
+    memo of ``_Problem``'s node arrays, per-app domains and step tries.
     """
     deadline = None if opts.time_limit is None else time.monotonic() + opts.time_limit
     stats = SearchStats()
+    prob: _Problem | None = None
     try:
         prob = _Problem(inst, relax, deadline, _domains)
-    except TimeoutError:
-        return SolveReport(status=SolveStatus.TIME_LIMIT, relax=relax, search_stats=stats)
-
-    if not prob.placeable:
-        return SolveReport(status=SolveStatus.INFEASIBLE, relax=relax, search_stats=stats)
-
-    greedy_cost = CostBreakdown(*prob.last.sums).total if prob.last.used is not None else float("inf")
-    # The root proofs decide every timed solve; the module DFS runs untimed
-    # ones, whose search counters the answer digests pin.
-    if deadline is None:
-        status, assignment, _cost = prob.module_dfs(greedy_cost, stats)
-    else:
-        try:
-            status, assignment, _cost = prob.root_proofs(greedy_cost, stats)
-        except TimeoutError:
-            status, assignment = SolveStatus.TIME_LIMIT, None
-    if prob.last.used is None and assignment is None:
+        if not prob.placeable:
+            return SolveReport(status=SolveStatus.INFEASIBLE, relax=relax, search_stats=stats)
+        greedy_cost = CostBreakdown(*prob.last.sums).total if prob.last.used is not None else float("inf")
+        # The root proofs decide every timed solve; the module DFS runs untimed
+        # ones, whose search counters the answer digests pin.
+        search = prob.module_dfs if deadline is None else prob.root_proofs
+        status = search(greedy_cost, stats)
+    except TimeoutError:  # in the build or the root proofs
+        status = SolveStatus.TIME_LIMIT
+    if prob is None or (prob.last.used is None and prob.incumbent is None):
         return SolveReport(status=status, relax=relax, search_stats=stats)
-    return prob.report(status, relax, stats, assignment)
+    return prob.report(status, relax, stats)
 
 
 def solve_bruteforce(inst: Instance, relax: Relaxations = Relaxations()) -> SolveReport:

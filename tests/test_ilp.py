@@ -208,6 +208,12 @@ class TestCheckFeasibility:
         assert [(v.tag, v.indices) for v in check_feasibility(inst, p)] == [
             ("eq9", ("a1", 2)), ("eq8", ("a1", 0, "fog_lo")), ("eq8", ("a1", 1, "fog_lo"))]
 
+    def test_unknown_node_is_a_value_error(self, tiny_instance):
+        p = Placement({("a1", 0): "cloud", ("a1", 1): "nope", ("a1", 2): "cloud"})
+        for check in (check_feasibility, eval_cost):
+            with pytest.raises(ValueError, match="unknown node 'nope'"):
+                check(tiny_instance, p)
+
 
 class TestLinearization:
     def test_binary_points_admit_exactly_the_products(self, tiny_instance):

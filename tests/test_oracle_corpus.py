@@ -3,7 +3,8 @@
 each answer is checked against HiGHS on the full binary program, against
 brute force where it takes milliseconds, and against the declarative
 ``check_feasibility`` and ``eval_cost``.  Spies show that each solve runs
-its own path only.
+its own path only, and computes the completion bound at most once: an
+untimed solve in the module DFS, a timed one only for root proof (1).
 """
 
 import sys
@@ -97,10 +98,15 @@ def test_both_paths_agree_with_the_oracles(name):
         calls = []
         spies = {method: (lambda *args, method=method, original=getattr(_Problem, method):
                           calls.append(method) or original(*args))
-                 for method in ("module_dfs", "root_proofs")}
+                 for method in ("module_dfs", "root_proofs", "tail_bound")}
         with mock.patch.multiple(_Problem, **spies):
             report = solve_exact(inst, relax, SolveOptions(time_limit=limit))
-        assert calls == ([] if not placeable else ["module_dfs" if limit is None else "root_proofs"])
+        if not placeable:
+            assert calls == []
+        elif limit is None:
+            assert calls == ["module_dfs", "tail_bound"]
+        else:
+            assert calls in (["root_proofs"], ["root_proofs", "tail_bound"])
         assert report.status in (SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE), limit
         cost = None if report.cost is None else report.cost.total
         assert oracle.check_answer(report.status.value, cost, true_status, true_cost,

@@ -148,13 +148,29 @@ class TestSolveExact:
         assert report.placement is not None
         assert report.cost.total >= solve_exact(two_app_instance).cost.total - 1e-12
 
+    def test_timeout_reports_the_chain_search_incumbent(self, monkeypatch):
+        # The clock "runs out" at the first read after the chain search
+        # stores an assignment, so the run is deterministic; the report is
+        # that assignment, not greedy's.
+        def check_clock(prob):
+            if prob.incumbent is not None:
+                raise TimeoutError
+
+        monkeypatch.setattr(_Problem, "check_clock", check_clock)
+        inst = packing_instance("f4_n11_q1.5_s0", fog_stor_capacity=4.0)
+        report = solve_exact(inst, opts=SolveOptions(time_limit=60))
+        assert report.status is SolveStatus.TIME_LIMIT
+        assert check_feasibility(inst, report.placement, Relaxations()) == []
+        assert report.cost == eval_cost(inst, report.placement)
+        assert report.cost.total < solve_greedy(inst).cost.total
+
     def test_no_apps_is_trivially_optimal(self):
         report = solve_exact(make_instance([]))
         assert report.status is SolveStatus.OPTIMAL
         assert report.placement.assign == {} and report.cost.total == 0.0
 
     def test_invalid_options_rejected(self):
-        for limit in (0.0, -1.0, float("nan"), True, "1"):
+        for limit in (0.0, -1.0, float("nan"), True, "1", 10**400):
             with pytest.raises(ValueError, match="time_limit"):
                 SolveOptions(time_limit=limit)
 
@@ -251,8 +267,10 @@ class TestBounds:
                 assignment = [node_pos[report.placement.assign[(app.id, j)]]
                               for app, group in zip(inst.apps, prob.app_positions)
                               for j in range(len(group))]
+                positions = [pos for group in prob.app_positions for pos in group]
+                bound = prob.tail_bound()
                 step = []
-                for m, (pos, k) in enumerate(zip(prob.positions, assignment)):
+                for m, (pos, k) in enumerate(zip(positions, assignment)):
                     cost = pos.static_cost[k]
                     if pos.root is None:  # not an app's first module
                         cost += pos.inbound * prob.inst.links.bw_cost[assignment[m - 1]][k]
@@ -260,7 +278,7 @@ class TestBounds:
                 suffix = 0.0
                 for m in range(len(step) - 1, -1, -1):
                     suffix += step[m]
-                    assert suffix >= prob.tail_bound[m] - 1e-9
+                    assert suffix >= bound[m] - 1e-9
 
     def test_chains_and_bounds_pinned(self):
         # sha256 of every app's chain list and the tail bound over random fog
@@ -279,12 +297,12 @@ class TestBounds:
                     for relax in (Relaxations(), Relaxations(drop_qos=True),
                                   Relaxations(drop_security=True)):
                         prob = _Problem(inst, relax)
-                        digest.update(repr((prob.app_combos, prob.tail_bound)).encode())
+                        digest.update(repr((prob.app_combos, prob.tail_bound())).encode())
         assert digest.hexdigest() == (
             "75aa6b301f0288164e70b0b0c6e401adebfb86968b4fdcafd5f02f2cf7af65cc")
 
     def test_root_bound_tie_keeps_search_small(self):
-        # packing_search's f6_n20_q1.5_s909: tail_bound[0] equals the optimum
+        # packing_search's f6_n20_q1.5_s909: the root bound equals the optimum
         # to within one ulp.  A bound change that moved the sums by one ulp
         # once took this solve from 161 nodes to 7.4M.
         inst = generate_instance(ScenarioConfig(n_fog=6, n_apps=20, max_qos=1.5, seed=909,
@@ -398,7 +416,7 @@ class TestRootProofs:
         inst = make_instance([make_app("a1", qos=50.0, exec_delay=0.3), make_app("a2", qos=50.0)],
                              nodes=(make_cloud(), fog))
         greedy = solve_greedy(inst)
-        assert greedy.cost.total > _Problem(inst, Relaxations()).tail_bound[0] * (1 + 1e-9)
+        assert greedy.cost.total > _Problem(inst, Relaxations()).tail_bound()[0] * (1 + 1e-9)
         report = solve_exact(inst, opts=SolveOptions(time_limit=1.0))
         assert report.status is SolveStatus.OPTIMAL and report.search_stats.nodes_explored > 0
         assert report.placement == greedy.placement and report.cost == greedy.cost

@@ -10,8 +10,8 @@ pass over them, and drops zero coefficients the same way.
 
 Constraint rows carry stable family tags, which name the LP rows.
 Feasibility reports (``check_feasibility``) carry eq2-eq4, eq7, eq8 and eq9;
-a placement stores only module hosts, so eq11-eq14 hold for it by
-construction and name LP rows only:
+a placement stores only each app's host chain, so eq11-eq14 hold for it
+by construction and name LP rows only:
 
     eq2/eq3/eq4   per-node processing / memory / storage capacity
     eq7           per-application end-to-end delay bound
@@ -258,29 +258,33 @@ def eval_cost(inst: Instance, p: Placement) -> CostBreakdown:
 def eval_delay(inst: Instance, p: Placement, app: Application) -> tuple[float, float]:
     """(communication delay, execution delay) of one application under p.
 
-    Raises ValueError when some module of the app is not placed.
+    Raises ValueError when the app's chain is not whole or p refers to app
+    or node ids absent from inst.
     """
+    placement_is_consistent(inst, p)  # raises on unknown ids
     return _comm_delay(inst, [inst.node_index[h] for h in p.hosts(app)]), app.exec_total
 
 
 def check_feasibility(inst: Instance, p: Placement, relax: Relaxations = Relaxations()) -> list[Violation]:
     """Every active-constraint violation of a placement (empty = feasible).
 
-    Works on incomplete placements too: missing assignments show up as eq9
-    rows, and an app with a missing module gets no eq7 check.  Raises
-    ValueError when p puts a module of inst on a node id absent from inst.
+    Works on incomplete placements too: an app's chain may stop short, or be
+    missing, and its unplaced tail modules show up as eq9 rows and get no
+    eq7 check.  Raises ValueError, as ``eval_cost`` does, when p refers to
+    app or node ids absent from inst or gives an app more hosts than modules.
     """
+    placement_is_consistent(inst, p)  # raises on unknown ids
+    chains = [p.assign.get(a.id, ()) for a in inst.apps]
+    for a, chain in zip(inst.apps, chains):
+        if len(chain) > a.n_modules:
+            raise ValueError(f"placement gives app {a.id} {len(chain)} hosts for {a.n_modules} modules")
     out: list[Violation] = []
 
     for tag, req_field, cap_field in _CAPACITY:
         used: dict[str, float] = {n.id: 0.0 for n in inst.nodes}
-        for a in inst.apps:
-            for j, mod in enumerate(a.modules):
-                node_id = p.assign.get((a.id, j))
-                if node_id in used:
-                    used[node_id] += getattr(mod, req_field)
-                elif node_id is not None:
-                    raise ValueError(f"placement refers to unknown node {node_id!r}")
+        for a, chain in zip(inst.apps, chains):
+            for mod, node_id in zip(a.modules, chain):
+                used[node_id] += getattr(mod, req_field)
         for node in inst.nodes:
             cap = getattr(node, cap_field)
             over = used[node.id] - cap
@@ -290,21 +294,18 @@ def check_feasibility(inst: Instance, p: Placement, relax: Relaxations = Relaxat
                     detail=f"node {node.id}: {req_field} load {used[node.id]} exceeds capacity {cap}",
                 ))
 
-    for a in inst.apps:
-        for j in range(a.n_modules):
-            if (a.id, j) not in p.assign:
-                out.append(Violation(
-                    tag="eq9", indices=(a.id, j), slack=1.0,
-                    detail=f"app {a.id} module {j} is unplaced",
-                ))
+    for a, chain in zip(inst.apps, chains):
+        for j in range(len(chain), a.n_modules):
+            out.append(Violation(
+                tag="eq9", indices=(a.id, j), slack=1.0,
+                detail=f"app {a.id} module {j} is unplaced",
+            ))
 
     if not relax.drop_qos:
-        for a in inst.apps:
-            try:
-                comm, exe = eval_delay(inst, p, a)
-            except ValueError:
+        for a, chain in zip(inst.apps, chains):
+            if len(chain) < a.n_modules:
                 continue  # reported as eq9 above
-            total = comm + exe
+            total = _comm_delay(inst, [inst.node_index[h] for h in chain]) + a.exec_total
             over = total - a.qos_threshold
             if over > FEAS_TOL:
                 out.append(Violation(
@@ -314,11 +315,8 @@ def check_feasibility(inst: Instance, p: Placement, relax: Relaxations = Relaxat
 
     if not relax.drop_security:
         ratings = inst.ratings
-        for a in inst.apps:
-            for j in range(a.n_modules):
-                node_id = p.assign.get((a.id, j))
-                if node_id is None:
-                    continue
+        for a, chain in zip(inst.apps, chains):
+            for j, node_id in enumerate(chain):
                 rating = ratings[node_id]
                 short = int(a.security_req) - int(rating)
                 if short > 0:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import fields
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 from .model import (
     Application,
@@ -67,22 +67,12 @@ def strict_bool(v: Any) -> bool:
     return v
 
 
-def _float(v: Any, where: str) -> float:
-    """``float(v)`` for a number or a numeric string, or a ValueError naming
-    the entry ``where``; a bool is not a number."""
+def _num(v: Any, where: str) -> float:
+    """``strict_float(v)``, or a ValueError naming the entry ``where``."""
     try:
-        if isinstance(v, bool):
-            raise TypeError
-        return float(v)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{where}: expected a number, got {v!r}") from None
-
-
-def _num(obj: Mapping[str, Any], key: str, where: str) -> float:
-    try:
-        return strict_float(obj[key])
+        return strict_float(v)
     except (TypeError, OverflowError):
-        raise ValueError(f"{where}.{key}: expected a number, got {obj[key]!r}") from None
+        raise ValueError(f"{where}: expected a number, got {v!r}") from None
 
 
 def _id(obj: Mapping[str, Any], where: str) -> str:
@@ -127,15 +117,15 @@ def _node_from_dict(d: Mapping[str, Any], where: str) -> ResourceNode:
         raw = d["position"]
         if not isinstance(raw, list) or len(raw) != 2:
             raise ValueError(f"{where}.position: expected [x, y]")
-        position = (_float(raw[0], f"{where}.position[0]"), _float(raw[1], f"{where}.position[1]"))
+        position = (_num(raw[0], f"{where}.position[0]"), _num(raw[1], f"{where}.position[1]"))
     if "security_rating" in d:
         _level(d["security_rating"], f"{where}.security_rating")  # checked, then ignored
     return ResourceNode(
         id=_id(d, where),
         tier=tier,
-        **{name: _num(d, name, where) for name in NODE_QUANTITIES},
+        **{name: _num(d[name], f"{where}.{name}") for name in NODE_QUANTITIES},
         position=position,
-        tx_range=_num(d, "tx_range", where) if "tx_range" in d else None,
+        tx_range=_num(d["tx_range"], f"{where}.tx_range") if "tx_range" in d else None,
     )
 
 
@@ -153,7 +143,7 @@ def _app_to_dict(a: Application) -> dict[str, Any]:
 
 def _module_from_dict(d: Mapping[str, Any], where: str) -> AppModule:
     require_keys(d, set(MODULE_FIELDS), set(), where)
-    return AppModule(**{name: _num(d, name, where) for name in MODULE_FIELDS})
+    return AppModule(**{name: _num(d[name], f"{where}.{name}") for name in MODULE_FIELDS})
 
 
 def _app_from_dict(d: Mapping[str, Any], where: str) -> Application:
@@ -162,11 +152,11 @@ def _app_from_dict(d: Mapping[str, Any], where: str) -> Application:
         id=_id(d, where),
         modules=tuple(_module_from_dict(md, f"{where}.modules[{j}]")
                       for j, md in enumerate(_list(d["modules"], f"{where}.modules"))),
-        input_traffic=_num(d, "input_traffic", where),
-        inter_traffic=tuple(_float(x, f"{where}.inter_traffic[{j}]")
+        input_traffic=_num(d["input_traffic"], f"{where}.input_traffic"),
+        inter_traffic=tuple(_num(x, f"{where}.inter_traffic[{j}]")
                             for j, x in enumerate(_list(d["inter_traffic"], f"{where}.inter_traffic"))),
-        output_traffic=_num(d, "output_traffic", where),
-        qos_threshold=_num(d, "qos_threshold", where),
+        output_traffic=_num(d["output_traffic"], f"{where}.output_traffic"),
+        qos_threshold=_num(d["qos_threshold"], f"{where}.qos_threshold"),
         security_req=_level(d["security_req"], f"{where}.security_req"),
     )
 
@@ -194,13 +184,13 @@ def instance_from_dict(d: Mapping[str, Any]) -> Instance:
         for i, row in enumerate(matrix):
             if not isinstance(row, list) or len(row) != n:
                 raise ValueError(f"links.{label}[{i}]: expected {n} entries")
-        links[label] = tuple(tuple(_float(val, f"links.{label}[{i}][{j}]") for j, val in enumerate(row))
+        links[label] = tuple(tuple(_num(val, f"links.{label}[{i}][{j}]") for j, val in enumerate(row))
                              for i, row in enumerate(matrix))
 
     apps = tuple(_app_from_dict(ad, f"apps[{i}]") for i, ad in enumerate(_list(d["apps"], "apps")))
     require_keys(d["farm"], {"width", "height"}, set(), "farm")
-    farm = FarmGeometry(width=_num(d["farm"], "width", "farm"),
-                        height=_num(d["farm"], "height", "farm"))
+    farm = FarmGeometry(width=_num(d["farm"]["width"], "farm.width"),
+                        height=_num(d["farm"]["height"], "farm.height"))
     return Instance(nodes=nodes, links=LinkTable(**links), apps=apps, farm=farm)
 
 
@@ -233,7 +223,7 @@ def load_instance(path: str | Path) -> Instance:
     return instance_from_dict(read_json(path))
 
 
-def _edge_map(assign: Mapping[str, list[str]]) -> dict[str, list[list[str]]]:
+def _edge_map(assign: Mapping[str, Sequence[str]]) -> dict[str, list[list[str]]]:
     """Each app's internal edges as the [source, target] hosts of its chain."""
     return {app_id: [[u, v] for u, v in zip(hosts, hosts[1:])] for app_id, hosts in assign.items()}
 
@@ -252,8 +242,7 @@ def placement_from_dict(d: Mapping[str, Any]) -> Placement:
         raise ValueError(f"placement.assign: expected app ids mapped to lists of node ids, got {assign!r}")
     if d["edge_map"] != _edge_map(assign):
         raise ValueError("placement.edge_map: differs from the edges its assign implies")
-    return Placement({(app_id, j): node_id for app_id, node_ids in assign.items()
-                      for j, node_id in enumerate(node_ids)})
+    return Placement({app_id: tuple(node_ids) for app_id, node_ids in assign.items()})
 
 
 def report_to_dict(inst: Instance, report) -> dict[str, Any]:

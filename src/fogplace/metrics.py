@@ -40,8 +40,8 @@ def count_deployed(inst: Instance, p: Placement) -> tuple[int, int]:
     cloud = fog = 0
     nodes, index = inst.nodes, inst.node_index
     for a in inst.apps:
-        for j in range(a.n_modules):
-            if nodes[index[p.assign[(a.id, j)]]].tier is Tier.CLOUD:
+        for node_id in p.hosts(a):
+            if nodes[index[node_id]].tier is Tier.CLOUD:
                 cloud += 1
             else:
                 fog += 1
@@ -53,9 +53,9 @@ def unprotected_data(inst: Instance, p: Placement) -> float:
     total = 0.0
     ratings = inst.ratings
     for a in inst.apps:
-        for j in range(a.n_modules):
-            if ratings[p.assign[(a.id, j)]] < a.security_req:
-                total += a.input_traffic if j == 0 else a.inter_traffic[j - 1]
+        for inbound, node_id in zip((a.input_traffic, *a.inter_traffic), p.hosts(a)):
+            if ratings[node_id] < a.security_req:
+                total += inbound
     return total
 
 

@@ -1,4 +1,5 @@
-"""Domain model: infrastructure, applications, placements, and their invariants.
+"""Domain model: infrastructure, applications, placements as each app's host
+chain, and their invariants.
 
 All types are immutable after construction; every operation here is pure.
 """
@@ -177,23 +178,24 @@ class Instance:
 
 @dataclass(frozen=True)
 class Placement:
-    """A full assignment of modules to nodes.
+    """An assignment of each app's module chain to nodes.
 
-    ``assign[(app_id, j)]`` is the node hosting module j (0-based) of the
-    app.  The internal edge from module j to j+1 runs on the ordered node
-    pair ``(assign[(app_id, j)], assign[(app_id, j + 1)])`` (the self-pair
-    (u, u) for co-located neighbours); edges are derived from ``assign``
-    wherever they are read, never stored.
+    ``assign[app_id]`` is the tuple of node ids hosting the app's modules in
+    chain order, the shape the report file stores.  The internal edge from
+    module j to j+1 runs on the ordered node pair of the chain's entries j
+    and j+1 (the self-pair (u, u) for co-located neighbours); edges are
+    derived from ``assign`` wherever they are read, never stored.  A chain
+    may stop short of its app's last module, or an app may have none.
     """
 
-    assign: dict[tuple[str, int], str]
+    assign: dict[str, tuple[str, ...]]
 
-    def hosts(self, app: Application) -> list[str]:
+    def hosts(self, app: Application) -> tuple[str, ...]:
         """The nodes hosting app's modules, in chain order."""
-        try:
-            return [self.assign[(app.id, j)] for j in range(app.n_modules)]
-        except KeyError as exc:
-            raise ValueError(f"app {app.id} module {exc.args[0][1]} is not placed") from None
+        chain = self.assign.get(app.id, ())
+        if len(chain) != app.n_modules:
+            raise ValueError(f"app {app.id} has {len(chain)} of its {app.n_modules} modules placed")
+        return chain
 
 
 def _finite(x: float) -> bool:
@@ -306,16 +308,15 @@ def validate_instance(inst: Instance) -> list[str]:
 
 
 def placement_is_consistent(inst: Instance, p: Placement) -> bool:
-    """True iff p assigns every module of inst exactly once and nothing else.
+    """True iff p places every app of inst on a chain as long as its module
+    chain.
 
     Raises ValueError when p refers to app or node ids absent from inst.
     """
-    for (app_id, _), node_id in p.assign.items():
+    for app_id, chain in p.assign.items():
         if app_id not in inst.app_by_id:
             raise ValueError(f"placement refers to unknown app {app_id!r}")
-        if node_id not in inst.node_index:
-            raise ValueError(f"placement refers to unknown node {node_id!r}")
-
-    # Every module present and no more keys than modules: nothing stray.
-    return (len(p.assign) == inst.total_modules
-            and all((a.id, j) in p.assign for a in inst.apps for j in range(a.n_modules)))
+        for node_id in chain:
+            if node_id not in inst.node_index:
+                raise ValueError(f"placement refers to unknown node {node_id!r}")
+    return all(len(p.assign.get(a.id, ())) == a.n_modules for a in inst.apps)

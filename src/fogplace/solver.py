@@ -44,7 +44,7 @@ joined onto the step of the apps before it.  A step holds its own app's
 domain (its slots, each holding the sum of its app's cheapest host costs
 from it to the last, its delay limit, its cheapest chain and its chain list
 within that limit) and greedy's incumbent after it (node loads, the five
-cost sums of ``ilp._add_app_cost``, placement items, each app's delays) or
+cost sums of ``ilp._add_app_cost``, each app's host chain and delays) or
 the mark that greedy failed.  It holds no slot or limit of an earlier app:
 the module DFS flattens the slots and takes each slot's limit from its app's
 step.  No step depends on a later app or changes once built, but for a
@@ -197,7 +197,7 @@ class _Step:
     combos: list[tuple[float, tuple[int, ...]]] | None  # all of them, cheapest first; see ``chains``
     used: tuple[tuple[float, ...], ...] | None  # greedy's per-node (proc, mem, stor) loads
     sums: tuple[float, ...]
-    items: tuple[tuple[tuple[str, int], str], ...]  # greedy's ((app id, j), node id)
+    items: tuple[tuple[str, tuple[str, ...]], ...]  # greedy's (app id, its chain's node ids)
     delays: tuple[tuple[str, tuple[float, float]], ...]  # greedy's (app id, (comm, exec))
     children: dict[int, _Step] = field(default_factory=dict)
 
@@ -327,9 +327,9 @@ class _Problem:
     def add_app(self, app: Application, hosts: tuple[int, ...], sums: tuple[float, ...],
                 items: tuple, delays: tuple) -> tuple[tuple, tuple, tuple]:
         """A costing's sums, placement items and delays with ``app``'s
-        modules added on node indices ``hosts``."""
+        chain added on node indices ``hosts``."""
         return (_add_app_cost(self.inst, sums, app, hosts),
-                items + tuple(((app.id, j), self.node_ids[k]) for j, k in enumerate(hosts)),
+                items + ((app.id, tuple(self.node_ids[k] for k in hosts)),),
                 delays + ((app.id, (_comm_delay(self.inst, hosts), app.exec_total)),))
 
     def report(self, status: SolveStatus, relax: Relaxations, stats: SearchStats) -> SolveReport:
@@ -465,8 +465,9 @@ class _Problem:
         return tuple(proc), tuple(mem), tuple(stor)
 
     def costing(self, assignment: list[int]) -> tuple[tuple, tuple, tuple]:
-        """The sums, placement items and delays of node indices
-        ``assignment``, costed app by app as greedy's are."""
+        """The sums, placement items (one chain per app) and delays of node
+        indices ``assignment``, sliced into each app's chain and costed app by
+        app as greedy's are."""
         sums, items, delays, m = (0.0,) * 5, (), (), 0
         for app, group in zip(self.inst.apps, self.app_positions):
             sums, items, delays = self.add_app(app, tuple(assignment[m:m + len(group)]),
@@ -662,14 +663,15 @@ def solve_bruteforce(inst: Instance, relax: Relaxations = Relaxations()) -> Solv
             f"instance too large for brute force: {total_modules} modules on "
             f"{len(inst.nodes)} nodes (limit {BRUTEFORCE_MAX_MODULES} modules, "
             f"{BRUTEFORCE_MAX_NODES} nodes)")
-    keys = [(a.id, j) for a in inst.apps for j in range(a.n_modules)]
+    ends = itertools.accumulate(a.n_modules for a in inst.apps)
+    spans = [(a.id, end - a.n_modules, end) for a, end in zip(inst.apps, ends)]
     node_ids = [n.id for n in inst.nodes]
     stats = SearchStats()
     best_cost = float("inf")
     best_placement: Placement | None = None
     for combo in itertools.product(node_ids, repeat=total_modules):
         stats.nodes_explored += 1
-        placement = Placement(dict(zip(keys, combo)))
+        placement = Placement({app_id: combo[start:end] for app_id, start, end in spans})
         if check_feasibility(inst, placement, relax):
             continue
         cost = eval_cost(inst, placement).total

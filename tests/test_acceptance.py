@@ -121,7 +121,7 @@ def test_linearization_identity():
     ids = [n.id for n in inst.nodes]
     count = 0
     for combo in itertools.product(range(3), repeat=3):
-        placement = Placement({("a1", j): ids[combo[j]] for j in range(3)})
+        placement = Placement({"a1": tuple(ids[k] for k in combo)})
         vec = placement_to_vector(inst, placement)
         for j in range(2):
             for u in range(3):

@@ -23,9 +23,8 @@ RELAX_ALL = Relaxations(drop_qos=True, drop_security=True)
 
 def all_placements(inst):
     ids = [n.id for n in inst.nodes]
-    keys = [(a.id, j) for a in inst.apps for j in range(a.n_modules)]
-    for combo in itertools.product(ids, repeat=len(keys)):
-        yield Placement(dict(zip(keys, combo)))
+    for chains in itertools.product(*(itertools.product(ids, repeat=a.n_modules) for a in inst.apps)):
+        yield Placement({a.id: chain for a, chain in zip(inst.apps, chains)})
 
 
 def row_value(row, vec):
@@ -86,7 +85,7 @@ class TestBuildModel:
 
 class TestEvalCost:
     def test_hand_computed_cloud_chain(self, tiny_instance):
-        p = Placement({("a1", j): "cloud" for j in range(3)})
+        p = Placement({"a1": ("cloud",) * 3})
         cost = eval_cost(tiny_instance, p)
         assert cost.processing == pytest.approx(0.009, abs=1e-12)
         assert cost.storage == pytest.approx(0.0015, abs=1e-12)
@@ -132,20 +131,20 @@ class TestEvalCost:
             assert eval_cost(two_app_instance, p).total > 0.0
 
     def test_inconsistent_placement_rejected(self, tiny_instance):
-        p = Placement({("a1", 0): "cloud", ("a1", 1): "cloud"})
+        p = Placement({"a1": ("cloud", "cloud")})
         with pytest.raises(ValueError):
             eval_cost(tiny_instance, p)
 
 
 class TestEvalDelay:
     def test_co_located_on_fog(self, tiny_instance):
-        p = Placement({("a1", j): "fog_hi" for j in range(3)})
+        p = Placement({"a1": ("fog_hi",) * 3})
         comm, exe = eval_delay(tiny_instance, p, tiny_instance.apps[0])
         assert comm == pytest.approx(0.01 + 0.01)
         assert exe == pytest.approx(0.3)
 
     def test_fog_cloud_fog_round_trip(self, tiny_instance):
-        p = Placement({("a1", 0): "fog_hi", ("a1", 1): "cloud", ("a1", 2): "fog_hi"})
+        p = Placement({"a1": ("fog_hi", "cloud", "fog_hi")})
         comm, _ = eval_delay(tiny_instance, p, tiny_instance.apps[0])
         # two cloud hops at 0.5 s each, plus the fog attach delays
         assert comm == pytest.approx(0.01 + 0.5 + 0.5 + 0.01)
@@ -156,7 +155,7 @@ class TestEvalDelay:
             assert eval_delay(tiny_instance, p, app)[1] == pytest.approx(0.3)
 
     def test_unplaced_app_rejected(self, tiny_instance):
-        p = Placement({("a1", 0): "cloud"})
+        p = Placement({"a1": ("cloud",)})
         with pytest.raises(ValueError):
             eval_delay(tiny_instance, p, tiny_instance.apps[0])
 
@@ -165,8 +164,7 @@ class TestCheckFeasibility:
     def test_capacity_overload_reported(self):
         apps = [make_app(f"a{i}", proc=3.0, qos=50.0) for i in range(7)]
         inst = make_instance(apps)
-        p = Placement(
-            {(a.id, j): "fog_hi" for a in inst.apps for j in range(3)})
+        p = Placement({a.id: ("fog_hi",) * 3 for a in inst.apps})
         violations = check_feasibility(inst, p, RELAX_ALL)
         eq2 = [v for v in violations if v.tag == "eq2"]
         assert len(eq2) == 1
@@ -174,7 +172,7 @@ class TestCheckFeasibility:
 
     def test_security_violation_unless_relaxed(self):
         inst = make_instance([make_app(security=SecurityLevel.HIGH, qos=50.0)])
-        p = Placement({("a1", j): "cloud" for j in range(3)})
+        p = Placement({"a1": ("cloud",) * 3})
         tags = {v.tag for v in check_feasibility(inst, p)}
         assert "eq8" in tags
         assert check_feasibility(inst, p, Relaxations(drop_security=True)) == []
@@ -182,7 +180,7 @@ class TestCheckFeasibility:
     def test_delay_violation_slack(self):
         app = make_app(n=1, exec_delay=0.68, qos=0.5)
         inst = make_instance([app])
-        p = Placement({("a1", 0): "fog_hi"})
+        p = Placement({"a1": ("fog_hi",)})
         violations = check_feasibility(inst, p)
         eq7 = [v for v in violations if v.tag == "eq7"]
         assert len(eq7) == 1
@@ -196,7 +194,7 @@ class TestCheckFeasibility:
                     assert check_feasibility(two_app_instance, p, r) == []
 
     def test_incomplete_placement_reports_eq9_and_eq14(self, tiny_instance):
-        p = Placement({("a1", 0): "cloud", ("a1", 1): "cloud"})
+        p = Placement({"a1": ("cloud", "cloud")})
         tags = {v.tag for v in check_feasibility(tiny_instance, p, RELAX_ALL)}
         assert "eq9" in tags
 
@@ -204,15 +202,25 @@ class TestCheckFeasibility:
     def test_missing_module_gets_no_delay_or_security_check(self):
         # A HIGH app on the low-rated fog, far over its delay bound, were it whole.
         inst = make_instance([make_app(security=SecurityLevel.HIGH, qos=0.01)])
-        p = Placement({("a1", 0): "fog_lo", ("a1", 1): "fog_lo"})
+        p = Placement({"a1": ("fog_lo", "fog_lo")})
         assert [(v.tag, v.indices) for v in check_feasibility(inst, p)] == [
             ("eq9", ("a1", 2)), ("eq8", ("a1", 0, "fog_lo")), ("eq8", ("a1", 1, "fog_lo"))]
 
     def test_unknown_node_is_a_value_error(self, tiny_instance):
-        p = Placement({("a1", 0): "cloud", ("a1", 1): "nope", ("a1", 2): "cloud"})
+        p = Placement({"a1": ("cloud", "nope", "cloud")})
         for check in (check_feasibility, eval_cost):
             with pytest.raises(ValueError, match="unknown node 'nope'"):
                 check(tiny_instance, p)
+
+    @pytest.mark.parametrize("assign", [{"a1": ("cloud",) * 4},  # 4 hosts for 3 modules
+                                        {"a1": ("cloud",) * 3, "ghost": ("cloud",)}])
+    def test_stray_host_or_app_is_a_value_error(self, tiny_instance, assign):
+        p = Placement(assign)
+        for check in (check_feasibility, eval_cost):
+            with pytest.raises(ValueError):
+                check(tiny_instance, p)
+        with pytest.raises(ValueError):
+            eval_delay(tiny_instance, p, tiny_instance.apps[0])
 
 
 class TestLinearization:

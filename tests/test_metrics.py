@@ -18,7 +18,7 @@ class TestResourceCost:
 
     def test_hand_computed_case(self, tiny_instance):
         # Force the all-cloud chain by relaxing nothing; it is also optimal here.
-        p = Placement({("a1", j): "cloud" for j in range(3)})
+        p = Placement({"a1": ("cloud",) * 3})
         from fogplace.ilp import eval_cost
         assert eval_cost(tiny_instance, p).total == pytest.approx(0.0195, abs=1e-12)
 
@@ -34,15 +34,17 @@ class TestCountDeployed:
     def test_all_on_fog(self):
         apps = [make_app(f"a{i}", proc=0.1) for i in range(7)]
         inst = make_instance(apps)
-        p = Placement(
-            {(a.id, j): "fog_hi" for a in inst.apps for j in range(3)})
+        p = Placement({a.id: ("fog_hi",) * 3 for a in inst.apps})
         assert count_deployed(inst, p) == (0, 21)
+
+    def test_missing_module_is_a_value_error(self, tiny_instance):
+        with pytest.raises(ValueError, match="2 of its 3 modules placed"):
+            count_deployed(tiny_instance, Placement({"a1": ("cloud", "cloud")}))
 
     def test_partition_over_all_placements(self, two_app_instance):
         ids = [n.id for n in two_app_instance.nodes]
-        keys = [(a.id, j) for a in two_app_instance.apps for j in range(a.n_modules)]
-        for combo in itertools.islice(itertools.product(ids, repeat=len(keys)), 0, 729, 7):
-            p = Placement(dict(zip(keys, combo)))
+        for combo in itertools.islice(itertools.product(ids, repeat=6), 0, 729, 7):
+            p = Placement({"a1": combo[:3], "a2": combo[3:]})
             cloud, fog = count_deployed(two_app_instance, p)
             assert cloud + fog == two_app_instance.total_modules
 
@@ -53,8 +55,7 @@ class TestUnprotectedData:
         # the sensor stream and the first internal edge leak, nothing else.
         app = make_app(security=SecurityLevel.HIGH, input_traffic=0.002, inter=(0.3, 0.2))
         inst = make_instance([app])
-        p = Placement(
-            {("a1", 0): "cloud", ("a1", 1): "cloud", ("a1", 2): "fog_hi"})
+        p = Placement({"a1": ("cloud", "cloud", "fog_hi")})
         assert unprotected_data(inst, p) == pytest.approx(0.302, abs=1e-12)
 
     def test_enforced_solution_leaks_nothing(self, two_app_instance):
@@ -65,15 +66,14 @@ class TestUnprotectedData:
         inst = make_instance([make_app(security=SecurityLevel.LOW)])
         ids = [n.id for n in inst.nodes]
         for combo in itertools.product(ids, repeat=3):
-            p = Placement({("a1", j): combo[j] for j in range(3)})
+            p = Placement({"a1": combo})
             assert unprotected_data(inst, p) == 0.0
 
     def test_monotone_in_requirement(self, two_app_instance):
         ids = [n.id for n in two_app_instance.nodes]
-        keys = [(a.id, j) for a in two_app_instance.apps for j in range(a.n_modules)]
         levels = [SecurityLevel.LOW, SecurityLevel.MEDIUM, SecurityLevel.HIGH]
-        for combo in itertools.islice(itertools.product(ids, repeat=len(keys)), 0, 729, 11):
-            p = Placement(dict(zip(keys, combo)))
+        for combo in itertools.islice(itertools.product(ids, repeat=6), 0, 729, 11):
+            p = Placement({"a1": combo[:3], "a2": combo[3:]})
             previous = None
             for level in levels:
                 apps = tuple(dataclasses.replace(a, security_req=level)
@@ -87,7 +87,7 @@ class TestUnprotectedData:
     def test_unrated_nodes_rejected(self):
         no_range = dataclasses.replace(make_fog("f", (500.0, 500.0)), tx_range=None)
         inst = make_instance([make_app()], nodes=(make_cloud(), no_range), rated=False)
-        p = Placement({("a1", j): "cloud" for j in range(3)})
+        p = Placement({"a1": ("cloud",) * 3})
         with pytest.raises(ValueError, match="to be rated"):
             unprotected_data(inst, p)
 

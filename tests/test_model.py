@@ -18,7 +18,7 @@ from conftest import make_app, make_cloud, make_fog, make_instance
 
 
 def full_assignment(inst, node_id="cloud"):
-    return {(a.id, j): node_id for a in inst.apps for j in range(a.n_modules)}
+    return {a.id: (node_id,) * a.n_modules for a in inst.apps}
 
 
 class TestValidateInstance:
@@ -118,22 +118,22 @@ class TestPlacementConsistency:
 
     def test_missing_module_is_inconsistent(self, tiny_instance):
         assign = full_assignment(tiny_instance)
-        del assign[("a1", 2)]
+        assign["a1"] = assign["a1"][:2]
         p = Placement(assign)
         assert not placement_is_consistent(tiny_instance, p)
 
     def test_stray_module_is_inconsistent(self, tiny_instance):
         assign = full_assignment(tiny_instance)
-        assign[("a1", 3)] = "cloud"  # the chain has modules 0..2 only
+        assign["a1"] += ("cloud",)  # the chain has modules 0..2 only
         assert not placement_is_consistent(tiny_instance, Placement(assign))
 
     def test_unknown_app_id_raises(self, tiny_instance):
-        p = Placement(assign={("ghost", 0): "cloud"})
+        p = Placement(assign={"ghost": ("cloud",)})
         with pytest.raises(ValueError):
             placement_is_consistent(tiny_instance, p)
 
     def test_unknown_node_id_raises(self, tiny_instance):
-        p = Placement(assign={("a1", 0): "nowhere"})
+        p = Placement(assign={"a1": ("nowhere",)})
         with pytest.raises(ValueError):
             placement_is_consistent(tiny_instance, p)
 

@@ -264,9 +264,8 @@ class TestBounds:
                 report = solve_bruteforce(inst, relax)
                 if report.status is not SolveStatus.OPTIMAL:
                     continue
-                assignment = [node_pos[report.placement.assign[(app.id, j)]]
-                              for app, group in zip(inst.apps, prob.app_positions)
-                              for j in range(len(group))]
+                assignment = [node_pos[node_id] for app in inst.apps
+                              for node_id in report.placement.assign[app.id]]
                 positions = [pos for group in prob.app_positions for pos in group]
                 bound = prob.tail_bound()
                 step = []
@@ -871,7 +870,7 @@ def reference_greedy(inst, relax):
         for k, load in best[2].items():
             for r in range(3):
                 used[k][r] += load[r]
-        assign.update(((app.id, j), prob.node_ids[k]) for j, k in enumerate(best[1]))
+        assign[app.id] = tuple(prob.node_ids[k] for k in best[1])
     return Placement(assign), explored
 
 

@@ -1,12 +1,12 @@
 """Exact and heuristic solvers for the module placement problem.
 
-``solve_exact`` decides a timed solve (``time_limit`` set) by the root
-proofs below, the last of them a chain-level branch and bound.  An untimed
-solve runs the module DFS: a depth-first branch-and-bound over
-module-to-node assignments in (app, chain-position) order.  The edge
-variables of the full binary program are implied by consecutive
-assignments, so both searches only branch on module hosts and derive link
-cost and delay incrementally.
+``solve_exact`` decides a solve by the root proofs below, the last of them
+a chain-level branch and bound; ``time_limit`` only bounds it.  An untimed
+sweep solve runs the module DFS instead, whose counters the desk answer
+digests pin: a depth-first branch-and-bound over module-to-node assignments
+in (app, chain-position) order.  The edge variables of the full binary
+program are implied by consecutive assignments, so both searches only
+branch on module hosts and derive link cost and delay incrementally.
 
 Security needs no prune: each module's candidate hosts are filtered by
 rating before the search, so ``pruned_security`` is always 0 and stays
@@ -74,26 +74,25 @@ adding its demands in chain order as ``check_feasibility`` does; greedy and
 the chain search carry the loads it tested, the enumerations' capacity
 filters read only its verdict, and only the module DFS loads module by module.
 
-A timed solve runs three root proofs after preprocessing, each reading the
-clock as it goes, (1) and (2) with counters of 0.  (1) Greedy's cost is at
-the root bound, the completion bound of the whole instance, to 1e-9
-relative: optimal.  (2) Greedy found nothing, and the modules that QoS and
-security confine to some union S of per-position host supports need more
-proc, mem or stor than S holds (a Hall-type condition, P. Hall 1935):
-infeasible.  The unions can number 2**n_nodes, so (2) builds them mask by
-mask and stops past ``MAX_UNIONS``, which every instance of up to 10 nodes
-stays within; each S it tries is still a proof.  (3) The chain search
-(``chain_search``), a complete branch and bound over the apps' chain lists.
-So "optimal" means optimal to 1e-9 relative, and a timed placement can
-differ from the untimed solve's, but only for one whose cost agrees to that
+Every solve but an untimed sweep's runs three root proofs after
+preprocessing, each reading the clock as it goes, (1) and (2) with counters
+of 0.  (1) Greedy's cost is at the root bound, the completion bound of the
+whole instance, to 1e-9 relative: optimal.  (2) Greedy found nothing, and
+the modules that QoS and security confine to some union S of per-position
+host supports need more proc, mem or stor than S holds (a Hall-type
+condition, P. Hall 1935): infeasible.  The unions can number 2**n_nodes, so
+(2) builds them mask by mask and stops past ``MAX_UNIONS``, which every
+instance of up to 10 nodes stays within; each S it tries is still a proof.
+(3) The chain search (``chain_search``), a complete branch and bound over
+the apps' chain lists.  So "optimal" means optimal to 1e-9 relative, and the
+two searches' placements can differ only where their costs agree to that
 tolerance (an exact-cost tie, on every instance measured).  ``solve_exact``
-forks once, after the build: a timed solve runs the proofs and builds none
-of the module DFS's state (its flattened slots, per-slot limits and bounds,
-load lists and closure); an untimed one runs ``module_dfs``, reads no clock
-and skips the proofs, since the answer digests pin its search counters.
-Either search leaves a cheaper assignment in ``_Problem.incumbent``, and a
-timeout, in the build or the proofs, reports it, or greedy's when it is
-None.
+forks once, after the build, on its caller alone: an untimed sweep solve
+runs ``module_dfs`` and skips the proofs; every other solve runs the proofs
+and builds none of the module DFS's state (its flattened slots, per-slot
+limits and bounds, load lists and closure).  Either search leaves a cheaper
+assignment in ``_Problem.incumbent``, and a timeout, in the build or the
+proofs, reports it, or greedy's when it is None.
 
 ``solve_bruteforce`` checks and costs every complete assignment with the
 declarative ``check_feasibility`` and ``eval_cost``, sharing no search code:
@@ -439,14 +438,15 @@ class _Problem:
 
     def count_extensions(self, n: int) -> None:
         """Counts ``n`` chain extensions or scanned chains; on passing a
-        multiple of 4096, reads the clock if there is a deadline."""
+        multiple of 4096, checks the clock."""
         self.extensions_seen += n
-        if self.deadline is not None and self.extensions_seen % 4096 < n:
+        if self.extensions_seen % 4096 < n:
             self.check_clock()
 
     def check_clock(self) -> None:
-        """Raises ``TimeoutError`` if the deadline has passed."""
-        if time.monotonic() > self.deadline:
+        """Raises ``TimeoutError`` if there is a deadline and it has passed;
+        the one place that tests the deadline."""
+        if self.deadline is not None and time.monotonic() > self.deadline:
             raise TimeoutError
 
     def place(self, positions: list[_Position], combo: tuple[int, ...],
@@ -476,8 +476,8 @@ class _Problem:
         return sums, items, delays
 
     def root_proofs(self, greedy_cost: float, stats: SearchStats) -> SolveStatus:
-        """The root proofs (1)-(3) of the module notes, for a build with a
-        ``deadline``; the chain search leaves any cheaper assignment in
+        """The root proofs (1)-(3) of the module notes, for every solve but
+        an untimed sweep's; the chain search leaves any cheaper assignment in
         ``incumbent``.  Raises ``TimeoutError`` once ``deadline`` passes."""
         self.check_clock()  # (1) greedy at the root bound
         if self.last.used is not None and greedy_cost <= self.tail_bound()[0] + 1e-9 * max(1.0, greedy_cost):
@@ -559,8 +559,8 @@ class _Problem:
         return SolveStatus.OPTIMAL if best_cost < float("inf") else SolveStatus.INFEASIBLE
 
     def module_dfs(self, incumbent: float, stats: SearchStats) -> SolveStatus:
-        """The module DFS of the module notes, for an untimed build; leaves
-        its result as ``chain_search`` does."""
+        """The module DFS of the module notes, for an untimed sweep build;
+        leaves its result as ``chain_search`` does."""
         positions = [pos for group in self.app_positions for pos in group]
         limits = [step.limit for step in self.steps for _pos in step.group]  # per slot, its app's limit
         tail_bound = self.tail_bound()
@@ -622,12 +622,12 @@ def solve_exact(inst: Instance, relax: Relaxations = Relaxations(),
     Deterministic: apps, chains and nodes are tried in fixed orders, so
     identical inputs produce identical reports.  Preprocessing builds one
     step per app, its domain and greedy's incumbent after it, finding the
-    app's cheapest chain first and listing its chains only when read.  A
-    timed solve runs the root proofs of the module notes, the last a
-    complete chain-level branch and bound, so a timed OPTIMAL is optimal to
-    1e-9 relative, and builds none of the module DFS's state; an untimed
-    one runs the module DFS and reads no clock.  The time limit covers
-    preprocessing and search; hitting it returns the best incumbent found
+    app's cheapest chain first and listing its chains only when read.  The
+    solve runs the root proofs of the module notes, the last a complete
+    chain-level branch and bound, so OPTIMAL is optimal to 1e-9 relative,
+    and builds none of the module DFS's state; only an untimed sweep solve
+    runs the module DFS instead.  The time limit covers preprocessing and
+    search, and picks no search; hitting it returns the best incumbent found
     (if any) with status TIME_LIMIT.  ``_domains`` is the sweep's per-seed
     memo of ``_Problem``'s node arrays, per-app domains and step tries.
     """
@@ -639,9 +639,9 @@ def solve_exact(inst: Instance, relax: Relaxations = Relaxations(),
         if not prob.placeable:
             return SolveReport(status=SolveStatus.INFEASIBLE, relax=relax, search_stats=stats)
         greedy_cost = CostBreakdown(*prob.last.sums).total if prob.last.used is not None else float("inf")
-        # The root proofs decide every timed solve; the module DFS runs untimed
-        # ones, whose search counters the answer digests pin.
-        search = prob.module_dfs if deadline is None else prob.root_proofs
+        # The root proofs decide every solve but an untimed sweep's, whose
+        # module DFS counters the desk answer digests pin.
+        search = prob.module_dfs if _domains is not None and deadline is None else prob.root_proofs
         status = search(greedy_cost, stats)
     except TimeoutError:  # in the build or the root proofs
         status = SolveStatus.TIME_LIMIT

@@ -23,8 +23,9 @@ from fogplace.cli import (
 from fogplace.experiment import PRESETS
 from fogplace.instance_io import instance_to_dict, load_instance, save_instance
 from fogplace.scenario import _COUNT_MAX, ScenarioConfig, generate_instance
+from fogplace.solver import SolveStatus, _Problem, solve_exact
 
-from conftest import make_app, make_cloud, make_fog, make_instance
+from conftest import make_app, make_cloud, make_fog, make_instance, packing_instance
 
 
 @pytest.fixture
@@ -44,9 +45,10 @@ def write_json(path, doc):
 
 
 # The instance written by `generate --seed 0` and the report `solve --out`
-# writes for it: these pin both file formats byte for byte.
+# writes for it: these pin both file formats byte for byte.  The report's
+# counters are the root proofs': proof (1) decides it, so all are 0.
 GENERATE_SEED0_SHA256 = "b94a2527e5fdf0588521789d1b63455775d1e2c8b799043829614e009fea5d51"
-SOLVE_SEED0_REPORT_SHA256 = "d9e897ca50a983e6a67e3dbf611200a1f1fe466b389085d7dcf0eb04b0b35a6a"
+SOLVE_SEED0_REPORT_SHA256 = "6744549e9357876f3b17ed824ff2f77430158f1a9922622286ebd4ed4a3a1aa8"
 # The `solve --export-lp` text for that instance, full model and --no-security.
 EXPORT_LP_SEED0_SHA256 = {
     (): "f812f270073880138613dc7b3a579deb2c9aaefe79ae28fee3b89a3655a7adc7",
@@ -60,6 +62,31 @@ def test_instance_and_report_bytes_pinned(tmp_path):
     assert main(["solve", str(inst), "--out", str(report)]) == EXIT_OK
     assert sha(inst) == GENERATE_SEED0_SHA256
     assert sha(report) == SOLVE_SEED0_REPORT_SHA256
+
+
+def test_untimed_solves_never_enter_the_module_dfs(tmp_path, monkeypatch):
+    # A time limit only bounds a solve; outside a sweep every solve takes
+    # the root proofs.  The first two instances run the module DFS for over
+    # 25 s and 60 s, and the root proofs decide them in milliseconds.
+    def module_dfs(self, *args):
+        raise AssertionError("a solve outside a sweep entered the module DFS")
+
+    monkeypatch.setattr(_Problem, "module_dfs", module_dfs)
+    path, out = tmp_path / "inst.json", tmp_path / "report.json"
+    for inst, status, cost, code in (
+            (packing_instance("f2_n14_q1.5_s121"), SolveStatus.INFEASIBLE, None, EXIT_INFEASIBLE),
+            (packing_instance("f4_n11_q1.5_s827", fog_stor_capacity=4.0), SolveStatus.OPTIMAL,
+             2.6015372287083274, EXIT_OK)):
+        report = solve_exact(inst)
+        assert (report.status, None if report.cost is None else report.cost.total) == (status, cost)
+        save_instance(inst, path)
+        assert main(["solve", str(path), "--out", str(out)]) == code
+        assert json.loads(out.read_text()).get("cost", {}).get("total") == cost
+    # The cli_solve benchmark's instances: the shipped config at 1-7 apps.
+    for n_apps in range(1, 8):
+        for seed in (0, 1):
+            save_instance(generate_instance(ScenarioConfig(n_apps=n_apps, seed=seed)), path)
+            assert main(["solve", str(path)]) == EXIT_OK
 
 
 @pytest.mark.parametrize("flags", sorted(EXPORT_LP_SEED0_SHA256))

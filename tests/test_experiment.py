@@ -23,7 +23,7 @@ from fogplace.experiment import (
     to_csv,
 )
 from fogplace.scenario import ScenarioConfig, generate_instance, validate_config
-from fogplace.solver import SolveStatus, solve_exact, solve_greedy
+from fogplace.solver import SearchStats, SolveStatus, solve_exact, solve_greedy
 
 
 TINY_GRID = SweepGrid("tiny", (
@@ -171,21 +171,23 @@ class TestRunSweep:
                 assert all(getattr(row, name) is None for name in CSV_COLUMNS[7:])
 
 
-def fresh_row(cell, seed, base_cfg, dump_dir):
-    """A sweep row's measured columns from a fresh, memo-free generate and
-    solve; writes the report into ``dump_dir`` as the sweep would."""
+def fresh_row(cell, seed, base_cfg, domains, dump_dir=None):
+    """A sweep row's measured columns from a fresh generate and a solve with
+    memo ``domains``, None for a library solve; writes the report into
+    ``dump_dir``, if given, as the sweep would."""
     try:
         inst = generate_instance(replace(base_cfg, n_apps=cell.n_apps, max_qos=cell.max_qos,
                                          alpha=cell.alpha, seed=seed))
     except ValueError:
         return {"status": "error:ValueError"}
-    report = solve_exact(inst, cell.relax)
+    report = solve_exact(inst, cell.relax, _domains=domains)
     out = {"status": report.status.value, **report.search_stats.to_dict()}
     if report.placement is not None:
         out.update({f"cost_{k}": v for k, v in report.cost.to_dict().items()})
         out["modules_on_cloud"], out["modules_on_fog"] = count_deployed(inst, report.placement)
         out["unprotected_gb"] = unprotected_data(inst, report.placement)
-        save_report(inst, report, dump_dir / f"{cell_label(cell, seed)}.json")
+        if dump_dir is not None:
+            save_report(inst, report, dump_dir / f"{cell_label(cell, seed)}.json")
     return out
 
 
@@ -218,18 +220,24 @@ PREFIX_CFG = ScenarioConfig(n_fog=3, fog_positions=None, tx_ranges=None, fog_pro
 def test_sweep_rows_match_fresh_solves(grid, seeds, base_cfg, statuses, tmp_path):
     # The sweep reuses app draws, solver domains and app-prefix states
     # within a seed; every row and dumped report must be what a fresh
-    # generate and solve give.
+    # generate and sweep-path solve give, and every column but the search
+    # counters what a library solve gives.
     rows = run_sweep(grid, seeds, base_cfg, dump_dir=tmp_path / "sweep")
     (tmp_path / "fresh").mkdir()
     measured = CSV_COLUMNS[CSV_COLUMNS.index("status"):]
     got = [[(name, repr(getattr(row, name))) for name in measured if getattr(row, name) is not None]
            for row in rows if not row.is_aggregate]
-    expected = []
+    counters = SearchStats().to_dict()
+    expected, library = [], []
     for cell in grid.cells:
         for seed in seeds:
-            fresh = fresh_row(cell, seed, base_cfg, tmp_path / "fresh")
+            fresh = fresh_row(cell, seed, base_cfg, {}, tmp_path / "fresh")
             expected.append([(name, repr(fresh[name])) for name in measured if name in fresh])
+            fresh = fresh_row(cell, seed, base_cfg, None)
+            library.append([(name, repr(fresh[name])) for name in measured
+                            if name in fresh and name not in counters])
     assert got == expected
+    assert [[column for column in row if column[0] not in counters] for row in got] == library
     assert {row.status for row in rows if not row.is_aggregate} == statuses
     dumped = sorted(p.name for p in (tmp_path / "sweep").iterdir())
     assert dumped == sorted(p.name for p in (tmp_path / "fresh").iterdir())

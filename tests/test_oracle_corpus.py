@@ -1,10 +1,11 @@
-"""Differential oracle corpus: every instance is solved down both paths of
-``solve_exact``, the module DFS (untimed) and the root proofs (timed), and
-each answer is checked against HiGHS on the full binary program, against
-brute force where it takes milliseconds, and against the declarative
+"""Differential oracle corpus: every instance is solved down both searches
+of ``solve_exact``, the module DFS (an untimed sweep solve, on a fresh
+memo) and the root proofs (a library solve, untimed and timed), and each
+answer is checked against HiGHS on the full binary program, against brute
+force where it takes milliseconds, and against the declarative
 ``check_feasibility`` and ``eval_cost``.  Spies show that each solve runs
-its own path only, and computes the completion bound at most once: an
-untimed solve in the module DFS, a timed one only for root proof (1).
+its own search only, and computes the completion bound at most once: a
+sweep solve in the module DFS, a library one only for root proof (1).
 """
 
 import sys
@@ -28,7 +29,10 @@ import oracle  # noqa: E402
 RELAXATIONS = (Relaxations(), Relaxations(drop_qos=True), Relaxations(drop_security=True),
                Relaxations(drop_qos=True, drop_security=True))
 BRUTE_MAX_ASSIGNMENTS = 4 ** 6  # tens of milliseconds; 3**9 already take 0.6 s
-BOTH, TIMED = (None, 5.0), (5.0,)  # the time limits of each case's solves; None is untimed
+# Each case's solves as (path, time limit): the sweep path untimed, the
+# library path untimed and timed.
+LIBRARY = (("library", None), ("library", 5.0))
+BOTH = (("sweep", None), *LIBRARY)
 
 
 def shipped(n_apps, seed, **over):
@@ -46,8 +50,8 @@ def confined_capacity():
 CASES = {
     # The shipped config at 1-7 apps, each relaxation in turn.
     **{f"shipped_n{n}": (lambda n=n: shipped(n, seed=n), RELAXATIONS[n % 4], BOTH) for n in range(1, 8)},
-    # Timed only: the untimed DFS takes 2.5 s on it.
-    "shipped_n14_s3": (lambda: shipped(14, seed=3), Relaxations(), TIMED),
+    # Library only: the module DFS takes 2.5 s on it.
+    "shipped_n14_s3": (lambda: shipped(14, seed=3), Relaxations(), LIBRARY),
     # The packing layout at 2-6 fogs and 3-5 apps; with less fog stor, roots
     # (1) and (2) do not decide, so the chain search runs and backtracks.
     **{key: (lambda key=key: packing_instance(key), relax, BOTH) for key, relax in (
@@ -77,44 +81,46 @@ CASES = {
     "infeasible_qos": (lambda: make_instance([make_app(qos=0.31)]), Relaxations(), BOTH),
     "infeasible_capacity": (confined_capacity, Relaxations(), BOTH),
     # Named packing_search cases: root exit (1), a root-bound tie, and a
-    # confined layout that the untimed DFS does not finish in 60 s.
+    # confined layout, library only, that the module DFS does not finish in
+    # 60 s.
     "f4_n10_q1.5_s547": (lambda: packing_instance("f4_n10_q1.5_s547"), Relaxations(), BOTH),
     "f6_n20_q1.5_s909": (lambda: packing_instance("f6_n20_q1.5_s909"), Relaxations(), BOTH),
     "f4_n11_q1.5_s827_stor4": (lambda: packing_instance("f4_n11_q1.5_s827", fog_stor_capacity=4.0),
-                               Relaxations(), (1.0,)),
+                               Relaxations(), LIBRARY),
 }
 
 
 @pytest.mark.parametrize("name", CASES)
 def test_both_paths_agree_with_the_oracles(name):
-    build, relax, limits = CASES[name]
+    build, relax, solves = CASES[name]
     inst = build()
     true_status, true_cost = oracle.highs_verdict(inst, relax)
     assert true_status != "unknown"
     brute = (solve_bruteforce(inst, relax)
              if len(inst.nodes) ** inst.total_modules <= BRUTE_MAX_ASSIGNMENTS else None)
     placeable = _Problem(inst, relax).placeable
-    for limit in limits:
+    for path, limit in solves:
         calls = []
         spies = {method: (lambda *args, method=method, original=getattr(_Problem, method):
                           calls.append(method) or original(*args))
                  for method in ("module_dfs", "root_proofs", "tail_bound")}
         with mock.patch.multiple(_Problem, **spies):
-            report = solve_exact(inst, relax, SolveOptions(time_limit=limit))
+            report = solve_exact(inst, relax, SolveOptions(time_limit=limit),
+                                 _domains={} if path == "sweep" else None)
         if not placeable:
             assert calls == []
-        elif limit is None:
+        elif path == "sweep":
             assert calls == ["module_dfs", "tail_bound"]
         else:
             assert calls in (["root_proofs"], ["root_proofs", "tail_bound"])
-        assert report.status in (SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE), limit
+        assert report.status in (SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE), (path, limit)
         cost = None if report.cost is None else report.cost.total
         assert oracle.check_answer(report.status.value, cost, true_status, true_cost,
-                                   oracle.COST_RTOL) is None, limit
+                                   oracle.COST_RTOL) is None, (path, limit)
         if brute is not None:
-            assert report.status is brute.status, limit
-            assert cost == (None if brute.cost is None else pytest.approx(brute.cost.total, rel=1e-9)), limit
+            assert report.status is brute.status, (path, limit)
+            assert cost == (None if brute.cost is None
+                            else pytest.approx(brute.cost.total, rel=1e-9)), (path, limit)
         if report.placement is not None:
-            assert check_feasibility(inst, report.placement, relax) == [], limit
-            assert report.cost == eval_cost(inst, report.placement), limit
-
+            assert check_feasibility(inst, report.placement, relax) == [], (path, limit)
+            assert report.cost == eval_cost(inst, report.placement), (path, limit)

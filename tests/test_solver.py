@@ -37,6 +37,12 @@ def tiny_cfg(seed, **over):
     return dataclasses.replace(ScenarioConfig(n_apps=2), seed=seed, **over)
 
 
+def but_counters(report):
+    """``report`` with its search counters zeroed: what a sweep solve and a
+    library solve of one instance share, as they run different searches."""
+    return dataclasses.replace(report, search_stats=SearchStats())
+
+
 class TestSolveExact:
     def test_unsatisfiable_security_is_infeasible(self):
         # Only low/medium nodes, every app requires high.
@@ -233,8 +239,8 @@ class TestSolveExact:
     def test_search_counters_pinned_on_random_positions(self):
         # sha256 of (status, cost, counters) for packing_search-layout
         # instances (random fog positions, 3-6 fogs) that solve in
-        # milliseconds.  Every prune kind fires, so any change to the order
-        # or the float sums of the search shows here.
+        # milliseconds down the sweep path.  Every prune kind fires, so any
+        # change to the order or the float sums of the module DFS shows here.
         cases = [(3, 7, 1.5, 3371), (3, 14, 1.5, 3141), (4, 14, 3.0, 4243),
                  (5, 10, 1.5, 5501), (6, 20, 1.5, 6201)]
         digest = hashlib.sha256()
@@ -245,7 +251,7 @@ class TestSolveExact:
             if n % 2 == 0:  # the others take 0.2 s each with security dropped
                 relaxes.append(Relaxations(drop_security=True))
             for relax in relaxes:
-                report = solve_exact(inst, relax)
+                report = solve_exact(inst, relax, _domains={})
                 digest.update(repr((report.status.value, report.cost,
                                     report.search_stats.to_dict())).encode())
         assert digest.hexdigest() == (
@@ -338,9 +344,9 @@ def same_answer(a, b, scale=1.0):
 
 
 class TestRootProofs:
-    """A timed solve tries to decide at the root before it searches (see the
-    solver's module notes).  Undecided pairs are skipped, and counted as
-    hypothesis events."""
+    """A library solve tries to decide at the root before it searches (see
+    the solver's module notes); a sweep solve runs the module DFS instead.
+    Undecided pairs are skipped, and counted as hypothesis events."""
 
     # Derandomized, so every run draws the same instances; the examples are
     # packing_search instances that (3), (2) and (1) decide in turn.
@@ -356,7 +362,7 @@ class TestRootProofs:
         opts = SolveOptions(time_limit=1.0)
         timed = solve_exact(inst, opts=opts)
         order = random.Random(order_seed).sample(range(len(inst.nodes)), len(inst.nodes))
-        for name, other, scale in (("untimed", solve_exact(inst), 1.0),
+        for name, other, scale in (("module DFS", solve_exact(inst, _domains={}), 1.0),
                                    ("permuted", solve_exact(permuted(inst, order), opts=opts), 1.0),
                                    ("doubled", solve_exact(doubled_prices(inst), opts=opts), 2.0)):
             if SolveStatus.TIME_LIMIT in (timed.status, other.status):
@@ -546,8 +552,10 @@ class TestDomainMemo:
                 memo = {}
                 solve_exact(inst, relax, _domains=memo)
                 count_domains.clear()
-                assert solve_exact(moved, relax, _domains=memo) == solve_exact(moved, relax)
-                assert len(count_domains) == len(inst.apps)  # the fresh solve's builds only
+                report = solve_exact(moved, relax, _domains=memo)
+                assert count_domains == []  # every domain comes from the memo
+                assert report == solve_exact(moved, relax, _domains={})
+                assert but_counters(report) == but_counters(solve_exact(moved, relax))
 
     def test_memo_holds_for_one_infrastructure(self, count_domains):
         inst = generate_instance(ScenarioConfig(n_apps=4, seed=3))
@@ -556,8 +564,10 @@ class TestDomainMemo:
         memo = {}
         solve_exact(inst, _domains=memo)
         count_domains.clear()
-        assert solve_exact(other, _domains=memo) == solve_exact(other)
-        assert len(count_domains) == 2 * len(inst.apps)
+        report = solve_exact(other, _domains=memo)
+        assert len(count_domains) == len(inst.apps)  # none from the other infrastructure's memo
+        assert report == solve_exact(other, _domains={})
+        assert but_counters(report) == but_counters(solve_exact(other))
 
     def test_timed_out_build_stores_only_complete_entries(self):
         inst = generate_instance(ScenarioConfig(n_apps=3, seed=0))
@@ -583,7 +593,9 @@ class TestDomainMemo:
         assert resumed.app_combos == fresh.app_combos
         assert ((resumed.last.sums, resumed.last.items, resumed.last.delays)
                 == (fresh.last.sums, fresh.last.items, fresh.last.delays))
-        assert solve_exact(inst, _domains=memo) == solve_exact(inst)
+        report = solve_exact(inst, _domains=memo)
+        assert report == solve_exact(inst, _domains={})
+        assert but_counters(report) == but_counters(solve_exact(inst))
 
     def test_library_calls_build_every_domain(self, count_domains):
         inst = generate_instance(ScenarioConfig(n_apps=5, seed=1))
@@ -616,9 +628,11 @@ class TestPrefixMemo:
         memo = {}
         for n_apps in (7, 3, 5, 1):
             sub = inst.with_apps(inst.apps[:n_apps])
-            expected = solve_exact(sub)
+            expected, library = solve_exact(sub, _domains={}), solve_exact(sub)
             extended.clear()
-            assert solve_exact(sub, _domains=memo) == expected
+            report = solve_exact(sub, _domains=memo)
+            assert report == expected
+            assert but_counters(report) == but_counters(library)
             assert len(extended) == (7 if n_apps == 7 else 0)
 
     @settings(max_examples=25, deadline=None)

@@ -22,7 +22,7 @@ from operator import add, attrgetter
 from pathlib import Path
 from typing import Any
 
-from .ilp import Relaxations
+from .ilp import REL_TOL, Relaxations
 from .instance_io import require_keys, save_report, strict_bool, strict_float, strict_int
 from .metrics import count_deployed, unprotected_data
 from .scenario import ScenarioConfig, config_from_dict, validate_config
@@ -30,8 +30,6 @@ from .scenario import ScenarioConfig, config_from_dict, validate_config
 # generator; the name stays the one the benchmark tracer wraps.
 from .scenario import _generate as generate_instance
 from .solver import SolveStatus, solve_exact
-
-_REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -323,7 +321,7 @@ def _optimal(rows: list[SweepRow]) -> list[SweepRow]:
 
 def _cheaper(row: SweepRow, than: SweepRow) -> bool:
     """``row`` costs less than ``than`` beyond the relative tolerance."""
-    return row.cost_total < than.cost_total - _REL_TOL * max(1.0, than.cost_total)
+    return row.cost_total < than.cost_total - REL_TOL * max(1.0, than.cost_total)
 
 
 def _per_seed_groups(rows: list[SweepRow], axis: str) -> list[list[SweepRow]]:
@@ -398,7 +396,7 @@ def check_trends(rows: list[SweepRow]) -> TrendReport:
     means = {q: _mean(v) for q, v in by_qos.items()}
     for lo, hi in zip(qos_values, qos_values[1:]):
         comparisons += 1
-        if means[lo] < means[hi] - _REL_TOL:
+        if means[lo] < means[hi] - REL_TOL:
             violations += 1
     detail = ", ".join(f"mean_fog[max_qos={q}]={means[q]:.3f}" for q in qos_values)
     report.checks.append(TrendCheck(
@@ -423,7 +421,7 @@ def check_trends(rows: list[SweepRow]) -> TrendReport:
             mean_q = _mean(by_scenario[q])
             details.append(f"mean_unprotected[max_qos={q}]={mean_q:.4f}")
             comparisons += 1
-            if base > mean_q + _REL_TOL:
+            if base > mean_q + REL_TOL:
                 violations += 1
     report.checks.append(TrendCheck(
         name="mean_unprotected_noqos_is_smallest", passed=(violations == 0),

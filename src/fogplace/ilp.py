@@ -23,9 +23,10 @@ by construction and name LP rows only:
 Capacity and delay bounds are non-strict: boundary-tight placements are
 feasible.  All evaluation helpers here are pure.  The feasibility checks
 are independent of the solver's incremental bookkeeping, so they double as
-its checking oracle; the per-app cost and delay steps are the ones the
-solver costs its reports with, so a report equals ``eval_cost`` and
-``eval_delay`` of its placement bit for bit.
+its checking oracle, and compare with the solver's limits (capacity or
+threshold + ``FEAS_TOL``, delays summed by ``_app_delay``); the per-app
+cost and delay steps are the ones the solver costs its reports with, so a
+report equals ``eval_cost`` and ``eval_delay`` of its placement bit for bit.
 """
 
 from __future__ import annotations
@@ -35,10 +36,11 @@ from dataclasses import dataclass
 
 from .model import Application, Instance, Placement, ResourceNode, placement_is_consistent
 
-# Absolute slack below which a constraint is considered satisfied; shared by
-# every feasibility decision in the package so that solver pruning and the
-# checking oracle agree.
+# A constraint holds while its side is at most bound + FEAS_TOL, the one float
+# that solver pruning and the checking oracle both compare with.  Costs tie
+# to REL_TOL relative: x beats y only below y - REL_TOL * max(1.0, y).
 FEAS_TOL = 1e-9
+REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -245,6 +247,15 @@ def _comm_delay(inst: Instance, hosts: Sequence[int]) -> float:
     return comm
 
 
+def _app_delay(inst: Instance, app: Application, hosts: Sequence[int]) -> float:
+    """An app's delay with module j on node index ``hosts[j]``, summed as the
+    solver extends a chain: execution, sensor attachment, links, user."""
+    delay = app.exec_total + inst.nodes[hosts[0]].sensor_delay
+    for u, v in zip(hosts, hosts[1:]):
+        delay += inst.links.delay[u][v]
+    return delay + inst.nodes[hosts[-1]].user_delay
+
+
 def eval_cost(inst: Instance, p: Placement) -> CostBreakdown:
     """Cost of a consistent placement, split into the five objective terms."""
     if not placement_is_consistent(inst, p):
@@ -287,10 +298,9 @@ def check_feasibility(inst: Instance, p: Placement, relax: Relaxations = Relaxat
                 used[node_id] += getattr(mod, req_field)
         for node in inst.nodes:
             cap = getattr(node, cap_field)
-            over = used[node.id] - cap
-            if over > FEAS_TOL:
+            if used[node.id] > cap + FEAS_TOL:
                 out.append(Violation(
-                    tag=tag, indices=(node.id,), slack=over,
+                    tag=tag, indices=(node.id,), slack=used[node.id] - cap,
                     detail=f"node {node.id}: {req_field} load {used[node.id]} exceeds capacity {cap}",
                 ))
 
@@ -305,11 +315,10 @@ def check_feasibility(inst: Instance, p: Placement, relax: Relaxations = Relaxat
         for a, chain in zip(inst.apps, chains):
             if len(chain) < a.n_modules:
                 continue  # reported as eq9 above
-            total = _comm_delay(inst, [inst.node_index[h] for h in chain]) + a.exec_total
-            over = total - a.qos_threshold
-            if over > FEAS_TOL:
+            total = _app_delay(inst, a, [inst.node_index[h] for h in chain])
+            if total > a.qos_threshold + FEAS_TOL:
                 out.append(Violation(
-                    tag="eq7", indices=(a.id,), slack=over,
+                    tag="eq7", indices=(a.id,), slack=total - a.qos_threshold,
                     detail=f"app {a.id}: end-to-end delay {total} exceeds threshold {a.qos_threshold}",
                 ))
 

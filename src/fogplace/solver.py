@@ -43,9 +43,9 @@ threshold.  Preprocessing and greedy run app by app, each app a ``_Step``
 joined onto the step of the apps before it.  A step holds its own app's
 domain (its slots, each holding the sum of its app's cheapest host costs
 from it to the last, its delay limit, its cheapest chain and its chain list
-within that limit) and greedy's incumbent after it (node loads, the five
-cost sums of ``ilp._add_app_cost``, each app's host chain and delays) or
-the mark that greedy failed.  It holds no slot or limit of an earlier app:
+within that limit) and greedy's incumbent after it (node loads and its
+costing: ``_add_app_cost``'s five sums, each app's host chain and delays)
+or the mark that greedy failed.  It holds no slot or limit of an earlier app:
 the module DFS flattens the slots and takes each slot's limit from its app's
 step.  No step depends on a later app or changes once built, but for a
 library build's chain list, filled in on first read; each solve computes the
@@ -59,8 +59,8 @@ float, and its first chain is the cheapest), and per relaxation a trie of
 steps, a step's children keyed by their app's identity.  A solve walks down
 the trie as far as its apps go and joins each step it adds as soon as it is
 built, so every entry that a build stores is complete.  The report is
-greedy's when the search finds nothing cheaper; a cheaper assignment is
-costed by the same per-app step.
+greedy's when the search finds nothing cheaper; a cheaper assignment, each
+app's host chain, is costed by the same per-app step.
 
 The enumerations and the module DFS extend a chain onto host ``k`` by one
 rule.  The position picks ``base, t, bw``: ``(exec_total, sensor_delay,
@@ -70,21 +70,25 @@ predecessor host's link rows.  Then ``delay = base + t[k] + user[k]``, with
 must not exceed the app's limit, and the step costs ``static[k] + inbound *
 bw[k]``.  Every value is finite and nonnegative, so the zero rows add
 exactly nothing.  One step, ``place``, puts a whole chain on the node loads,
-adding its demands in chain order as ``check_feasibility`` does; greedy and
-the chain search carry the loads it tested, the enumerations' capacity
-filters read only its verdict, and only the module DFS loads module by module.
+adding its demands in chain order; greedy and the chain search carry the
+loads it tested, the enumerations' capacity filters read only its verdict,
+and only the module DFS loads module by module.  Every capacity test reads
+the node maxima (capacity + ``FEAS_TOL``) and every delay test the app's
+limit (threshold + ``FEAS_TOL``).  ``check_feasibility`` compares with the
+same floats, adding loads in chain order and delays in this rule's order
+(``ilp._app_delay``), so the search and its checker decide a boundary alike.
 
 Every solve but an untimed sweep's runs three root proofs after
 preprocessing, each reading the clock as it goes, (1) and (2) with counters
 of 0.  (1) Greedy's cost is at the root bound, the completion bound of the
-whole instance, to 1e-9 relative: optimal.  (2) Greedy found nothing, and
+whole instance, to ``REL_TOL``: optimal.  (2) Greedy found nothing, and
 the modules that QoS and security confine to some union S of per-position
 host supports need more proc, mem or stor than S holds (a Hall-type
 condition, P. Hall 1935): infeasible.  The unions can number 2**n_nodes, so
 (2) builds them mask by mask and stops past ``MAX_UNIONS``, which every
 instance of up to 10 nodes stays within; each S it tries is still a proof.
 (3) The chain search (``chain_search``), a complete branch and bound over
-the apps' chain lists.  So "optimal" means optimal to 1e-9 relative, and the
+the apps' chain lists.  So "optimal" means optimal to ``REL_TOL``, and the
 two searches' placements can differ only where their costs agree to that
 tolerance (an exact-cost tie, on every instance measured).  ``solve_exact``
 forks once, after the build, on its caller alone: an untimed sweep solve
@@ -96,8 +100,8 @@ proofs, reports it, or greedy's when it is None.
 
 ``solve_bruteforce`` checks and costs every complete assignment with the
 declarative ``check_feasibility`` and ``eval_cost``, sharing no search code:
-it is the verification oracle for both searches.  ``solve_greedy`` is the
-exact solver's incumbent seed and a scalability baseline.
+it is the verification oracle for both searches.  ``solve_greedy``, the
+exact solver's incumbent seed and a scalability baseline, runs no search.
 """
 
 from __future__ import annotations
@@ -108,13 +112,15 @@ from dataclasses import dataclass, field
 from enum import Enum
 from operator import itemgetter
 
-from .ilp import (FEAS_TOL, CostBreakdown, Relaxations, _add_app_cost, _comm_delay, _hosting_costs,
-                  check_feasibility, eval_cost, eval_delay)
+from .ilp import (FEAS_TOL, REL_TOL, CostBreakdown, Relaxations, _add_app_cost, _comm_delay,
+                  _hosting_costs, check_feasibility, eval_cost, eval_delay)
 from .model import Application, Instance, Placement
 
 BRUTEFORCE_MAX_MODULES = 12
 BRUTEFORCE_MAX_NODES = 4
 MAX_UNIONS = 1024  # root proof (2) stops adding node sets past this many
+_Costing = tuple[tuple[float, ...], tuple, tuple]  # (sums, items, delays); see ``_Problem.add_app``
+_NO_COSTING: _Costing = ((0.0,) * 5, (), ())  # the costing of no app
 
 
 class SolveStatus(Enum):
@@ -186,8 +192,8 @@ class _Step:
     is built only ``children`` (``id(app)`` -> step) changes, and ``combos``
     of a library build, which is None until first read; a child holds its
     app, so that id stays valid.  No step refers to its parent.  ``used`` is
-    None once greedy found no chain that fits for some app; ``sums`` are the
-    five cost terms in ``CostBreakdown``'s field order."""
+    None once greedy found no chain that fits for some app; ``costing`` is
+    greedy's costing of the apps so far (see ``_Problem.add_app``)."""
 
     app: Application | None
     group: list[_Position]  # the app's slots
@@ -195,9 +201,7 @@ class _Step:
     cheapest: tuple[float, tuple[int, ...]] | None  # its cheapest chain within the limit, if any
     combos: list[tuple[float, tuple[int, ...]]] | None  # all of them, cheapest first; see ``chains``
     used: tuple[tuple[float, ...], ...] | None  # greedy's per-node (proc, mem, stor) loads
-    sums: tuple[float, ...]
-    items: tuple[tuple[str, tuple[str, ...]], ...]  # greedy's (app id, its chain's node ids)
-    delays: tuple[tuple[str, tuple[float, float]], ...]  # greedy's (app id, (comm, exec))
+    costing: _Costing
     children: dict[int, _Step] = field(default_factory=dict)
 
 
@@ -225,34 +229,33 @@ class _Problem:
         nodes = domains.get("nodes") if domains else None
         if nodes is not None and nodes[0] != infra:
             nodes = domains = None  # another infrastructure's memo
-        if nodes is None:  # the node arrays, in node order
-            nodes = (infra, *([getattr(n, name) for n in inst.nodes] for name in (
-                "id", "proc_capacity", "mem_capacity", "stor_capacity", "sensor_delay", "user_delay")))
+        if nodes is None:  # the node arrays, in node order, each capacity held as its maximum
+            nodes = (infra, *([getattr(n, name) for n in inst.nodes]
+                              for name in ("id", "sensor_delay", "user_delay")),
+                     *([getattr(n, name) + FEAS_TOL for n in inst.nodes]
+                       for name in ("proc_capacity", "mem_capacity", "stor_capacity")))
         if domains is not None:
             domains["nodes"] = nodes
-        (_infra, self.node_ids, self.proc_cap, self.mem_cap, self.stor_cap,
-         self.sensor_delay, self.user_delay) = nodes
+        (_infra, self.node_ids, self.sensor_delay, self.user_delay,
+         self.proc_max, self.mem_max, self.stor_max) = nodes
         self.n_nodes = len(self.node_ids)
         self.idle = ((0.0,) * self.n_nodes,) * 3  # per-node (proc, mem, stor) loads before any app
         ratings = None if relax.drop_security else [inst.ratings[node_id] for node_id in self.node_ids]
 
-        # Down the trie as far as the stored steps go, then new steps.
-        key = (relax.drop_qos, relax.drop_security)
-        root = _Step(None, [], float("inf"), None, [], self.idle, (0.0,) * 5, (), ())
-        path = [root if domains is None else domains.setdefault(key, root)]
+        # Down the trie as far as the stored steps go, then new steps, each
+        # joined once built.
+        root = _Step(None, [], float("inf"), None, [], self.idle, _NO_COSTING)
+        step = root if domains is None else domains.setdefault((relax.drop_qos, relax.drop_security), root)
+        self.steps: list[_Step] = []
         for app in inst.apps:
-            step = path[-1].children.get(id(app))
-            if step is None:
-                break
-            path.append(step)
-        for app in inst.apps[len(path) - 1:]:
-            path.append(self.extend(path[-1], app, relax, ratings, domains))
-            path[-2].children[id(app)] = path[-1]
-        self.last = path[-1]
-        self.steps = path[1:]
+            if id(app) not in step.children:
+                step.children[id(app)] = self.extend(step, app, relax, ratings, domains)
+            step = step.children[id(app)]
+            self.steps.append(step)
+        self.last = step
         self.app_positions = [step.group for step in self.steps]
         self.placeable = all(step.cheapest is not None for step in self.steps)
-        self.incumbent: list[int] | None = None  # node indices
+        self.incumbent: list[tuple[int, ...]] | None = None  # each app's host chain, node indices
 
     def tail_bound(self) -> list[float]:
         """Per flattened slot, a lower bound on the cost of placing it and
@@ -305,7 +308,7 @@ class _Problem:
             if combos is None:
                 combos = by_limit[limit] = [(cost, combo) for cost, delay, combo in chains if delay <= limit]
             cheapest = combos[0] if combos else None
-        step = _Step(app, group, limit, cheapest, combos, prev.used, prev.sums, prev.items, prev.delays)
+        step = _Step(app, group, limit, cheapest, combos, prev.used, prev.costing)
 
         # Greedy: the cheapest chain that fits the capacity earlier apps
         # left; the list is read only when the app's cheapest does not fit,
@@ -319,14 +322,15 @@ class _Problem:
                         break
             step.used = used
             if used is not None:
-                step.sums, step.items, step.delays = self.add_app(app, chosen, step.sums, step.items,
-                                                                  step.delays)
+                step.costing = self.add_app(step.costing, app, chosen)
         return step
 
-    def add_app(self, app: Application, hosts: tuple[int, ...], sums: tuple[float, ...],
-                items: tuple, delays: tuple) -> tuple[tuple, tuple, tuple]:
-        """A costing's sums, placement items and delays with ``app``'s
-        chain added on node indices ``hosts``."""
+    def add_app(self, costing: _Costing, app: Application, hosts: tuple[int, ...]) -> _Costing:
+        """``costing`` with ``app``'s chain added on node indices ``hosts``.
+        A costing is (sums, items, delays): the five cost terms in
+        ``CostBreakdown``'s field order, each app's (id, its chain's node
+        ids) and each app's (id, (comm, exec))."""
+        sums, items, delays = costing
         return (_add_app_cost(self.inst, sums, app, hosts),
                 items + ((app.id, tuple(self.node_ids[k] for k in hosts)),),
                 delays + ((app.id, (_comm_delay(self.inst, hosts), app.exec_total)),))
@@ -334,9 +338,7 @@ class _Problem:
     def report(self, status: SolveStatus, relax: Relaxations, stats: SearchStats) -> SolveReport:
         """The report of the search's incumbent, or greedy's if it found
         none, costed app by app as greedy's is."""
-        sums, items, delays = self.last.sums, self.last.items, self.last.delays
-        if self.incumbent is not None:
-            sums, items, delays = self.costing(self.incumbent)
+        sums, items, delays = self.last.costing if self.incumbent is None else self.costing(self.incumbent)
         return SolveReport(status=status, relax=relax, placement=Placement(dict(items)),
                            cost=CostBreakdown(*sums), per_app_delay=dict(delays), search_stats=stats)
 
@@ -347,10 +349,8 @@ class _Problem:
         zeros = [0.0] * self.n_nodes
         group = []
         for j, mod in enumerate(app.modules):
-            fits = [k for k in allowed
-                    if mod.proc_req <= self.proc_cap[k] + FEAS_TOL
-                    and mod.mem_req <= self.mem_cap[k] + FEAS_TOL
-                    and mod.stor_req <= self.stor_cap[k] + FEAS_TOL]
+            fits = [k for k in allowed if mod.proc_req <= self.proc_max[k]
+                    and mod.mem_req <= self.mem_max[k] and mod.stor_req <= self.stor_max[k]]
             static = _hosting_costs(app, j, self.inst.nodes)
             group.append(_Position(
                 proc=mod.proc_req, mem=mod.mem_req, stor=mod.stor_req, static_cost=static, candidates=fits,
@@ -394,7 +394,7 @@ class _Problem:
         lexicographic node order with ``app_chains``' extension rule and
         float sums.  A partial chain is dropped once its cost plus the later
         slots' cheapest host costs exceeds the cheapest chain found by more
-        than 1e-9 relative, a slack for the bound's other summation order; ties
+        than ``REL_TOL``, a slack for the bound's other summation order; ties
         keep the first chain found."""
         t_rows, bw_rows = self.inst.links.delay, self.inst.links.bw_cost
         n = len(positions)
@@ -408,7 +408,7 @@ class _Problem:
             if j == n:
                 if cost < best_cost and (not check_cap
                                          or self.place(positions, combo, self.idle) is not None):
-                    best, best_cost, cut = (cost, combo), cost, cost + 1e-9 * max(1.0, cost)
+                    best, best_cost, cut = (cost, combo), cost, cost + REL_TOL * max(1.0, cost)
                 continue
             pos = positions[j]
             if cost + pos.intra > cut:  # the cut fell since this chain was pushed
@@ -432,8 +432,7 @@ class _Problem:
         proc = mem = stor = 0.0  # the whole chain's demands, added in chain order as ``place`` adds them
         for pos in positions:
             proc, mem, stor = proc + pos.proc, mem + pos.mem, stor + pos.stor
-        return any(proc > self.proc_cap[k] + FEAS_TOL or mem > self.mem_cap[k] + FEAS_TOL
-                   or stor > self.stor_cap[k] + FEAS_TOL
+        return any(proc > self.proc_max[k] or mem > self.mem_max[k] or stor > self.stor_max[k]
                    for k in set().union(*(pos.candidates for pos in positions)))
 
     def count_extensions(self, n: int) -> None:
@@ -453,34 +452,32 @@ class _Problem:
               used: tuple[tuple[float, ...], ...]) -> tuple[tuple[float, ...], ...] | None:
         """The per-node (proc, mem, stor) loads ``used`` with modules
         ``positions`` added on ``combo`` in chain order, or None if a node of
-        ``combo`` then exceeds its capacity by more than ``FEAS_TOL``."""
+        ``combo`` then exceeds its maximum."""
         proc, mem, stor = (list(load) for load in used)
         for pos, k in zip(positions, combo):
             proc[k] += pos.proc
             mem[k] += pos.mem
             stor[k] += pos.stor
-        if any(proc[k] > self.proc_cap[k] + FEAS_TOL or mem[k] > self.mem_cap[k] + FEAS_TOL
-               or stor[k] > self.stor_cap[k] + FEAS_TOL for k in combo):
+        if any(proc[k] > self.proc_max[k] or mem[k] > self.mem_max[k] or stor[k] > self.stor_max[k]
+               for k in combo):
             return None
         return tuple(proc), tuple(mem), tuple(stor)
 
-    def costing(self, assignment: list[int]) -> tuple[tuple, tuple, tuple]:
-        """The sums, placement items (one chain per app) and delays of node
-        indices ``assignment``, sliced into each app's chain and costed app by
-        app as greedy's are."""
-        sums, items, delays, m = (0.0,) * 5, (), (), 0
-        for app, group in zip(self.inst.apps, self.app_positions):
-            sums, items, delays = self.add_app(app, tuple(assignment[m:m + len(group)]),
-                                               sums, items, delays)
-            m += len(group)
-        return sums, items, delays
+    def costing(self, chains: list[tuple[int, ...]]) -> _Costing:
+        """The costing of each app's host chain ``chains``, app by app as
+        greedy's is."""
+        costing = _NO_COSTING
+        for app, hosts in zip(self.inst.apps, chains):
+            costing = self.add_app(costing, app, hosts)
+        return costing
 
     def root_proofs(self, greedy_cost: float, stats: SearchStats) -> SolveStatus:
         """The root proofs (1)-(3) of the module notes, for every solve but
         an untimed sweep's; the chain search leaves any cheaper assignment in
         ``incumbent``.  Raises ``TimeoutError`` once ``deadline`` passes."""
         self.check_clock()  # (1) greedy at the root bound
-        if self.last.used is not None and greedy_cost <= self.tail_bound()[0] + 1e-9 * max(1.0, greedy_cost):
+        if (self.last.used is not None
+                and greedy_cost <= self.tail_bound()[0] + REL_TOL * max(1.0, greedy_cost)):
             return SolveStatus.OPTIMAL
         if self.last.used is None:  # (2) confined capacity
             demand: dict[int, list[float]] = {}  # support bit mask -> summed (proc, mem, stor)
@@ -502,8 +499,8 @@ class _Problem:
                 self.check_clock()
                 inside = [k for k in range(self.n_nodes) if union >> k & 1]
                 confined = [need for mask, need in demand.items() if not mask & ~union]
-                if any(sum(need[r] for need in confined) > sum(cap[k] + FEAS_TOL for k in inside)
-                       for r, cap in enumerate((self.proc_cap, self.mem_cap, self.stor_cap))):
+                if any(sum(need[r] for need in confined) > sum(most[k] for k in inside)
+                       for r, most in enumerate((self.proc_max, self.mem_max, self.stor_max))):
                     return SolveStatus.INFEASIBLE
         return self.chain_search(greedy_cost, stats)
 
@@ -513,7 +510,7 @@ class _Problem:
         first (Haralick & Elliott 1980), each list scanned cheapest first, so
         that its first band is the plateau of every app's cheapest chains.  A
         scan stops at the first chain whose cost, with the prefix and the
-        later apps' minima, is within 1e-9 relative of the best cost found
+        later apps' minima, is within ``REL_TOL`` of the best cost found
         (``incumbent``, greedy's, to begin with); capacity is checked chain by
         chain.  Counts one node per app placed, one bound prune per scan it
         cuts and one capacity prune per chain that does not fit, and each
@@ -526,7 +523,7 @@ class _Problem:
         for d in reversed(range(len(order))):
             rest[d] = combos[order[d]][0][0] + rest[d + 1]
         best_cost = incumbent
-        cut = float("inf") if incumbent == float("inf") else incumbent - 1e-9 * max(1.0, incumbent)
+        cut = float("inf") if incumbent == float("inf") else incumbent - REL_TOL * max(1.0, incumbent)
         hosts: list[tuple[int, ...]] = [()] * len(order)  # in app order
         stack = [(0, 0.0, self.idle)]  # per depth: next chain, prefix cost, loads
         while stack:  # a loop, not a recursive closure, so that no cycle is left for the GC
@@ -553,9 +550,9 @@ class _Problem:
             if len(stack) < len(order):
                 stack.append((0, prefix + cost, placed))
             else:
-                self.incumbent = [k for chain in hosts for k in chain]
+                self.incumbent = hosts.copy()
                 best_cost = CostBreakdown(*self.costing(self.incumbent)[0]).total
-                cut = best_cost - 1e-9 * max(1.0, best_cost)
+                cut = best_cost - REL_TOL * max(1.0, best_cost)
         return SolveStatus.OPTIMAL if best_cost < float("inf") else SolveStatus.INFEASIBLE
 
     def module_dfs(self, incumbent: float, stats: SearchStats) -> SolveStatus:
@@ -563,8 +560,9 @@ class _Problem:
         leaves its result as ``chain_search`` does."""
         positions = [pos for group in self.app_positions for pos in group]
         limits = [step.limit for step in self.steps for _pos in step.group]  # per slot, its app's limit
+        bounds = list(itertools.accumulate(map(len, self.app_positions), initial=0))  # the apps' slot bounds
         tail_bound = self.tail_bound()
-        proc_cap, mem_cap, stor_cap = self.proc_cap, self.mem_cap, self.stor_cap
+        proc_max, mem_max, stor_max = self.proc_max, self.mem_max, self.stor_max
         t, bw = self.inst.links.delay, self.inst.links.bw_cost
         n_pos = len(positions)
         best_cost = incumbent
@@ -580,15 +578,14 @@ class _Problem:
             if m == n_pos:
                 if prefix_cost < best_cost:
                     best_cost = prefix_cost
-                    self.incumbent = current.copy()
+                    self.incumbent = [tuple(current[a:b]) for a, b in itertools.pairwise(bounds)]
                 return
             pos = positions[m]
             base, t_row, bw_row = pos.root or (delay_at[m - 1], t[current[m - 1]], bw[current[m - 1]])
             static, inbound, user, qos_limit = pos.static_cost, pos.inbound, pos.user, limits[m]
             for k in pos.candidates:
-                if (used_proc[k] + pos.proc > proc_cap[k] + FEAS_TOL
-                        or used_mem[k] + pos.mem > mem_cap[k] + FEAS_TOL
-                        or used_stor[k] + pos.stor > stor_cap[k] + FEAS_TOL):
+                if (used_proc[k] + pos.proc > proc_max[k] or used_mem[k] + pos.mem > mem_max[k]
+                        or used_stor[k] + pos.stor > stor_max[k]):
                     stats.pruned_capacity += 1
                     continue
                 delay = base + t_row[k] + user[k]
@@ -624,7 +621,7 @@ def solve_exact(inst: Instance, relax: Relaxations = Relaxations(),
     step per app, its domain and greedy's incumbent after it, finding the
     app's cheapest chain first and listing its chains only when read.  The
     solve runs the root proofs of the module notes, the last a complete
-    chain-level branch and bound, so OPTIMAL is optimal to 1e-9 relative,
+    chain-level branch and bound, so OPTIMAL is optimal to ``REL_TOL``,
     and builds none of the module DFS's state; only an untimed sweep solve
     runs the module DFS instead.  The time limit covers preprocessing and
     search, and picks no search; hitting it returns the best incumbent found
@@ -638,7 +635,7 @@ def solve_exact(inst: Instance, relax: Relaxations = Relaxations(),
         prob = _Problem(inst, relax, deadline, _domains)
         if not prob.placeable:
             return SolveReport(status=SolveStatus.INFEASIBLE, relax=relax, search_stats=stats)
-        greedy_cost = CostBreakdown(*prob.last.sums).total if prob.last.used is not None else float("inf")
+        greedy_cost = float("inf") if prob.last.used is None else CostBreakdown(*prob.last.costing[0]).total
         # The root proofs decide every solve but an untimed sweep's, whose
         # module DFS counters the desk answer digests pin.
         search = prob.module_dfs if _domains is not None and deadline is None else prob.root_proofs
@@ -691,14 +688,10 @@ def solve_greedy(inst: Instance, relax: Relaxations = Relaxations()) -> SolveRep
 
     Returns FEASIBLE on success (never claims optimality) and
     HEURISTIC_FAILED when some app cannot be placed - which, unlike
-    INFEASIBLE from the exact solver, is not a proof.
+    INFEASIBLE from the exact solver, is not a proof.  It runs no search, so
+    its counters are all 0.
     """
     prob = _Problem(inst, relax)
-    stats = SearchStats()
-    for step in prob.steps:  # every app greedy tried, through the first it could not place
-        stats.nodes_explored += len(prob.chains(step))
-        if step.used is None:
-            break
     if prob.last.used is None:
-        return SolveReport(status=SolveStatus.HEURISTIC_FAILED, relax=relax, search_stats=stats)
-    return prob.report(SolveStatus.FEASIBLE, relax, stats)
+        return SolveReport(status=SolveStatus.HEURISTIC_FAILED, relax=relax)
+    return prob.report(SolveStatus.FEASIBLE, relax, SearchStats())

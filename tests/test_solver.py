@@ -591,8 +591,7 @@ class TestDomainMemo:
         assert step.children == {}  # no step for app 2
         resumed, fresh = _Problem(inst, Relaxations(), domains=memo), _Problem(inst, Relaxations(), domains={})
         assert resumed.app_combos == fresh.app_combos
-        assert ((resumed.last.sums, resumed.last.items, resumed.last.delays)
-                == (fresh.last.sums, fresh.last.items, fresh.last.delays))
+        assert resumed.last.costing == fresh.last.costing
         report = solve_exact(inst, _domains=memo)
         assert report == solve_exact(inst, _domains={})
         assert but_counters(report) == but_counters(solve_exact(inst))
@@ -649,15 +648,13 @@ class TestPrefixMemo:
         memo = {}
         _Problem(inst.with_apps(inst.apps[:first]), relax, domains=memo)
         _Problem(inst, relax, domains=memo)
-        step, tried = memo[(drop_qos, drop_security)], 0
+        step = memo[(drop_qos, drop_security)]
         for j, app in enumerate(inst.apps, 1):
-            if step.used is not None:  # greedy tries an app's chains once it placed the earlier apps
-                tried += len(step.children[id(app)].combos)
             step, sub = step.children[id(app)], inst.with_apps(inst.apps[:j])
             prob = _Problem(sub, relax, domains=memo)
             assert prob.last is step
             library = solve_greedy(sub, relax)
-            assert tried == library.search_stats.nodes_explored
+            assert library.search_stats == SearchStats()  # greedy runs no search
             if step.used is None:
                 assert library.status is SolveStatus.HEURISTIC_FAILED
                 continue
@@ -850,12 +847,12 @@ class TestBruteforce:
 
 
 def reference_greedy(inst, relax):
-    """Placement and chain count of a plain greedy scan: each app's chains in
-    lexicographic node order, keeping the strictly cheapest that fits."""
+    """Placement of a plain greedy scan: each app's chains in lexicographic
+    node order, keeping the strictly cheapest that fits."""
     prob = _Problem(inst, relax)
     used = {k: [0.0, 0.0, 0.0] for k in range(prob.n_nodes)}
-    caps = list(zip(prob.proc_cap, prob.mem_cap, prob.stor_cap))
-    assign, explored = {}, 0
+    caps = [(n.proc_capacity, n.mem_capacity, n.stor_capacity) for n in inst.nodes]
+    assign = {}
     for i, app in enumerate(inst.apps):
         positions = prob.app_positions[i]
         best = None
@@ -874,18 +871,17 @@ def reference_greedy(inst, relax):
                 continue
             if not relax.drop_qos and delay > app.qos_threshold + FEAS_TOL:
                 continue
-            explored += 1
             fits = all(used[k][r] + load[r] <= caps[k][r] + FEAS_TOL
                        for k, load in loads.items() for r in range(3))
             if fits and (best is None or cost < best[0]):
                 best = (cost, combo, loads)
         if best is None:
-            return None, explored
+            return None
         for k, load in best[2].items():
             for r in range(3):
                 used[k][r] += load[r]
         assign[app.id] = tuple(prob.node_ids[k] for k in best[1])
-    return Placement(assign), explored
+    return Placement(assign)
 
 
 class TestGreedy:
@@ -896,10 +892,8 @@ class TestGreedy:
                 cfg = dataclasses.replace(cfg, fog_proc_capacity=2.0, cloud_proc_capacity=3.0)
             inst = generate_instance(cfg)
             for relax in (Relaxations(), Relaxations(drop_security=True), RELAX_ALL):
-                placement, explored = reference_greedy(inst, relax)
                 g = solve_greedy(inst, relax)
-                assert g.placement == placement, (seed, relax)
-                assert g.search_stats.nodes_explored == explored, (seed, relax)
+                assert g.placement == reference_greedy(inst, relax), (seed, relax)
 
     def test_single_app_matches_exact(self, tiny_instance):
         g = solve_greedy(tiny_instance)
@@ -936,3 +930,98 @@ class TestGreedy:
         e = solve_exact(inst)
         assert g.status is SolveStatus.HEURISTIC_FAILED
         assert e.status is SolveStatus.OPTIMAL
+
+    def test_takes_each_cheapest_chain_without_listing_chains(self, two_app_instance):
+        # Every app's cheapest chain fits, so greedy never lists an app's
+        # chains; it runs no search, so its counters are all 0.
+        def no_listing(*args):
+            raise AssertionError("greedy listed an app's chains")
+
+        with mock.patch.object(_Problem, "app_chains", no_listing):
+            report = solve_greedy(two_app_instance)
+        assert report.status is SolveStatus.FEASIBLE
+        assert report.search_stats == SearchStats()
+        assert report.placement == reference_greedy(two_app_instance, Relaxations())
+
+
+def nudged(x, ulps):
+    """``x`` moved ``ulps`` units in the last place (down if negative)."""
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+# A HIGH app alone on a HIGH fog (the MEDIUM cloud is barred): its storage
+# need is 22.0 + 1e-9, the fog's capacity 22.0, so the load meets the
+# capacity + FEAS_TOL float exactly.
+CAPACITY_EDGE = make_instance(
+    [make_app(n=1, security=SecurityLevel.HIGH, stor=22.0 + 1e-9)],
+    nodes=(make_cloud(), make_fog("f0", (500.0, 500.0), stor_capacity=22.0)))
+# A 1-module app whose delay on the fog, summed as a chain grows (execution,
+# sensor, user), is its threshold + FEAS_TOL, and one ulp more summed as
+# sensor + user + execution.
+QOS_EDGE = make_instance([make_app(n=1, exec_delay=0.08029148164413505, qos=0.10029148064413504)],
+                         nodes=(make_cloud(), make_fog("f0", (500.0, 500.0))))
+
+
+@st.composite
+def boundary_chains(draw):
+    """One HIGH app of 1-2 modules on 1-2 HIGH fogs, with its threshold, or
+    the storage capacity of its first module's host, set within a few ulps
+    of where a drawn chain's delay or load meets it + FEAS_TOL."""
+    n, n_fog = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    attach = st.floats(0.001, 0.05)
+    fogs = [make_fog(f"f{f}", (400.0 + 100.0 * f, 500.0), sensor_delay=draw(attach), user_delay=draw(attach))
+            for f in range(n_fog)]
+    modules = tuple(AppModule(proc_req=1.0, mem_req=0.02, stor_req=draw(st.floats(0.1, 30.0)),
+                              exec_delay=draw(st.floats(0.01, 0.3))) for _ in range(n))
+    app = dataclasses.replace(make_app(n=n, qos=50.0, security=SecurityLevel.HIGH), modules=modules)
+    inst = make_instance([app], nodes=(make_cloud(), *fogs))
+    hosts = [draw(st.integers(1, n_fog)) for _ in range(n)]  # node indices; 0 is the cloud
+    ulps = draw(st.integers(-4, 4))
+    if draw(st.booleans()):  # the threshold, from the delay summed as a chain grows
+        delay = app.exec_total + inst.nodes[hosts[0]].sensor_delay
+        for u, v in zip(hosts, hosts[1:]):
+            delay += inst.links.delay[u][v]
+        delay += inst.nodes[hosts[-1]].user_delay
+        app = dataclasses.replace(app, qos_threshold=nudged(delay - FEAS_TOL, ulps))
+        return dataclasses.replace(inst, apps=(app,))
+    load = 0.0  # on the first module's host, in chain order
+    for mod, k in zip(modules, hosts):
+        if k == hosts[0]:
+            load += mod.stor_req
+    nodes = list(inst.nodes)
+    nodes[hosts[0]] = dataclasses.replace(nodes[hosts[0]], stor_capacity=nudged(load - FEAS_TOL, ulps))
+    return make_instance([app], nodes=nodes)
+
+
+class TestFeasibilityBoundary:
+    """The search and its checker decide a constraint at its boundary alike."""
+
+    @staticmethod
+    def assert_agree(inst):
+        brute = solve_bruteforce(inst)
+        for report in (solve_exact(inst), solve_exact(inst, opts=SolveOptions(time_limit=1.0)),
+                       solve_exact(inst, _domains={})):
+            assert report.status is brute.status
+            assert report.placement == brute.placement
+            if report.placement is not None:
+                assert check_feasibility(inst, report.placement) == []
+
+    @pytest.mark.parametrize("inst", [CAPACITY_EDGE, QOS_EDGE], ids=["capacity", "qos"])
+    def test_repro_is_feasible_for_all(self, inst):
+        (fog,) = [node.id for node in inst.nodes if node.id != "cloud"]
+        assert check_feasibility(inst, Placement({"a1": (fog,)})) == []
+        assert solve_bruteforce(inst).status is SolveStatus.OPTIMAL
+        self.assert_agree(inst)
+
+    @settings(max_examples=150, deadline=None)
+    @given(inst=boundary_chains())
+    @example(inst=CAPACITY_EDGE)
+    @example(inst=QOS_EDGE)
+    def test_exact_agrees_with_brute_force(self, inst):
+        brute = solve_bruteforce(inst)
+        for report in (solve_exact(inst), solve_exact(inst, _domains={})):
+            assert report.status is brute.status
+            if report.placement is not None:
+                assert check_feasibility(inst, report.placement) == []
